@@ -91,6 +91,9 @@ DEFAULTS = {
     "workers": 1,
 }
 
+#: Value types of the keys whose default is None (unset).
+_OPTIONAL_TYPES = {"fnn_lags": int, "eval_start": float, "sample": int}
+
 _MODEL_KINDS = {
     "var": "var_only",
     "var_only": "var_only",
@@ -106,6 +109,22 @@ def derive_seed(master: int, stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_type(key: str, value, source: str) -> None:
+    """A config-file value must have the type of its default: bool only for
+    bools, int (not bool) for ints, int or float for floats, str for
+    strings; None only where the default is None."""
+    default = DEFAULTS[key]
+    if value is None and default is None:
+        return
+    expected = _OPTIONAL_TYPES.get(key, type(default))
+    accepted = (int, float) if expected is float else (expected,)
+    if (isinstance(value, bool) and expected is not bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"{source}: config key {key!r} must be {expected.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
 def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     """flag > config file > default, for the given keys."""
     resolved = {k: DEFAULTS[k] for k in keys}
@@ -113,11 +132,15 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"{config_path}: a config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
             raise ValueError(
                 f"unknown config keys for this command: {sorted(unknown)}"
             )
+        for key, value in file_values.items():
+            _check_type(key, value, config_path)
         resolved.update(file_values)
     for key in keys:
         value = getattr(args, key, None)

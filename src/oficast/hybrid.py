@@ -431,7 +431,10 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
         var_file = dirpath / VAR_FILE
         if not var_file.exists():
             raise BundleFormatError("kind", f"{kind} bundle is missing {VAR_FILE}")
-        var_part = vm.load_var(var_file)
+        try:
+            var_part = vm.load_var(var_file)
+        except ValueError as exc:
+            raise BundleFormatError(VAR_FILE, str(exc)) from exc
         if var_part.p != config.var_lag:
             raise BundleFormatError(
                 "var_lag",
@@ -443,7 +446,10 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
         fnn_file = dirpath / FNN_FILE
         if not fnn_file.exists():
             raise BundleFormatError("kind", f"{kind} bundle is missing {FNN_FILE}")
-        fnn_part = load_fnn(fnn_file)
+        try:
+            fnn_part = load_fnn(fnn_file)
+        except ValueError as exc:
+            raise BundleFormatError(FNN_FILE, str(exc)) from exc
         topo = fnn_part.topology
         if topo.input_dim != 2 * config.residual_lags:
             raise BundleFormatError(

@@ -30,37 +30,24 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_grad(x):
-    return (x > 0.0).astype(float)
-
-
-def _tanh(x):
-    return np.tanh(x)
-
-
-def _tanh_grad(x):
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow and without boolean masks.
+
+    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) for x < 0:
+    the same operations on the same values as evaluating 1/(1+exp(-x)) on
+    the non-negative entries and exp(x)/(1+exp(x)) on the rest, so the
+    bits match that two-branch form exactly.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sigmoid_grad(x):
-    s = _sigmoid(x)
-    return s * (1.0 - s)
-
-
+#: activation -> (function, derivative written in terms of the function's
+#: output a, which the forward pass already holds).
 _ACTIVATION_FUNCS = {
-    "relu": (_relu, _relu_grad),
-    "tanh": (_tanh, _tanh_grad),
-    "sigmoid": (_sigmoid, _sigmoid_grad),
+    "relu": (_relu, lambda a: a > 0.0),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
 }
 
 
@@ -166,6 +153,10 @@ class TrainingTrace:
     best_epoch: int = 0
 
 
+class TrainingDivergedError(ValueError):
+    """An epoch ended with a non-finite training or validation loss."""
+
+
 def write_trace_csv(trace: TrainingTrace, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss\n")
@@ -193,20 +184,31 @@ def init_model(topology: FnnTopology, seed: int = 0) -> FnnModel:
     )
 
 
+def _layer_views(flat: np.ndarray, dims: tuple[int, ...]):
+    """(weights, biases): per-layer views into one flat vector laid out
+    W0, b0, W1, b1, ..., with as many entries as the layers' parameters."""
+    weights, biases = [], []
+    lo = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        hi = lo + fan_in * fan_out
+        weights.append(flat[lo:hi].reshape(fan_in, fan_out))
+        biases.append(flat[hi : hi + fan_out])
+        lo = hi + fan_out
+    return weights, biases
+
+
 def _forward_scaled(model: FnnModel, xs: np.ndarray):
-    """Forward pass in scaled space; returns (per-layer activations,
-    per-layer pre-activations).  activations[0] is the input."""
+    """Forward pass in scaled space; returns the per-layer activations.
+    activations[0] is the input, activations[-1] the network output."""
     act, _ = _ACTIVATION_FUNCS[model.topology.activation]
     activations = [xs]
-    pre_activations = []
     out = xs
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = out @ w + b
-        pre_activations.append(z)
         out = z if i == last else act(z)  # identity output layer
         activations.append(out)
-    return activations, pre_activations
+    return activations
 
 
 def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
@@ -220,8 +222,9 @@ def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected inputs of width {model.topology.input_dim}, got {x.shape[1]}"
         )
-    activations, _ = _forward_scaled(model, model.input_scaler.transform(x))
-    out = model.target_scaler.inverse(activations[-1])
+    out = model.target_scaler.inverse(
+        _forward_scaled(model, model.input_scaler.transform(x))[-1]
+    )
     return out[0] if single else out
 
 
@@ -246,25 +249,22 @@ def _scaled_batch(model: FnnModel, inputs, targets):
 def training_loss(model: FnnModel, inputs, targets) -> float:
     """The objective the optimizer sees: MSE in scaled space."""
     xs, ys = _scaled_batch(model, inputs, targets)
-    activations, _ = _forward_scaled(model, xs)
-    return loss(activations[-1], ys)
+    return loss(_forward_scaled(model, xs)[-1], ys)
 
 
-def _backward_scaled(model: FnnModel, xs: np.ndarray, ys: np.ndarray):
+def _backward_scaled(model: FnnModel, xs, ys, weight_grads, bias_grads) -> None:
+    """Write the gradients of the scaled-space MSE on one batch into
+    ``weight_grads``/``bias_grads`` (arrays shaped like the parameters)."""
     _, act_grad = _ACTIVATION_FUNCS[model.topology.activation]
-    activations, pre_activations = _forward_scaled(model, xs)
+    activations = _forward_scaled(model, xs)
     out = activations[-1]
-    n_layers = len(model.weights)
-    weight_grads = [None] * n_layers
-    bias_grads = [None] * n_layers
     # d(MSE)/d(out); the mean runs over batch * output_dim elements
     delta = 2.0 * (out - ys) / out.size
-    for i in range(n_layers - 1, -1, -1):
-        weight_grads[i] = activations[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
+    for i in range(len(model.weights) - 1, -1, -1):
+        np.matmul(activations[i].T, delta, out=weight_grads[i])
+        delta.sum(axis=0, out=bias_grads[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * act_grad(pre_activations[i - 1])
-    return weight_grads, bias_grads
+            delta = (delta @ model.weights[i].T) * act_grad(activations[i])
 
 
 def backward(model: FnnModel, inputs, targets):
@@ -273,37 +273,64 @@ def backward(model: FnnModel, inputs, targets):
     Returns (weight_grads, bias_grads) shaped like the parameter lists.
     """
     xs, ys = _scaled_batch(model, inputs, targets)
-    return _backward_scaled(model, xs, ys)
+    n_params = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+    weight_grads, bias_grads = _layer_views(np.empty(n_params), model.topology.layer_dims)
+    _backward_scaled(model, xs, ys, weight_grads, bias_grads)
+    return weight_grads, bias_grads
 
 
 class _Sgd:
-    def __init__(self, lr):
+    """Plain gradient descent on one flat parameter vector, in place."""
+
+    def __init__(self, lr, params):
         self.lr = lr
+        self._update = np.empty_like(params)
 
     def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+        np.multiply(grads, self.lr, out=self._update)
+        params -= self._update
 
 
 class _Adam:
+    """Adam (Kingma & Ba 2015) on one flat parameter vector, in place.
+
+    Per element, in this order: m = b1*m + (1-b1)*g;
+    v = b2*v + ((1-b2)*g)*g; p -= (lr*(m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps).
+    Scratch buffers are allocated once, so a step allocates nothing.
+    """
+
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
     def __init__(self, lr, params):
         self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grads, 1.0 - self.beta1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grads, 1.0 - self.beta2, out=num)
+        np.multiply(num, grads, out=num)
+        np.add(v, num, out=v)
+        np.divide(v, 1.0 - self.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        np.divide(m, 1.0 - self.beta1**self.t, out=num)
+        np.multiply(num, self.lr, out=num)
+        np.divide(num, den, out=num)
+        params -= num
+
+
+_OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 
 
 def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
@@ -315,6 +342,10 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     without validation improvement, and the best-epoch parameters are
     restored.  Scalers are fitted on the training slice only.  The whole
     procedure is a pure function of (data, topology, config).
+
+    The returned model's weights and biases are views into one flat
+    parameter vector.  An epoch that ends with a non-finite training or
+    validation loss raises :class:`TrainingDivergedError`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -361,32 +392,40 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     xs_val = model.input_scaler.transform(x_val) if n_val else None
     ys_val = model.target_scaler.transform(y_val) if n_val else None
 
-    params = model.weights + model.biases
-    if config.optimizer == "adam":
-        optimizer = _Adam(config.learning_rate, params)
-    else:
-        optimizer = _Sgd(config.learning_rate)
+    dims = topology.layer_dims
+    flat = np.concatenate([a.ravel() for wb in zip(model.weights, model.biases) for a in wb])
+    model.weights, model.biases = _layer_views(flat, dims)
+    grad = np.empty_like(flat)
+    weight_grads, bias_grads = _layer_views(grad, dims)
+    optimizer = _OPTIMIZERS[config.optimizer](config.learning_rate, flat)
 
     rng = np.random.default_rng(config.seed)
     trace = TrainingTrace()
     best_val = math.inf
-    best_params = None
+    best_flat = None
     epochs_since_best = 0
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
+        xs_epoch, ys_epoch = xs[order], ys[order]
         for lo in range(0, n_train, config.batch_size):
-            batch = order[lo : lo + config.batch_size]  # last partial batch kept
-            wg, bg = _backward_scaled(model, xs[batch], ys[batch])
-            optimizer.step(params, wg + bg)
+            hi = lo + config.batch_size  # last partial batch kept
+            _backward_scaled(
+                model, xs_epoch[lo:hi], ys_epoch[lo:hi], weight_grads, bias_grads
+            )
+            optimizer.step(flat, grad)
 
-        out_train, _ = _forward_scaled(model, xs)
-        trace.train_losses.append(loss(out_train[-1], ys))
+        train_loss = loss(_forward_scaled(model, xs)[-1], ys)
         if n_val:
-            out_val, _ = _forward_scaled(model, xs_val)
-            val_loss = loss(out_val[-1], ys_val)
+            val_loss = loss(_forward_scaled(model, xs_val)[-1], ys_val)
         else:
             val_loss = None
+        if not math.isfinite(train_loss) or (n_val and not math.isfinite(val_loss)):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: train loss {train_loss!r}, "
+                f"validation loss {val_loss!r}; lower the learning rate"
+            )
+        trace.train_losses.append(train_loss)
         trace.val_losses.append(val_loss)
         trace.stopped_epoch = epoch
 
@@ -394,10 +433,7 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
             if val_loss < best_val:
                 best_val = val_loss
                 trace.best_epoch = epoch
-                best_params = (
-                    [w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                )
+                best_flat = flat.copy()
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
@@ -406,9 +442,8 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
         else:
             trace.best_epoch = epoch
 
-    if config.early_stopping and best_params is not None:
-        model.weights = [w.copy() for w in best_params[0]]
-        model.biases = [b.copy() for b in best_params[1]]
+    if best_flat is not None:
+        flat[:] = best_flat
     return model, trace
 
 
@@ -491,56 +526,68 @@ def save_fnn(model: FnnModel, path: str | Path) -> None:
 
 
 def load_fnn(path: str | Path) -> FnnModel:
+    """Inverse of :func:`save_fnn`.  A truncated file, a malformed line or a
+    non-numeric token raises ValueError naming the file and the line."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != FNN_FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FNN_FORMAT_TAG} file")
+
+    def line(idx: int) -> str:
+        if idx >= len(lines):
+            raise ValueError(f"{path}: truncated, line {idx + 1} is missing")
+        return lines[idx]
+
+    def bad(idx: int, what: str) -> ValueError:
+        return ValueError(f"{path}: line {idx + 1}: {what}")
 
     def expect(idx: int, key: str) -> str:
         prefix = key + ": "
-        if idx >= len(lines) or not lines[idx].startswith(prefix):
-            raise ValueError(f"{path}: expected '{key}:' on line {idx + 1}")
+        if not line(idx).startswith(prefix):
+            raise bad(idx, f"expected '{key}:', got {lines[idx]!r}")
         return lines[idx][len(prefix) :]
 
-    input_dim = int(expect(1, "input_dim"))
-    hidden_txt = expect(2, "hidden")
-    hidden = tuple(int(tok) for tok in hidden_txt.split(",")) if hidden_txt else ()
-    output_dim = int(expect(3, "output_dim"))
-    activation = expect(4, "activation")
-    topology = FnnTopology(
-        input_dim=input_dim,
-        hidden_layers=hidden,
-        output_dim=output_dim,
-        activation=activation,
-    )
+    def numbers(idx: int, text: str, kind=float, sep=None, count=None) -> list:
+        tokens = text.split(sep) if text else []
+        try:
+            values = [kind(tok) for tok in tokens]
+        except ValueError:
+            raise bad(idx, f"non-numeric token in {text!r}") from None
+        if count is not None and len(values) != count:
+            raise bad(idx, f"expected {count} values, got {len(values)}")
+        return values
+
+    if line(0) != FNN_FORMAT_TAG:
+        raise bad(0, f"not a {FNN_FORMAT_TAG} file")
+    (input_dim,) = numbers(1, expect(1, "input_dim"), int, count=1)
+    hidden = tuple(numbers(2, expect(2, "hidden"), int, sep=","))
+    (output_dim,) = numbers(3, expect(3, "output_dim"), int, count=1)
+    try:
+        topology = FnnTopology(
+            input_dim=input_dim,
+            hidden_layers=hidden,
+            output_dim=output_dim,
+            activation=expect(4, "activation"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: lines 2-5: {exc}") from None
     scalers = {}
     row = 5
-    for name in ("input_scaler", "target_scaler"):
-        mean = np.array([float(v) for v in expect(row, f"{name}_mean").split()])
-        scale = np.array([float(v) for v in expect(row + 1, f"{name}_scale").split()])
-        scalers[name] = AffineScaler(mean=mean, scale=scale)
+    for name, dim in (("input_scaler", input_dim), ("target_scaler", output_dim)):
+        mean = numbers(row, expect(row, f"{name}_mean"), count=dim)
+        scale = numbers(row + 1, expect(row + 1, f"{name}_scale"), count=dim)
+        scalers[name] = AffineScaler(mean=np.array(mean), scale=np.array(scale))
         row += 2
     dims = topology.layer_dims
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        if lines[row] != f"layer {i} weight {fan_in} {fan_out}":
-            raise ValueError(f"{path}: bad layer header on line {row + 1}: {lines[row]!r}")
-        row += 1
-        w = np.array(
-            [[float(v) for v in lines[row + r].split()] for r in range(fan_in)]
-        )
-        if w.shape != (fan_in, fan_out):
-            raise ValueError(f"{path}: layer {i} weight block has wrong shape")
-        row += fan_in
-        if lines[row] != f"layer {i} bias {fan_out}":
-            raise ValueError(f"{path}: bad bias header on line {row + 1}: {lines[row]!r}")
-        row += 1
-        b = np.array([float(v) for v in lines[row].split()])
-        if b.shape != (fan_out,):
-            raise ValueError(f"{path}: layer {i} bias block has wrong shape")
-        row += 1
-        weights.append(w)
-        biases.append(b)
+        if line(row) != f"layer {i} weight {fan_in} {fan_out}":
+            raise bad(row, f"bad layer header {lines[row]!r}")
+        rows = [numbers(row + 1 + r, line(row + 1 + r), count=fan_out) for r in range(fan_in)]
+        weights.append(np.array(rows))
+        row += 1 + fan_in
+        if line(row) != f"layer {i} bias {fan_out}":
+            raise bad(row, f"bad bias header {lines[row]!r}")
+        biases.append(np.array(numbers(row + 1, line(row + 1), count=fan_out)))
+        row += 2
     return FnnModel(
         topology=topology,
         weights=weights,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,12 @@ def ofi(buy: float, sell: float) -> float:
 
 
 def clamp_ofi(value: float) -> float:
-    """Clip into [-1, 1]; model outputs pass through here before signaling."""
+    """Clip into [-1, 1]; model outputs pass through here before signaling.
+
+    NaN has no place in [-1, 1] and raises ValueError.
+    """
+    if math.isnan(value):
+        raise ValueError("predicted OFI is NaN; the model produced a non-finite output")
     if value < -1.0:
         return -1.0
     if value > 1.0:

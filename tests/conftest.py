@@ -62,8 +62,9 @@ def kink_free_batch(model, n, seed, step=1e-5, margin=10.0, tries=200):
     for _ in range(tries):
         xs = rng.normal(0.0, 1.0, size=(n, d_in))
         ys = rng.normal(0.0, 1.0, size=(n, d_out))
-        _, pre = _forward_scaled(model, xs)
-        if all(np.min(np.abs(z)) > margin * step for z in pre[:-1]):
+        acts = _forward_scaled(model, xs)
+        hidden_pre = [a @ w + b for a, w, b in zip(acts, model.weights[:-1], model.biases[:-1])]
+        if all(np.min(np.abs(z)) > margin * step for z in hidden_pre):
             return xs, ys
     pytest.fail("could not sample a batch away from relu kinks")
 

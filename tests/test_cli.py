@@ -128,6 +128,17 @@ def fit_small(tmp_path, data, name="bundle", extra=()):
     return out
 
 
+def test_fit_that_diverges_exits_1_without_bundle(tmp_path, capsys):
+    data = synth(tmp_path, length=200, seed=1)
+    out = tmp_path / "bundle"
+    with np.errstate(all="ignore"):
+        code = run(["fit", "--data", data, "--out", out, "--epochs", 3,
+                    "--optimizer", "sgd", "--learning-rate", 50])
+    assert code == 1
+    assert "diverged at epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_writes_csv_and_reruns_identically(tmp_path):
     data = synth(tmp_path, length=200, seed=1)
     bundle = fit_small(tmp_path, data)
@@ -169,6 +180,18 @@ def test_predict_tampered_bundle_names_field(tmp_path, capsys):
     code = run(["predict", "--bundle", bundle, "--data", data, "--out", out])
     assert code == 1
     assert "activation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_on_truncated_fnn_file_exits_1(tmp_path, capsys):
+    data = synth(tmp_path, length=200, seed=1)
+    bundle = fit_small(tmp_path, data)
+    fnn = bundle / "fnn.txt"
+    fnn.write_text("".join(fnn.read_text().splitlines(keepends=True)[:9]))
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "fnn.txt" in err and "line 10" in err
     assert not out.exists()
 
 
@@ -270,6 +293,20 @@ def test_sweep_restricted_grid_and_rerun(tmp_path):
     assert set(best) == {"mse", "mae", "r2", "accuracy", "precision"}
 
 
+def test_sweep_records_divergence_in_status(tmp_path):
+    d1 = synth(tmp_path, "d.csv", length=200, seed=1)
+    out = tmp_path / "s.csv"
+    with np.errstate(all="ignore"):
+        code = run(["sweep", "--datasets", d1, "--out", out, "--lags", "1",
+                    "--architectures", "32,16", "--activations", "relu",
+                    "--optimizers", "sgd,adam", "--learning-rate", 50,
+                    "--epochs", 2, "--seed", 0])
+    assert code == 0
+    status = {r["optimizer"]: r["status"] for r in _read_masked(out)}
+    assert status["sgd"].startswith("error: TrainingDivergedError: training diverged at epoch")
+    assert status["adam"] == "ok"
+
+
 def test_sweep_sample_flag_shrinks_run(tmp_path):
     d1 = synth(tmp_path, "d.csv", length=150, seed=1)
     out = tmp_path / "s.csv"
@@ -301,6 +338,33 @@ def test_default_applies_when_unset(tmp_path):
     side = json.loads((tmp_path / "d.csv.config.json").read_text())
     assert side["seed"] == DEFAULTS["seed"]
     assert side["nonlinear_strength"] == DEFAULTS["nonlinear_strength"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("early_stopping", "false"), ("early_stopping", 0), ("epochs", 2.5),
+    ("epochs", True), ("hidden", [32, 16]), ("learning_rate", "0.01"),
+    ("seed", None), ("fnn_lags", "2"),
+])
+def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
+    data = synth(tmp_path, length=200, seed=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "bundle"
+    assert run(["fit", "--data", data, "--out", out, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r} must be" in err and "cfg.json" in err
+    assert not out.exists()
+
+
+def test_config_values_of_matching_type_are_accepted(tmp_path):
+    data = synth(tmp_path, length=200, seed=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"early_stopping": False, "epochs": 2, "hidden": "8",
+                               "learning_rate": 1, "fnn_lags": None}))
+    out = tmp_path / "bundle"
+    assert run(["fit", "--data", data, "--out", out, "--config", cfg]) == 0
+    side = json.loads((out / "run_config.json").read_text())
+    assert side["early_stopping"] is False and side["learning_rate"] == 1
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

@@ -325,6 +325,19 @@ def test_tampered_format_tag_names_field(tmp_path):
     assert err.field == "format"
 
 
+@pytest.mark.parametrize("stage_file", ["fnn.txt", "var.txt"])
+def test_truncated_stage_file_names_file(tmp_path, stage_file):
+    bundle = fit_hybrid(synthetic(200, seed=14), PipelineConfig(var_lag=2, train=quick_train()))
+    save_bundle(bundle, tmp_path)
+    path = tmp_path / stage_file
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5]) + "\n")
+    with pytest.raises(BundleFormatError, match="truncated") as exc:
+        load_bundle(tmp_path)
+    assert exc.value.field == stage_file
+    assert str(path) in str(exc.value)
+
+
 def test_config_dict_round_trip():
     cfg = PipelineConfig(
         var_lag=3,

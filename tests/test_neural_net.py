@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from oficast.neural_net import (
     FnnModel,
     FnnTopology,
     TrainConfig,
+    TrainingDivergedError,
     _Adam,
     _Sgd,
+    _sigmoid,
     backward,
     forward,
     gradient_check,
@@ -41,6 +46,16 @@ def hand_forward(model, x):
     return out * model.target_scaler.scale + model.target_scaler.mean
 
 
+def masked_sigmoid(x):
+    """The two-branch logistic function evaluated through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 # ------------------------------------------------------------------ forward
 
 def test_identity_relu_network():
@@ -64,6 +79,18 @@ def test_forward_matches_hand_rolled_oracle(activation):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(7, 2))
     np.testing.assert_allclose(forward(model, x), hand_forward(model, x), atol=1e-10)
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    x = np.concatenate([
+        [-1000.0, -745.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 30.0, 745.0, 1000.0],
+        np.random.default_rng(0).normal(0.0, 10.0, size=200),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow at +-1000
+        got = _sigmoid(x)
+    np.testing.assert_array_equal(got, masked_sigmoid(x))
+    assert got[0] == 0.0 and got[11] == 1.0
 
 
 def test_forward_single_sample_matches_batch():
@@ -219,7 +246,7 @@ def test_init_deterministic_per_seed():
 
 def test_sgd_step():
     p = np.array([1.0, -2.0])
-    _Sgd(lr=0.1).step([p], [np.array([0.5, -1.0])])
+    _Sgd(lr=0.1, params=p).step(p, np.array([0.5, -1.0]))
     np.testing.assert_allclose(p, [0.95, -1.9], atol=1e-15)
 
 
@@ -229,11 +256,11 @@ def test_adam_matches_reference_implementation():
     ref = p.copy()
     m = np.zeros(3)
     v = np.zeros(3)
-    opt = _Adam(lr, [p])
+    opt = _Adam(lr, p)
     rng = np.random.default_rng(1)
     for t in range(1, 6):
         g = rng.normal(size=3)
-        opt.step([p], [g.copy()])
+        opt.step(p, g.copy())
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
@@ -245,8 +272,8 @@ def test_adam_matches_reference_implementation():
 def test_adam_first_step_is_signed_learning_rate():
     # with zero state the first update is lr * sign(g) up to eps
     p = np.array([0.0])
-    opt = _Adam(0.05, [p])
-    opt.step([p], [np.array([3.0])])
+    opt = _Adam(0.05, p)
+    opt.step(p, np.array([3.0]))
     assert p[0] == pytest.approx(-0.05, rel=1e-6)
 
 
@@ -261,6 +288,133 @@ def test_train_fits_noiseless_linear_map():
     model, trace = train(x, y, FnnTopology(1, (4,), 1, "relu"), config)
     assert trace.train_losses[-1] < 1e-3  # scaled-space MSE
     assert len(trace.train_losses) == 50
+
+
+_REFERENCE_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) * np.tanh(z)),
+    "sigmoid": (
+        masked_sigmoid,
+        lambda z: masked_sigmoid(z) * (1.0 - masked_sigmoid(z)),
+    ),
+}
+
+
+def reference_train(x, y, topology, config):
+    """The training algorithm written out straight: per-layer parameter
+    lists, derivatives recomputed from the pre-activations, the masked
+    sigmoid, per-layer Adam/SGD updates and fancy-indexed batches.
+    Returns (weights, biases, train_losses, val_losses)."""
+    act, act_grad = _REFERENCE_ACTIVATIONS[topology.activation]
+    n = x.shape[0]
+    n_val = 0
+    if config.early_stopping:
+        n_val = max(1, int(math.floor(config.validation_fraction * n + 1e-9)))
+    n_train = n - n_val
+    x_scaler = AffineScaler.fit(x[:n_train])
+    y_scaler = AffineScaler.fit(y[:n_train])
+    xs, ys = x_scaler.transform(x[:n_train]), y_scaler.transform(y[:n_train])
+    xv, yv = x_scaler.transform(x[n_train:]), y_scaler.transform(y[n_train:])
+    init = init_model(topology, seed=config.seed)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    n_layers = len(weights)
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+
+    def run(xb):
+        acts, pres, out = [xb], [], xb
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = out @ w + b
+            pres.append(z)
+            out = z if i == n_layers - 1 else act(z)
+            acts.append(out)
+        return acts, pres
+
+    def mse(xb, yb):
+        d = run(xb)[0][-1] - yb
+        return float(np.mean(d * d))
+
+    rng = np.random.default_rng(config.seed)
+    train_losses, val_losses = [], []
+    best_val, best, since = math.inf, None, 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_train)
+        for lo in range(0, n_train, config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            acts, pres = run(xs[batch])
+            out = acts[-1]
+            delta = 2.0 * (out - ys[batch]) / out.size
+            wg, bg = [None] * n_layers, [None] * n_layers
+            for i in range(n_layers - 1, -1, -1):
+                wg[i] = acts[i].T @ delta
+                bg[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * act_grad(pres[i - 1])
+            if config.optimizer == "sgd":
+                for p, g in zip(params, wg + bg):
+                    p -= config.learning_rate * g
+            else:
+                t += 1
+                for i, (p, g) in enumerate(zip(params, wg + bg)):
+                    m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                    v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+                    m_hat = m[i] / (1.0 - 0.9**t)
+                    v_hat = v[i] / (1.0 - 0.999**t)
+                    p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        train_losses.append(mse(xs, ys))
+        if not n_val:
+            val_losses.append(None)
+            continue
+        val = mse(xv, yv)
+        val_losses.append(val)
+        if val < best_val:
+            best_val, since = val, 0
+            best = ([w.copy() for w in weights], [b.copy() for b in biases])
+        else:
+            since += 1
+            if since >= config.patience:
+                break
+    if best is not None:
+        weights, biases = best
+    return weights, biases, train_losses, val_losses
+
+
+@pytest.mark.parametrize("early_stopping", [True, False])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_train_bits_match_reference_trainer(activation, optimizer, early_stopping):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(83, 4))  # 67 or 83 training rows: a partial last batch
+    y = np.column_stack([np.sin(x[:, 0]) + x[:, 1], x[:, 2] * x[:, 3]])
+    y += rng.normal(0.0, 0.3, size=y.shape)
+    topology = FnnTopology(4, (16, 8), 2, activation)
+    config = TrainConfig(epochs=12, batch_size=8, optimizer=optimizer,
+                         learning_rate=0.02, early_stopping=early_stopping,
+                         patience=2, seed=5)
+    model, trace = train(x, y, topology, config)
+    weights, biases, train_losses, val_losses = reference_train(x, y, topology, config)
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(trace.train_losses, train_losses)
+    np.testing.assert_array_equal(np.array(trace.val_losses, dtype=object),
+                                  np.array(val_losses, dtype=object))
+
+
+def test_train_raises_named_error_when_loss_diverges():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 1))
+    topology = FnnTopology(3, (8,), 1, "relu")
+    for lr, epoch in ((1e6, 1), (50.0, 2)):  # the second has a finite first epoch
+        config = TrainConfig(epochs=5, optimizer="sgd", learning_rate=lr, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDivergedError, match=f"diverged at epoch {epoch}:"
+        ):
+            train(x, y, topology, config)
+    assert issubclass(TrainingDivergedError, ValueError)
 
 
 def test_train_config_validation():
@@ -369,6 +523,31 @@ def test_load_rejects_wrong_tag(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
     with pytest.raises(ValueError, match="oficast-fnn"):
+        load_fnn(path)
+
+
+def test_load_names_file_and_line_for_every_truncation(tmp_path):
+    rng = np.random.default_rng(2)
+    model, _ = train(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)),
+                     FnnTopology(2, (3, 2), 1), TrainConfig(epochs=1))
+    path = tmp_path / "fnn.txt"
+    save_fnn(model, path)
+    lines = path.read_text().splitlines()
+    for keep in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:keep]))
+        with pytest.raises(ValueError, match=r"fnn\.txt.*line %d\b" % (keep + 1)):
+            load_fnn(path)
+
+
+def test_load_names_line_of_non_numeric_token(tmp_path):
+    model = init_model(FnnTopology(2, (3,), 1), seed=0)
+    path = tmp_path / "fnn.txt"
+    save_fnn(model, path)
+    lines = path.read_text().splitlines()
+    row = lines.index("layer 0 weight 2 3") + 2  # second weight row
+    lines[row] = lines[row].replace(lines[row].split()[1], "abc")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"fnn\.txt: line %d: non-numeric" % (row + 1)):
         load_fnn(path)
 
 

@@ -68,6 +68,13 @@ def test_clamp():
     assert clamp_ofi(0.3) == 0.3
 
 
+def test_clamp_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        clamp_ofi(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        clamp_ofi(np.float64("nan"))
+
+
 # ------------------------------------------------------------ ofi_series
 
 TABLE_ROWS = [(55, 30), (45, 40), (60, 125)]
