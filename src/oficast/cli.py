@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data_io import (
     SyntheticSpec,
     chronological_split,
@@ -34,8 +32,6 @@ from .evaluation import (
 )
 from .hybrid import (
     PipelineConfig,
-    config_to_dict,
-    evaluate_on_holdout,
     fit_fnn_only,
     fit_hybrid,
     fit_var_only,
@@ -51,6 +47,7 @@ from .ofi_signal import OfiParams
 from .sweep import (
     SweepSpace,
     best_configurations,
+    derive_seed,
     enumerate_grid,
     lhs_sample,
     run_sweep,
@@ -58,8 +55,6 @@ from .sweep import (
     write_sweep_csv,
 )
 from . import var_model as vm
-
-_MASK64 = (1 << 64) - 1
 
 DEFAULTS = {
     "length": 2000,
@@ -101,12 +96,6 @@ _MODEL_KINDS = {
     "fnn_only": "fnn_only",
     "hybrid": "hybrid",
 }
-
-
-def derive_seed(master: int, stream: int) -> int:
-    """Per-stage seed derivation from the invocation's master seed."""
-    ss = np.random.SeedSequence([master & _MASK64, stream])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _check_type(key: str, value, source: str) -> None:
@@ -160,27 +149,42 @@ def _write_sidecar(out: str | Path, resolved: dict) -> None:
         fh.write("\n")
 
 
-def _pipeline_config(resolved: dict, train_seed: int) -> PipelineConfig:
-    fnn_lags = resolved["fnn_lags"]
-    return PipelineConfig(
-        var_lag=int(resolved["lag"]),
-        fnn_input_lags=None if fnn_lags is None else int(fnn_lags),
-        hidden_layers=_parse_hidden(resolved["hidden"]),
-        activation=resolved["activation"],
-        train=TrainConfig(
-            epochs=int(resolved["epochs"]),
-            batch_size=int(resolved["batch_size"]),
-            optimizer=resolved["optimizer"],
-            learning_rate=float(resolved["learning_rate"]),
-            early_stopping=bool(resolved["early_stopping"]),
-            patience=int(resolved["patience"]),
-            validation_fraction=float(resolved["validation_fraction"]),
-            seed=train_seed,
-        ),
-        ofi=OfiParams(
-            window_h=int(resolved["window"]),
-            threshold=float(resolved["threshold"]),
-        ),
+def _model_kind(resolved: dict) -> str:
+    kind = _MODEL_KINDS.get(str(resolved["model"]))
+    if kind is None:
+        raise ValueError(
+            f"model must be one of {sorted(set(_MODEL_KINDS))}, got {resolved['model']!r}"
+        )
+    return kind
+
+
+#: Config keys of the flags that fit and sweep share (see build_parser).
+_COMMON_KEYS = [
+    "model", "epochs", "batch_size", "learning_rate", "early_stopping",
+    "patience", "validation_fraction", "threshold", "window", "seed",
+    "train_fraction",
+]
+
+#: TrainConfig fields that fit and sweep both resolve, with their types.
+_TRAIN_KEYS = {
+    "epochs": int,
+    "batch_size": int,
+    "learning_rate": float,
+    "early_stopping": bool,
+    "patience": int,
+    "validation_fraction": float,
+}
+
+
+def _train_config(resolved: dict, **fields) -> TrainConfig:
+    return TrainConfig(
+        **{key: cast(resolved[key]) for key, cast in _TRAIN_KEYS.items()}, **fields
+    )
+
+
+def _ofi_params(resolved: dict) -> OfiParams:
+    return OfiParams(
+        window_h=int(resolved["window"]), threshold=float(resolved["threshold"])
     )
 
 
@@ -205,26 +209,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    keys = [
-        "model", "lag", "fnn_lags", "hidden", "activation", "optimizer",
-        "epochs", "batch_size", "learning_rate", "early_stopping",
-        "patience", "validation_fraction", "threshold", "window",
-        "seed", "train_fraction",
-    ]
+    keys = ["lag", "fnn_lags", "hidden", "activation", "optimizer", *_COMMON_KEYS]
     resolved = _resolve(args, keys)
-    kind = _MODEL_KINDS.get(str(resolved["model"]))
-    if kind is None:
-        raise ValueError(
-            f"model must be one of {sorted(set(_MODEL_KINDS))}, got {resolved['model']!r}"
-        )
+    kind = _model_kind(resolved)
     series = load_counts_csv(args.data)
     fraction = float(resolved["train_fraction"])
     if fraction >= 1.0:
         train_rows = series
     else:
         train_rows, _ = chronological_split(series, fraction)
-    master = int(resolved["seed"])
-    config = _pipeline_config(resolved, train_seed=derive_seed(master, 1))
+    fnn_lags = resolved["fnn_lags"]
+    config = PipelineConfig(
+        var_lag=int(resolved["lag"]),
+        fnn_input_lags=None if fnn_lags is None else int(fnn_lags),
+        hidden_layers=_parse_hidden(resolved["hidden"]),
+        activation=resolved["activation"],
+        train=_train_config(
+            resolved,
+            optimizer=resolved["optimizer"],
+            seed=derive_seed(int(resolved["seed"]), 1),
+        ),
+        ofi=_ofi_params(resolved),
+    )
     fitter = {
         "var_only": fit_var_only,
         "fnn_only": fit_fnn_only,
@@ -232,6 +238,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }[kind]
     bundle = fitter(train_rows, config)
     out_dir = Path(args.out)
+    for name in ("trace.csv", "run_config.json"):  # an earlier fit's, if any
+        (out_dir / name).unlink(missing_ok=True)
     save_bundle(bundle, out_dir)
     if bundle.training_trace is not None:
         write_trace_csv(bundle.training_trace, out_dir / "trace.csv")
@@ -318,18 +326,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    keys = [
-        "lags", "architectures", "activations", "optimizers", "sample",
-        "model", "epochs", "batch_size", "learning_rate", "early_stopping",
-        "patience", "validation_fraction", "threshold", "window",
-        "seed", "train_fraction", "workers",
-    ]
+    keys = ["lags", "architectures", "activations", "optimizers", "sample", "workers"]
+    keys += _COMMON_KEYS
     resolved = _resolve(args, keys)
-    kind = _MODEL_KINDS.get(str(resolved["model"]))
-    if kind is None:
-        raise ValueError(
-            f"model must be one of {sorted(set(_MODEL_KINDS))}, got {resolved['model']!r}"
-        )
+    kind = _model_kind(resolved)
     space = SweepSpace(
         lags=tuple(int(tok) for tok in str(resolved["lags"]).split(",")),
         architectures=tuple(
@@ -347,25 +347,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     datasets = []
     for path in args.datasets:
         datasets.append((Path(path).stem, load_counts_csv(path)))
-    train_template = TrainConfig(
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        learning_rate=float(resolved["learning_rate"]),
-        early_stopping=bool(resolved["early_stopping"]),
-        patience=int(resolved["patience"]),
-        validation_fraction=float(resolved["validation_fraction"]),
-    )
     results = run_sweep(
         configs,
         datasets,
         kind,
         master,
         train_fraction=float(resolved["train_fraction"]),
-        train_template=train_template,
-        ofi_params=OfiParams(
-            window_h=int(resolved["window"]),
-            threshold=float(resolved["threshold"]),
-        ),
+        train_template=_train_config(resolved),
+        ofi_params=_ofi_params(resolved),
         workers=int(resolved["workers"]),
     )
     write_sweep_csv(results, args.out)
@@ -404,38 +393,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--config", help="JSON config file")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_fit = sub.add_parser("fit", help="fit a pipeline and save the model bundle")
-    p_fit.add_argument("--data", required=True, help="counts CSV to fit on")
-    p_fit.add_argument("--out", required=True, help="bundle output directory")
-    p_fit.add_argument("--model", choices=sorted(set(_MODEL_KINDS)))
-    p_fit.add_argument("--lag", type=int)
-    p_fit.add_argument("--fnn-lags", dest="fnn_lags", type=int)
-    p_fit.add_argument("--hidden", help="hidden layer widths, e.g. 32,16")
-    p_fit.add_argument("--activation", choices=["relu", "tanh", "sigmoid"])
-    p_fit.add_argument("--optimizer", choices=["adam", "sgd"])
-    p_fit.add_argument("--epochs", type=int)
-    p_fit.add_argument("--batch-size", dest="batch_size", type=int)
-    p_fit.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_fit.add_argument(
+    # flags that fit and sweep share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", choices=sorted(set(_MODEL_KINDS)))
+    common.add_argument("--epochs", type=int)
+    common.add_argument("--batch-size", dest="batch_size", type=int)
+    common.add_argument("--learning-rate", dest="learning_rate", type=float)
+    common.add_argument(
         "--no-early-stopping",
         dest="early_stopping",
         action="store_const",
         const=False,
     )
-    p_fit.add_argument("--patience", type=int)
-    p_fit.add_argument(
+    common.add_argument("--patience", type=int)
+    common.add_argument(
         "--validation-fraction", dest="validation_fraction", type=float
     )
-    p_fit.add_argument("--threshold", type=float)
-    p_fit.add_argument("--window", type=int)
-    p_fit.add_argument("--seed", type=int)
-    p_fit.add_argument(
+    common.add_argument("--threshold", type=float)
+    common.add_argument("--window", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument(
         "--train-fraction",
         dest="train_fraction",
         type=float,
-        help="fit on the first fraction of rows (1.0 = all)",
+        help="train on the first fraction of rows; fit also accepts 1.0 (all rows)",
     )
-    p_fit.add_argument("--config", help="JSON config file")
+    common.add_argument("--config", help="JSON config file")
+
+    p_fit = sub.add_parser(
+        "fit", parents=[common], help="fit a pipeline and save the model bundle"
+    )
+    p_fit.add_argument("--data", required=True, help="counts CSV to fit on")
+    p_fit.add_argument("--out", required=True, help="bundle output directory")
+    p_fit.add_argument("--lag", type=int)
+    p_fit.add_argument("--fnn-lags", dest="fnn_lags", type=int)
+    p_fit.add_argument("--hidden", help="hidden layer widths, e.g. 32,16")
+    p_fit.add_argument("--activation", choices=["relu", "tanh", "sigmoid"])
+    p_fit.add_argument("--optimizer", choices=["adam", "sgd"])
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="rolling predictions from a saved bundle")
@@ -461,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="comparison CSV path")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", help="hyperparameter sweep over datasets")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common], help="hyperparameter sweep over datasets"
+    )
     p_sweep.add_argument("--datasets", nargs="+", required=True, help="counts CSVs")
     p_sweep.add_argument("--out", required=True, help="results CSV path")
     p_sweep.add_argument("--lags", help="comma list, e.g. 1,2,5,10")
@@ -473,26 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--sample", type=int, help="Latin-hypercube subsample size instead of the full grid"
     )
-    p_sweep.add_argument("--model", choices=sorted(set(_MODEL_KINDS)))
-    p_sweep.add_argument("--epochs", type=int)
-    p_sweep.add_argument("--batch-size", dest="batch_size", type=int)
-    p_sweep.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_sweep.add_argument(
-        "--no-early-stopping",
-        dest="early_stopping",
-        action="store_const",
-        const=False,
-    )
-    p_sweep.add_argument("--patience", type=int)
-    p_sweep.add_argument(
-        "--validation-fraction", dest="validation_fraction", type=float
-    )
-    p_sweep.add_argument("--threshold", type=float)
-    p_sweep.add_argument("--window", type=int)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--train-fraction", dest="train_fraction", type=float)
     p_sweep.add_argument("--workers", type=int)
-    p_sweep.add_argument("--config", help="JSON config file")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

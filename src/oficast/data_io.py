@@ -3,7 +3,7 @@
 The canonical in-memory representation is a list of :class:`OrderCounts`,
 one row per unit interval, timestamps strictly increasing with stride 1.
 Everything downstream (VAR, FNN, pipelines) consumes these rows via
-:func:`counts_to_array`.
+:func:`counts_to_array`, the one conversion to an ``(n, 2)`` array.
 
 File formats:
 
@@ -121,9 +121,19 @@ def validate_series(series: list[OrderCounts]) -> None:
             )
 
 
-def counts_to_array(series: list[OrderCounts]) -> np.ndarray:
-    """Return the series as a float array of shape (n, 2), columns (buy, sell)."""
-    return np.array([[row.buy, row.sell] for row in series], dtype=float)
+def counts_to_array(series) -> np.ndarray:
+    """Return the series as a float array of shape (n, 2), columns (buy, sell).
+
+    Accepts a list of :class:`OrderCounts` or anything array-like; a float
+    ndarray passes through without a copy.  Any other shape raises ValueError.
+    """
+    if not isinstance(series, np.ndarray) and len(series) and isinstance(series[0], OrderCounts):
+        arr = np.array([[row.buy, row.sell] for row in series], dtype=float)
+    else:
+        arr = np.asarray(series, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) series, got shape {arr.shape}")
+    return arr
 
 
 def _parse_int(token: str, column: str, line: int) -> int:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import OrderCounts, counts_to_array
+from .data_io import counts_to_array
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -32,7 +32,7 @@ from .neural_net import (
     forward,
     train,
 )
-from .ofi_signal import OfiParams, Signal, clamp_ofi, ofi, signal
+from .ofi_signal import OfiParams, Signal, clamp_ofi, ofi, signal, window_sums
 from . import var_model as vm
 
 BUNDLE_FORMAT_TAG = "oficast-bundle v1"
@@ -116,39 +116,18 @@ def required_warmup(bundle: ModelBundle) -> int:
     return max(model_rows, cfg.ofi.window_h - 1)
 
 
-def _series_matrix(series) -> np.ndarray:
-    if len(series) > 0 and isinstance(series[0], OrderCounts):
-        return counts_to_array(series)
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) series, got shape {arr.shape}")
-    return arr
-
-
-def _residual_training_set(resid: np.ndarray, q: int):
-    """Stack (last q residual pairs -> next residual pair) samples."""
-    m = resid.shape[0]
-    if m <= q:
-        raise ValueError(f"only {m} residual rows for {q} input lags")
-    X = np.empty((m - q, 2 * q))
-    for j in range(q):
-        X[:, 2 * j : 2 * j + 2] = resid[j : m - q + j]
-    Y = resid[q:]
-    return X, Y
-
-
-def _count_window_features(arr: np.ndarray, q: int, t_first: int):
-    """Flattened (buy, sell) pairs for rows t-q .. t-1, chronological order."""
+def lag_features(arr: np.ndarray, q: int, first: int) -> np.ndarray:
+    """Row t - first holds the pairs of rows t-q .. t-1 of ``arr``, flattened
+    in chronological order, for every t from ``first`` (>= q) to len(arr) - 1."""
     n = arr.shape[0]
-    X = np.empty((n - t_first, 2 * q))
+    X = np.empty((n - first, 2 * q))
     for j in range(q):
-        rows = arr[t_first - q + j : n - q + j]
-        X[:, 2 * j : 2 * j + 2] = rows
+        X[:, 2 * j : 2 * j + 2] = arr[first - q + j : n - q + j]
     return X
 
 
 def fit_var_only(series, config: PipelineConfig) -> ModelBundle:
-    arr = _series_matrix(series)
+    arr = counts_to_array(series)
     model, diagnostics = vm.fit_var(arr, config.var_lag)
     return ModelBundle(
         kind="var_only", config=config, var_part=model, var_diagnostics=diagnostics
@@ -157,18 +136,16 @@ def fit_var_only(series, config: PipelineConfig) -> ModelBundle:
 
 def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
     """Train the network to map the last q count pairs to the next window's OFI."""
-    arr = _series_matrix(series)
+    arr = counts_to_array(series)
     q = config.residual_lags
     h = config.ofi.window_h
     n = arr.shape[0]
     t_first = max(q, h - 1)
     if n - t_first < 2:
         raise ValueError(f"series of length {n} is too short to train with q={q}, h={h}")
-    X = _count_window_features(arr, q, t_first)
-    sums = _window_sums(arr, h)
-    targets = np.array(
-        [ofi(sums[t, 0], sums[t, 1]) for t in range(t_first, n)]
-    )[:, None]
+    X = lag_features(arr, q, t_first)
+    sums = window_sums(arr, h)[t_first - h + 1 :]
+    targets = np.array([ofi(b, s) for b, s in sums])[:, None]
     topology = FnnTopology(
         input_dim=2 * q,
         hidden_layers=config.hidden_layers,
@@ -183,16 +160,16 @@ def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
 
 def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
     """VAR first, then the network on the VAR's own in-sample residuals."""
-    arr = _series_matrix(series)
+    arr = counts_to_array(series)
     p = config.var_lag
     q = config.residual_lags
     var, diagnostics = vm.fit_var(arr, p)
     resid = vm.residuals(var, arr)
-    X, Y = _residual_training_set(resid, q)
-    if X.shape[0] < 2:
+    if resid.shape[0] - q < 2:
         raise ValueError(
             f"series of length {arr.shape[0]} is too short to train with p={p}, q={q}"
         )
+    X, Y = lag_features(resid, q, q), resid[q:]
     topology = FnnTopology(
         input_dim=2 * q,
         hidden_layers=config.hidden_layers,
@@ -210,14 +187,6 @@ def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
     )
 
 
-def _window_sums(arr: np.ndarray, h: int) -> np.ndarray:
-    """Trailing sums over h rows; row t is valid for t >= h - 1."""
-    cs = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
-    out = np.full_like(arr, np.nan, dtype=float)
-    out[h - 1 :] = cs[h:] - cs[:-h]
-    return out
-
-
 def hybrid_components(bundle: ModelBundle, series):
     """Per evaluated row: VAR forecast, residual prediction, floored combination.
 
@@ -227,7 +196,7 @@ def hybrid_components(bundle: ModelBundle, series):
     """
     if bundle.kind == "fnn_only":
         raise ValueError("fnn_only pipelines have no count-space decomposition")
-    arr = _series_matrix(series)
+    arr = counts_to_array(series)
     cfg = bundle.config
     p = cfg.var_lag
     warmup = required_warmup(bundle)
@@ -241,12 +210,7 @@ def hybrid_components(bundle: ModelBundle, series):
     var_pred = preds[t_idx - p]
     if bundle.kind == "hybrid":
         resid = arr[p:] - preds  # causal: residual at u uses rows <= u
-        q = cfg.residual_lags
-        m = t_idx.shape[0]
-        feats = np.empty((m, 2 * q))
-        for j in range(q):
-            rows = resid[t_idx - q + j - p]
-            feats[:, 2 * j : 2 * j + 2] = rows
+        feats = lag_features(resid, cfg.residual_lags, warmup - p)
         resid_pred = forward(bundle.fnn_part, feats)
     else:
         resid_pred = np.zeros_like(var_pred)
@@ -254,9 +218,7 @@ def hybrid_components(bundle: ModelBundle, series):
     return t_idx, var_pred, resid_pred, combined
 
 
-def predict(
-    bundle: ModelBundle, series, horizon_mode: str = "one_step_rolling"
-) -> list[PredictionRecord]:
+def predict(bundle: ModelBundle, series) -> list[PredictionRecord]:
     """One-step-ahead rolling predictions over every row with enough history.
 
     Output covers rows warmup .. n-1 of ``series`` in order; the record
@@ -265,9 +227,7 @@ def predict(
     trailing h-1 actual rows (known at prediction time) with the predicted
     row, keeping the evaluation causal.
     """
-    if horizon_mode != "one_step_rolling":
-        raise ValueError(f"unsupported horizon_mode {horizon_mode!r}")
-    arr = _series_matrix(series)
+    arr = counts_to_array(series)
     cfg = bundle.config
     h = cfg.ofi.window_h
     threshold = cfg.ofi.threshold
@@ -277,18 +237,17 @@ def predict(
         raise ValueError(
             f"series supplies {n} rows but the pipeline needs more than {warmup}"
         )
-    sums = _window_sums(arr, h)
+    sums = window_sums(arr, h)[warmup - h + 1 :]  # windows ending at rows warmup ..
     t_idx = np.arange(warmup, n)
-    actual_vals = [ofi(sums[t, 0], sums[t, 1]) for t in t_idx]
+    actual_vals = [ofi(b, s) for b, s in sums]
 
     if bundle.kind == "fnn_only":
-        q = cfg.residual_lags
-        feats = _count_window_features(arr, q, warmup)
+        feats = lag_features(arr, cfg.residual_lags, warmup)
         out = forward(bundle.fnn_part, feats)
         predicted_vals = [clamp_ofi(v) for v in out[:, 0]]
     else:
-        _, _, _, combined = hybrid_components(bundle, series)
-        tail = sums[t_idx] - arr[t_idx]  # trailing h-1 actual rows
+        _, _, _, combined = hybrid_components(bundle, arr)
+        tail = sums - arr[warmup:]  # trailing h-1 actual rows
         win_buy = tail[:, 0] + combined[:, 0]
         win_sell = tail[:, 1] + combined[:, 1]
         predicted_vals = [
@@ -343,26 +302,7 @@ def zero_residual_head(bundle: ModelBundle) -> ModelBundle:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "var_lag": config.var_lag,
-        "fnn_input_lags": config.fnn_input_lags,
-        "hidden_layers": list(config.hidden_layers),
-        "activation": config.activation,
-        "train": {
-            "epochs": config.train.epochs,
-            "batch_size": config.train.batch_size,
-            "optimizer": config.train.optimizer,
-            "learning_rate": config.train.learning_rate,
-            "early_stopping": config.train.early_stopping,
-            "patience": config.train.patience,
-            "validation_fraction": config.train.validation_fraction,
-            "seed": config.train.seed,
-        },
-        "ofi": {
-            "window_h": config.ofi.window_h,
-            "threshold": config.ofi.threshold,
-        },
-    }
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -379,9 +319,20 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
-    """Write a bundle directory: manifest.json plus the stage files."""
+    """Write a bundle directory: the stage files, then manifest.json.
+
+    Bundle files an earlier save left in the directory are removed first,
+    manifest first, so an interrupted save leaves no loadable mix; other
+    files in the directory are kept.
+    """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    for name in (MANIFEST_FILE, VAR_FILE, FNN_FILE):
+        (dirpath / name).unlink(missing_ok=True)
+    if bundle.var_part is not None:
+        vm.save_var(bundle.var_part, dirpath / VAR_FILE)
+    if bundle.fnn_part is not None:
+        save_fnn(bundle.fnn_part, dirpath / FNN_FILE)
     manifest = {
         "format": BUNDLE_FORMAT_TAG,
         "kind": bundle.kind,
@@ -390,10 +341,6 @@ def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
     with open(dirpath / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if bundle.var_part is not None:
-        vm.save_var(bundle.var_part, dirpath / VAR_FILE)
-    if bundle.fnn_part is not None:
-        save_fnn(bundle.fnn_part, dirpath / FNN_FILE)
 
 
 class BundleFormatError(ValueError):

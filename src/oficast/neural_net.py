@@ -154,7 +154,7 @@ class TrainingTrace:
 
 
 class TrainingDivergedError(ValueError):
-    """An epoch ended with a non-finite training or validation loss."""
+    """An epoch overflowed or ended with a non-finite training or validation loss."""
 
 
 def write_trace_csv(trace: TrainingTrace, path: str | Path) -> None:
@@ -344,8 +344,8 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     procedure is a pure function of (data, topology, config).
 
     The returned model's weights and biases are views into one flat
-    parameter vector.  An epoch that ends with a non-finite training or
-    validation loss raises :class:`TrainingDivergedError`.
+    parameter vector.  An epoch that overflows, or ends with a non-finite
+    training or validation loss, raises :class:`TrainingDivergedError`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -405,42 +405,50 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     best_flat = None
     epochs_since_best = 0
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        xs_epoch, ys_epoch = xs[order], ys[order]
-        for lo in range(0, n_train, config.batch_size):
-            hi = lo + config.batch_size  # last partial batch kept
-            _backward_scaled(
-                model, xs_epoch[lo:hi], ys_epoch[lo:hi], weight_grads, bias_grads
-            )
-            optimizer.step(flat, grad)
+    # overflow or an invalid operation anywhere in an epoch, or a non-finite
+    # loss at its end, means the run has diverged; saturating activations
+    # can keep the loss finite while the weights overflow
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(n_train)
+                xs_epoch, ys_epoch = xs[order], ys[order]
+                for lo in range(0, n_train, config.batch_size):
+                    hi = lo + config.batch_size  # last partial batch kept
+                    _backward_scaled(
+                        model, xs_epoch[lo:hi], ys_epoch[lo:hi], weight_grads, bias_grads
+                    )
+                    optimizer.step(flat, grad)
 
-        train_loss = loss(_forward_scaled(model, xs)[-1], ys)
-        if n_val:
-            val_loss = loss(_forward_scaled(model, xs_val)[-1], ys_val)
-        else:
-            val_loss = None
-        if not math.isfinite(train_loss) or (n_val and not math.isfinite(val_loss)):
-            raise TrainingDivergedError(
-                f"training diverged at epoch {epoch}: train loss {train_loss!r}, "
-                f"validation loss {val_loss!r}; lower the learning rate"
-            )
-        trace.train_losses.append(train_loss)
-        trace.val_losses.append(val_loss)
-        trace.stopped_epoch = epoch
+                train_loss = loss(_forward_scaled(model, xs)[-1], ys)
+                if n_val:
+                    val_loss = loss(_forward_scaled(model, xs_val)[-1], ys_val)
+                else:
+                    val_loss = None
+                if not math.isfinite(train_loss) or (n_val and not math.isfinite(val_loss)):
+                    raise FloatingPointError(
+                        f"train loss {train_loss!r}, validation loss {val_loss!r}"
+                    )
+                trace.train_losses.append(train_loss)
+                trace.val_losses.append(val_loss)
+                trace.stopped_epoch = epoch
 
-        if config.early_stopping:
-            if val_loss < best_val:
-                best_val = val_loss
-                trace.best_epoch = epoch
-                best_flat = flat.copy()
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if epochs_since_best >= config.patience:
-                    break
-        else:
-            trace.best_epoch = epoch
+                if config.early_stopping:
+                    if val_loss < best_val:
+                        best_val = val_loss
+                        trace.best_epoch = epoch
+                        best_flat = flat.copy()
+                        epochs_since_best = 0
+                    else:
+                        epochs_since_best += 1
+                        if epochs_since_best >= config.patience:
+                            break
+                else:
+                    trace.best_epoch = epoch
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(
+            f"training diverged at epoch {epoch}: {exc}; lower the learning rate"
+        ) from None
 
     if best_flat is not None:
         flat[:] = best_flat

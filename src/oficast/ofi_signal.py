@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import OrderCounts
+from .data_io import OrderCounts, counts_to_array
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
@@ -69,6 +69,16 @@ def clamp_ofi(value: float) -> float:
     return float(value)
 
 
+def window_sums(arr: np.ndarray, h: int) -> np.ndarray:
+    """Sums over every h consecutive rows of ``arr``, by cumulative sum.
+
+    Row i of the result covers input rows i .. i + h - 1, so the result has
+    ``len(arr) - h + 1`` rows.  Sums of integer counts are exact.
+    """
+    cs = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
+    return cs[h:] - cs[:-h]
+
+
 def ofi_series(counts: list[OrderCounts], params: OfiParams) -> OfiSeries:
     """Rolling OFI over windows of ``params.window_h`` trailing intervals.
 
@@ -81,12 +91,8 @@ def ofi_series(counts: list[OrderCounts], params: OfiParams) -> OfiSeries:
         raise ValueError(
             f"series of length {len(counts)} is shorter than window_h={h}"
         )
-    buys = np.array([c.buy for c in counts], dtype=float)
-    sells = np.array([c.sell for c in counts], dtype=float)
-    kernel = np.ones(h)
-    buy_sums = np.convolve(buys, kernel, mode="valid")
-    sell_sums = np.convolve(sells, kernel, mode="valid")
-    values = tuple(ofi(b, s) for b, s in zip(buy_sums, sell_sums))
+    sums = window_sums(counts_to_array(counts), h)
+    values = tuple(ofi(b, s) for b, s in sums)
     timestamps = tuple(c.timestamp for c in counts[h - 1 :])
     return OfiSeries(timestamps=timestamps, values=values)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import math
@@ -142,9 +142,7 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     grid = enumerate_grid(space)
     if not 1 <= k <= len(grid):
         raise ValueError(f"k must lie in [1, {len(grid)}], got {k}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed & _MASK64, len(grid), k])
-    )
+    rng = np.random.default_rng(seed_sequence(seed, len(grid), k))
     if k == len(grid):
         return [grid[i] for i in rng.permutation(len(grid))]
 
@@ -207,12 +205,23 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     raise RuntimeError("lhs_sample repair loop exceeded its bound")
 
 
-def cell_seed(master_seed: int, config_index: int, dataset_index: int) -> int:
-    """Pure function of the triple; feeds the cell's TrainConfig."""
-    ss = np.random.SeedSequence(
-        [master_seed & _MASK64, config_index, dataset_index]
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+def seed_sequence(master: int, *path: int) -> np.random.SeedSequence:
+    """The random stream at ``path`` under the master seed, which is taken
+    modulo 2**64 so negative masters work."""
+    return np.random.SeedSequence([master & _MASK64, *path])
+
+
+def derive_seed(master: int, *path: int) -> int:
+    """A 64-bit seed that is a pure function of (master, *path).
+
+    The CLI derives its stage seeds as ``derive_seed(master, stream)``
+    (0 generator, 1 training, 2 subsampling); the sweep derives each cell's
+    training seed as ``derive_seed(master, config_index, dataset_index)``.
+    """
+    return int(seed_sequence(master, *path).generate_state(1, np.uint64)[0])
+
+
+cell_seed = derive_seed  # the sweep's name for per-cell seeds
 
 
 _FITTERS = {
@@ -237,58 +246,31 @@ def _run_cell(cell) -> SweepResult:
     try:
         pipeline_config = PipelineConfig(
             var_lag=config.lag,
-            fnn_input_lags=None,
             hidden_layers=config.architecture,
             activation=config.activation,
-            train=TrainConfig(
-                epochs=train_template.epochs,
-                batch_size=train_template.batch_size,
-                optimizer=config.optimizer,
-                learning_rate=train_template.learning_rate,
-                early_stopping=train_template.early_stopping,
-                patience=train_template.patience,
-                validation_fraction=train_template.validation_fraction,
-                seed=seed,
-            ),
+            train=replace(train_template, optimizer=config.optimizer, seed=seed),
             ofi=ofi_params,
         )
         train_rows, holdout_rows = chronological_split(series, train_fraction)
         bundle = _FITTERS[kind](train_rows, pipeline_config)
         records = evaluate_on_holdout(bundle, train_rows, holdout_rows)
         report = evaluate_records(records, dataset_name, kind)
-        runtime = time.perf_counter() - start
-        return SweepResult(
-            lag=config.lag,
-            architecture=config.architecture,
-            activation=config.activation,
-            optimizer=config.optimizer,
-            dataset=dataset_name,
-            mse=report.mse,
-            mae=report.mae,
-            r2=report.r2,
-            accuracy=report.accuracy,
-            precision=report.precision,
-            runtime_s=runtime,
-            status="ok",
-            seed=seed,
-        )
+        metrics = {name: getattr(report, name) for name in _METRIC_DIRECTION}
+        status = "ok"
     except Exception as exc:  # cell failures must not abort the sweep
-        runtime = time.perf_counter() - start
-        return SweepResult(
-            lag=config.lag,
-            architecture=config.architecture,
-            activation=config.activation,
-            optimizer=config.optimizer,
-            dataset=dataset_name,
-            mse=math.nan,
-            mae=math.nan,
-            r2=math.nan,
-            accuracy=math.nan,
-            precision=math.nan,
-            runtime_s=runtime,
-            status=f"error: {type(exc).__name__}: {exc}",
-            seed=seed,
-        )
+        metrics = dict.fromkeys(_METRIC_DIRECTION, math.nan)
+        status = f"error: {type(exc).__name__}: {exc}"
+    return SweepResult(
+        lag=config.lag,
+        architecture=config.architecture,
+        activation=config.activation,
+        optimizer=config.optimizer,
+        dataset=dataset_name,
+        runtime_s=time.perf_counter() - start,
+        status=status,
+        seed=seed,
+        **metrics,
+    )
 
 
 def run_sweep(
@@ -326,7 +308,7 @@ def run_sweep(
                     name,
                     series,
                     kind,
-                    cell_seed(master_seed, ci, di),
+                    derive_seed(master_seed, ci, di),
                     train_fraction,
                     train_template,
                     ofi_params,

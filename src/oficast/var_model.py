@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import OrderCounts, counts_to_array
+from .data_io import counts_to_array
 
 VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
@@ -84,18 +84,6 @@ def regressor_names(p: int) -> list[str]:
     return names
 
 
-def _as_matrix(series) -> np.ndarray:
-    if isinstance(series, np.ndarray):
-        arr = np.asarray(series, dtype=float)
-    elif len(series) > 0 and isinstance(series[0], OrderCounts):
-        arr = counts_to_array(series)
-    else:
-        arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != K:
-        raise ValueError(f"expected an (n, {K}) series, got shape {arr.shape}")
-    return arr
-
-
 def build_lag_matrix(series, p: int, *, start: int | None = None):
     """Stack the regression pair (Z, Y) for a VAR(p).
 
@@ -104,7 +92,7 @@ def build_lag_matrix(series, p: int, *, start: int | None = None):
     positions the first regressed row and exists so lag selection can score
     every candidate on one common trimmed sample; it defaults to p.
     """
-    arr = _as_matrix(series)
+    arr = counts_to_array(series)
     n = arr.shape[0]
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
@@ -240,7 +228,7 @@ def select_lag(series, candidate_lags, criterion: str = "bic") -> int:
         raise ValueError("candidate lag set is empty")
     if cands[0] < 1:
         raise ValueError(f"lags must be >= 1, got {cands[0]}")
-    arr = _as_matrix(series)
+    arr = counts_to_array(series)
     max_lag = cands[-1]
     best_p = None
     best_value = math.inf
@@ -280,7 +268,7 @@ def forecast(model: VarModel, history, steps: int) -> np.ndarray:
     ``history`` must supply at least p rows; forecasts feed back as inputs
     for subsequent steps.  Returns shape (steps, k).
     """
-    arr = _as_matrix(history)
+    arr = counts_to_array(history)
     if arr.shape[0] < model.p:
         raise ValueError(
             f"history of length {arr.shape[0]} is shorter than p={model.p}"

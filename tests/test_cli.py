@@ -195,6 +195,29 @@ def test_predict_on_truncated_fnn_file_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "first, second", [("hybrid", "var"), ("var", "hybrid"), ("hybrid", "fnn")]
+)
+def test_refit_of_another_model_into_same_dir_predicts(tmp_path, first, second):
+    data = synth(tmp_path, length=200, seed=1)
+    out, fresh = tmp_path / "bundle", tmp_path / "fresh"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    for model in (first, second):
+        assert run(["fit", "--data", data, "--out", out, "--model", model,
+                    "--epochs", 3, "--seed", 5]) == 0
+    assert run(["fit", "--data", data, "--out", fresh, "--model", second,
+                "--epochs", 3, "--seed", 5]) == 0
+    assert (out / "notes.txt").read_text() == "kept\n"
+    fresh_names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted(fresh_names + ["notes.txt"])
+    for name in fresh_names:
+        if name != "run_config.json":  # records the output path
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    pred = tmp_path / "p.csv"
+    assert run(["predict", "--bundle", out, "--data", data, "--out", pred]) == 0
+
+
 # ----------------------------------------------------------------- evaluate
 
 def _fake_predictions(path, shift=0):

@@ -92,6 +92,26 @@ def test_counts_to_array_shape_and_values():
     assert arr.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_counts_to_array_same_matrix_for_rows_and_arrays():
+    pairs = [(5, 0), (3, 7), (0, 0), (12, 4)]
+    want = counts_to_array(make_counts(pairs))
+    for form in (np.array(pairs), np.array(pairs, dtype=float), pairs):
+        got = counts_to_array(form)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_counts_to_array_float_array_is_not_copied():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert counts_to_array(arr) is arr
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,)])
+def test_counts_to_array_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"expected an \(n, 2\) series"):
+        counts_to_array(np.zeros(shape))
+
+
 # --------------------------------------------------------------- trade tapes
 
 def test_aggregate_trades_direct_count():

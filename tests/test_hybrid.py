@@ -14,6 +14,7 @@ from oficast.hybrid import (
     fit_hybrid,
     fit_var_only,
     hybrid_components,
+    lag_features,
     load_bundle,
     predict,
     read_predictions_csv,
@@ -67,6 +68,22 @@ def test_prediction_count_is_length_minus_warmup():
         assert len(records) == 250 - required_warmup(bundle)
         assert records[0].index == required_warmup(bundle)
         assert records[-1].index == 249
+
+
+# ----------------------------------------------------------- lag features
+
+@pytest.mark.parametrize("q, first", [(1, 1), (2, 2), (3, 5), (4, 4), (2, 9)])
+def test_lag_features_match_straight_loop(q, first):
+    arr = np.random.default_rng(q * 10 + first).normal(size=(12, 2))
+    want = []
+    for t in range(first, arr.shape[0]):
+        row = []
+        for u in range(t - q, t):  # oldest pair first
+            row.extend([arr[u, 0], arr[u, 1]])
+        want.append(row)
+    got = lag_features(arr, q, first)
+    assert got.shape == (arr.shape[0] - first, 2 * q)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # ------------------------------------------------------------ decomposition
@@ -283,6 +300,36 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, fitter):
     r1 = predict(bundle, series)
     r2 = predict(loaded, series)
     assert r1 == r2
+
+
+def test_save_over_another_kind_leaves_only_the_new_bundle(tmp_path):
+    series = synthetic(200, seed=13)
+    cfg = PipelineConfig(var_lag=2, train=quick_train())
+    path = tmp_path / "bundle"
+    save_bundle(fit_hybrid(series, cfg), path)
+    (path / "notes.txt").write_text("kept\n")
+    var_bundle = fit_var_only(series, cfg)
+    save_bundle(var_bundle, path)
+    assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "notes.txt", "var.txt"]
+    assert predict(load_bundle(path), series) == predict(var_bundle, series)
+
+
+def test_interrupted_save_leaves_no_loadable_bundle(tmp_path, monkeypatch):
+    import oficast.hybrid as hybrid_module
+
+    series = synthetic(200, seed=13)
+    cfg = PipelineConfig(var_lag=2, train=quick_train())
+    path = tmp_path / "bundle"
+    save_bundle(fit_var_only(series, cfg), path)
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(hybrid_module, "save_fnn", fail)
+    with pytest.raises(OSError):
+        save_bundle(fit_hybrid(series, cfg), path)
+    with pytest.raises(FileNotFoundError):  # the manifest is written last
+        load_bundle(path)
 
 
 def _tamper(tmp_path, mutate):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -415,6 +417,41 @@ def test_train_raises_named_error_when_loss_diverges():
         ):
             train(x, y, topology, config)
     assert issubclass(TrainingDivergedError, ValueError)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_saturating_activations_raise_when_training_diverges(activation):
+    # bounded hidden units keep the loss finite for a while; the overflow
+    # inside the epoch is what gives the divergence away
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 1))
+    topology = FnnTopology(3, (8,), 1, activation)
+    config = TrainConfig(
+        epochs=50, optimizer="sgd", learning_rate=1e6, early_stopping=False, seed=0
+    )
+    with pytest.raises(TrainingDivergedError, match=r"diverged at epoch \d+: overflow"):
+        train(x, y, topology, config)
+
+
+def test_fit_divergence_prints_one_error_line_and_no_warnings(
+    tmp_path, capfd, oficast_env
+):
+    # a child process, because pytest would collect the warnings in-process
+    from oficast.cli import main
+
+    data = tmp_path / "counts.csv"
+    assert main(["synth", "--out", str(data), "--length", "2000", "--seed", "1"]) == 0
+    capfd.readouterr()
+    code = subprocess.run(
+        [sys.executable, "-m", "oficast.cli", "fit", "--data", str(data),
+         "--out", str(tmp_path / "bundle"), "--optimizer", "sgd", "--learning-rate", "50"],
+        env=oficast_env,
+    ).returncode
+    assert code == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: training diverged at epoch ")
 
 
 def test_train_config_validation():

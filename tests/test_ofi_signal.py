@@ -10,6 +10,7 @@ from oficast.ofi_signal import (
     ofi_series,
     signal,
     signal_series,
+    window_sums,
 )
 
 from conftest import make_counts
@@ -120,6 +121,19 @@ def test_series_matches_manual_accumulation():
         b = sum(w[0] for w in window)
         s = sum(w[1] for w in window)
         assert v == pytest.approx(ofi(b, s), abs=1e-12)
+
+
+@given(
+    rows=st.lists(st.tuples(counts, counts), min_size=8, max_size=60),
+    h=st.integers(1, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_sums_equal_convolution_bit_for_bit(rows, h):
+    arr = np.array(rows, dtype=float)
+    sums = window_sums(arr, h)
+    for col in range(2):  # the per-column convolution ofi_series used to run
+        want = np.convolve(arr[:, col], np.ones(h), mode="valid")
+        assert sums[:, col].tobytes() == want.tobytes()
 
 
 def test_params_validation():
