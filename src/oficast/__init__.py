@@ -43,7 +43,7 @@ from .neural_net import (
 from .hybrid import (
     ModelBundle,
     PipelineConfig,
-    PredictionRecord,
+    Predictions,
     evaluate_on_holdout,
     fit_fnn_only,
     fit_hybrid,

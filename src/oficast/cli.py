@@ -40,6 +40,7 @@ from .hybrid import (
     read_predictions_csv,
     required_warmup,
     save_bundle,
+    write_json,
     write_predictions_csv,
 )
 from .neural_net import TrainConfig, write_trace_csv
@@ -143,10 +144,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def _write_sidecar(out: str | Path, resolved: dict) -> None:
-    side = Path(str(out) + ".config.json")
-    with open(side, "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(out) + ".config.json", resolved)
 
 
 def _model_kind(resolved: dict) -> str:
@@ -249,9 +247,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     resolved["out"] = str(out_dir)
     resolved["kind"] = kind
     resolved["train_rows"] = len(train_rows)
-    with open(out_dir / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "run_config.json", resolved)
     print(f"saved {kind} bundle to {out_dir}")
     return 0
 
@@ -266,9 +262,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         start = float(eval_start)
         if not 0.0 <= start < 1.0:
             raise ValueError(f"eval-start must lie in [0, 1), got {start}")
-        first_index = int(start * len(series))
-        records = [r for r in records if r.index >= first_index]
-        if not records:
+        records = records.take(records.index >= int(start * len(series)))
+        if not len(records):
             raise ValueError(
                 f"eval-start {start} leaves no predictable rows "
                 f"(warmup is {required_warmup(bundle)})"
@@ -295,14 +290,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     reports = []
     for i, pred_path in enumerate(args.predictions):
-        if labels:
-            label = labels[i]
-            if "/" in label:
-                dataset, model = label.split("/", 1)
-            else:
-                dataset, model = label, "model"
-        else:
-            dataset, model = Path(pred_path).stem, "model"
+        label = labels[i] if labels else Path(pred_path).stem
+        dataset, slash, model = label.partition("/")
+        model = model if slash else "model"
         records = read_predictions_csv(pred_path)
         reports.append(evaluate_records(records, dataset, model))
     table = render_comparison(reports)
@@ -360,9 +350,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_sweep_csv(results, args.out)
     write_heatmap_csv(results, str(args.out) + ".heatmap.csv")
     best = best_configurations(results)
-    with open(str(args.out) + ".best.json", "w", encoding="utf-8") as fh:
-        json.dump(best, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(args.out) + ".best.json", best)
     resolved["datasets"] = [str(p) for p in args.datasets]
     resolved["out"] = str(args.out)
     resolved["cells"] = len(results)

@@ -29,11 +29,13 @@ MIN_SYNTHETIC_LENGTH = 2 * MAX_SUPPORTED_LAG + 1
 
 
 class DataFormatError(ValueError):
-    """Malformed input file; ``line`` is the 1-based offending line when known."""
+    """Malformed input file; the message names ``line`` (1-based) and ``path`` when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -109,18 +111,6 @@ class SyntheticSpec:
             raise ValueError("nonlinear_strength must be nonnegative")
 
 
-def validate_series(series: list[OrderCounts]) -> None:
-    """Check the series-level invariant: nonempty, unit-stride timestamps."""
-    if not series:
-        raise ValueError("empty series")
-    for prev, cur in zip(series, series[1:]):
-        if cur.timestamp != prev.timestamp + 1:
-            raise ValueError(
-                "timestamps must increase with unit stride, "
-                f"got {cur.timestamp} after {prev.timestamp}"
-            )
-
-
 def counts_to_array(series) -> np.ndarray:
     """Return the series as a float array of shape (n, 2), columns (buy, sell).
 
@@ -145,6 +135,27 @@ def _parse_int(token: str, column: str, line: int) -> int:
         ) from None
 
 
+def read_csv_rows(path: str | Path, header: tuple[str, ...]):
+    """Yield (1-based line number, fields) for each non-blank row of a CSV
+    file whose first line is ``header``.
+
+    Raises:
+        FileNotFoundError: missing file.
+        DataFormatError: missing or different header, naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or tuple(f.strip() for f in found) != header:
+            raise DataFormatError(f"expected header {','.join(header)}, got {found}", 1, path)
+        for rec in reader:
+            if rec:
+                yield reader.line_num, rec
+
+
 def load_counts_csv(path: str | Path) -> list[OrderCounts]:
     """Load an order-count series, validating format and invariants.
 
@@ -153,37 +164,25 @@ def load_counts_csv(path: str | Path) -> list[OrderCounts]:
         DataFormatError: bad header, malformed row (with line number),
             negative count, non-unit-stride timestamps, or empty data section.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     rows: list[OrderCounts] = []
     prev_ts: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(f.strip() for f in header) != COUNTS_HEADER:
+    for lineno, rec in read_csv_rows(path, COUNTS_HEADER):
+        if len(rec) != 3:
+            raise DataFormatError(f"expected 3 fields, got {len(rec)}", lineno)
+        ts = _parse_int(rec[0], "timestamp", lineno)
+        buy = _parse_int(rec[1], "buy_orders", lineno)
+        sell = _parse_int(rec[2], "sell_orders", lineno)
+        if buy < 0:
+            raise DataFormatError("negative count in column buy_orders", lineno)
+        if sell < 0:
+            raise DataFormatError("negative count in column sell_orders", lineno)
+        if prev_ts is not None and ts != prev_ts + 1:
             raise DataFormatError(
-                f"expected header {','.join(COUNTS_HEADER)}, got {header}", line=1
+                f"timestamps must increase with unit stride, got {ts} after {prev_ts}",
+                lineno,
             )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise DataFormatError(f"expected 3 fields, got {len(rec)}", lineno)
-            ts = _parse_int(rec[0], "timestamp", lineno)
-            buy = _parse_int(rec[1], "buy_orders", lineno)
-            sell = _parse_int(rec[2], "sell_orders", lineno)
-            if buy < 0:
-                raise DataFormatError("negative count in column buy_orders", lineno)
-            if sell < 0:
-                raise DataFormatError("negative count in column sell_orders", lineno)
-            if prev_ts is not None and ts != prev_ts + 1:
-                raise DataFormatError(
-                    f"timestamps must increase with unit stride, got {ts} after {prev_ts}",
-                    lineno,
-                )
-            prev_ts = ts
-            rows.append(OrderCounts(ts, buy, sell))
+        prev_ts = ts
+        rows.append(OrderCounts(ts, buy, sell))
     if not rows:
         raise DataFormatError("empty series (header only)")
     return rows
@@ -200,36 +199,24 @@ def write_counts_csv(path: str | Path, series: list[OrderCounts]) -> None:
 
 def load_trades_csv(path: str | Path) -> list[TradeEvent]:
     """Load a trade tape (``timestamp,side`` with side BUY or SELL)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     events: list[TradeEvent] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(f.strip() for f in header) != TRADES_HEADER:
+    for lineno, rec in read_csv_rows(path, TRADES_HEADER):
+        if len(rec) != 2:
+            raise DataFormatError(f"expected 2 fields, got {len(rec)}", lineno)
+        try:
+            ts = float(rec[0].strip())
+        except ValueError:
             raise DataFormatError(
-                f"expected header {','.join(TRADES_HEADER)}, got {header}", line=1
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise DataFormatError(f"expected 2 fields, got {len(rec)}", lineno)
-            try:
-                ts = float(rec[0].strip())
-            except ValueError:
-                raise DataFormatError(
-                    f"column timestamp: expected a number, got {rec[0]!r}", lineno
-                ) from None
-            token = rec[1].strip()
-            try:
-                side = Side(token)
-            except ValueError:
-                raise DataFormatError(
-                    f"column side: expected BUY or SELL, got {token!r}", lineno
-                ) from None
-            events.append(TradeEvent(ts, side))
+                f"column timestamp: expected a number, got {rec[0]!r}", lineno
+            ) from None
+        token = rec[1].strip()
+        try:
+            side = Side(token)
+        except ValueError:
+            raise DataFormatError(
+                f"column side: expected BUY or SELL, got {token!r}", lineno
+            ) from None
+        events.append(TradeEvent(ts, side))
     return events
 
 

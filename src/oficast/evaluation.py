@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .hybrid import PredictionRecord
-from .ofi_signal import Signal
+from .hybrid import Predictions
+from .ofi_signal import SIGNAL_ORDER
 
-#: Fixed axis order for confusion matrices (rows actual, columns predicted).
-SIGNAL_ORDER = (Signal.BUY, Signal.SELL, Signal.HOLD)
+#: Position of each signal in SIGNAL_ORDER.  Signal is a str enum whose
+#: names equal its values, so "BUY" finds the same entry as Signal.BUY.
+_POSITION = {sig: i for i, sig in enumerate(SIGNAL_ORDER)}
 
 
 def mse(actual, predicted) -> float:
@@ -49,18 +50,22 @@ def _paired(actual, predicted):
 
 
 def confusion_matrix(actual_signals, predicted_signals) -> np.ndarray:
-    """3x3 counts over :data:`SIGNAL_ORDER`, rows actual, columns predicted."""
-    actual = list(actual_signals)
-    predicted = list(predicted_signals)
+    """3x3 counts over :data:`SIGNAL_ORDER`, rows actual, columns predicted;
+    entries are :class:`Signal` members or their string values."""
+    actual = _positions(actual_signals)
+    predicted = _positions(predicted_signals)
     if len(actual) != len(predicted):
         raise ValueError(f"length mismatch: {len(actual)} vs {len(predicted)}")
-    if not actual:
+    if not len(actual):
         raise ValueError("empty inputs")
-    pos = {sig: i for i, sig in enumerate(SIGNAL_ORDER)}
-    out = np.zeros((3, 3), dtype=int)
-    for a, p in zip(actual, predicted):
-        out[pos[Signal(a)], pos[Signal(p)]] += 1
-    return out
+    return np.bincount(3 * actual + predicted, minlength=9).reshape(3, 3)
+
+
+def _positions(signals) -> np.ndarray:
+    try:
+        return np.fromiter(map(_POSITION.__getitem__, signals), dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not a valid Signal") from None
 
 
 def intensity_metrics(actual_signals, predicted_signals, average: str = "macro"):
@@ -79,20 +84,17 @@ def intensity_metrics(actual_signals, predicted_signals, average: str = "macro")
     correct = int(np.trace(conf))
     accuracy = correct / total
     predicted_counts = conf.sum(axis=0)
-    actual_counts = conf.sum(axis=1)
-    present = [i for i in range(3) if predicted_counts[i] > 0]
+    present = predicted_counts > 0
+    per_class = np.diag(conf)[present] / predicted_counts[present]
     if average == "micro":
         precision = correct / total
     elif average == "macro":
-        precision = float(
-            np.mean([conf[i, i] / predicted_counts[i] for i in present])
-        )
+        precision = float(np.mean(per_class))
     else:
-        weights = np.array([actual_counts[i] for i in present], dtype=float)
+        weights = conf.sum(axis=1)[present].astype(float)
         if weights.sum() == 0.0:
             precision = 0.0
         else:
-            per_class = np.array([conf[i, i] / predicted_counts[i] for i in present])
             precision = float((per_class * weights).sum() / weights.sum())
     return accuracy, precision, conf
 
@@ -110,14 +112,11 @@ class EvalReport:
 
 
 def evaluate_records(
-    records: list[PredictionRecord], dataset: str, model: str, average: str = "macro"
+    records: Predictions, dataset: str, model: str, average: str = "macro"
 ) -> EvalReport:
-    actual = [r.actual_ofi for r in records]
-    predicted = [r.predicted_ofi for r in records]
+    actual, predicted = records.actual_ofi, records.predicted_ofi
     accuracy, precision, conf = intensity_metrics(
-        [r.actual_signal for r in records],
-        [r.predicted_signal for r in records],
-        average=average,
+        records.actual_signal, records.predicted_signal, average=average
     )
     return EvalReport(
         dataset=dataset,

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import counts_to_array
+from .data_io import DataFormatError, counts_to_array, read_csv_rows
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -72,16 +73,29 @@ class PipelineConfig:
         return self.var_lag if self.fnn_input_lags is None else self.fnn_input_lags
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One evaluated row: position in the evaluated series, actual and
-    predicted imbalance, and the signals derived from each."""
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Evaluated rows as columns: position in the evaluated series, actual and
+    predicted imbalance, and their signals (object arrays of :class:`Signal`)."""
 
-    index: int
-    actual_ofi: float
-    predicted_ofi: float
-    actual_signal: Signal
-    predicted_signal: Signal
+    index: np.ndarray
+    actual_ofi: np.ndarray
+    predicted_ofi: np.ndarray
+    actual_signal: np.ndarray
+    predicted_signal: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Predictions) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    def take(self, rows) -> Predictions:
+        """The rows selected by a boolean mask or an index array."""
+        return Predictions(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -145,7 +159,7 @@ def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
         raise ValueError(f"series of length {n} is too short to train with q={q}, h={h}")
     X = lag_features(arr, q, t_first)
     sums = window_sums(arr, h)[t_first - h + 1 :]
-    targets = np.array([ofi(b, s) for b, s in sums])[:, None]
+    targets = ofi(sums[:, 0], sums[:, 1])[:, None]
     topology = FnnTopology(
         input_dim=2 * q,
         hidden_layers=config.hidden_layers,
@@ -218,14 +232,14 @@ def hybrid_components(bundle: ModelBundle, series):
     return t_idx, var_pred, resid_pred, combined
 
 
-def predict(bundle: ModelBundle, series) -> list[PredictionRecord]:
+def predict(bundle: ModelBundle, series) -> Predictions:
     """One-step-ahead rolling predictions over every row with enough history.
 
-    Output covers rows warmup .. n-1 of ``series`` in order; the record
-    index is the row's position in ``series``.  Predicted OFI is clamped
-    to [-1, 1].  With window_h > 1 the predicted window combines the
-    trailing h-1 actual rows (known at prediction time) with the predicted
-    row, keeping the evaluation causal.
+    Output covers rows warmup .. n-1 of ``series`` in order; ``index`` is
+    the row's position in ``series``.  Predicted OFI is clamped to
+    [-1, 1].  With window_h > 1 the predicted window combines the trailing
+    h-1 actual rows (known at prediction time) with the predicted row,
+    keeping the evaluation causal.
     """
     arr = counts_to_array(series)
     cfg = bundle.config
@@ -238,40 +252,29 @@ def predict(bundle: ModelBundle, series) -> list[PredictionRecord]:
             f"series supplies {n} rows but the pipeline needs more than {warmup}"
         )
     sums = window_sums(arr, h)[warmup - h + 1 :]  # windows ending at rows warmup ..
-    t_idx = np.arange(warmup, n)
-    actual_vals = [ofi(b, s) for b, s in sums]
+    actual = ofi(sums[:, 0], sums[:, 1])
 
     if bundle.kind == "fnn_only":
         feats = lag_features(arr, cfg.residual_lags, warmup)
-        out = forward(bundle.fnn_part, feats)
-        predicted_vals = [clamp_ofi(v) for v in out[:, 0]]
+        predicted = clamp_ofi(forward(bundle.fnn_part, feats)[:, 0])
     else:
         _, _, _, combined = hybrid_components(bundle, arr)
-        tail = sums - arr[warmup:]  # trailing h-1 actual rows
-        win_buy = tail[:, 0] + combined[:, 0]
-        win_sell = tail[:, 1] + combined[:, 1]
-        predicted_vals = [
-            clamp_ofi(ofi(b, s)) for b, s in zip(win_buy, win_sell)
-        ]
+        window = sums - arr[warmup:] + combined  # trailing h-1 actual rows + forecast
+        predicted = clamp_ofi(ofi(window[:, 0], window[:, 1]))
 
-    return [
-        PredictionRecord(
-            index=int(t),
-            actual_ofi=float(a),
-            predicted_ofi=float(pv),
-            actual_signal=signal(a, threshold),
-            predicted_signal=signal(pv, threshold),
-        )
-        for t, a, pv in zip(t_idx, actual_vals, predicted_vals)
-    ]
+    return Predictions(
+        index=np.arange(warmup, n),
+        actual_ofi=actual,
+        predicted_ofi=predicted,
+        actual_signal=signal(actual, threshold),
+        predicted_signal=signal(predicted, threshold),
+    )
 
 
-def evaluate_on_holdout(
-    bundle: ModelBundle, train_series, holdout_series
-) -> list[PredictionRecord]:
+def evaluate_on_holdout(bundle: ModelBundle, train_series, holdout_series) -> Predictions:
     """Rolling predictions for every holdout row, warmed up on the train tail.
 
-    Record indices are 0-based positions within the holdout.
+    Indices are 0-based positions within the holdout.
     """
     warmup = required_warmup(bundle)
     if len(train_series) < warmup:
@@ -280,7 +283,7 @@ def evaluate_on_holdout(
         )
     context = list(train_series[len(train_series) - warmup :]) + list(holdout_series)
     records = predict(bundle, context)
-    return [replace(r, index=r.index - warmup) for r in records]
+    return replace(records, index=records.index - warmup)
 
 
 def zero_residual_head(bundle: ModelBundle) -> ModelBundle:
@@ -338,8 +341,13 @@ def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
         "kind": bundle.kind,
         "config": config_to_dict(bundle.config),
     }
-    with open(dirpath / MANIFEST_FILE, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(dirpath / MANIFEST_FILE, manifest)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Indented, key-sorted, newline-terminated JSON: every JSON file oficast writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -435,51 +443,66 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
     return ModelBundle(kind=kind, config=config, var_part=var_part, fnn_part=fnn_part)
 
 
-PREDICTIONS_HEADER = (
-    "index",
-    "actual_ofi",
-    "predicted_ofi",
-    "actual_signal",
-    "predicted_signal",
-)
+PREDICTIONS_HEADER = tuple(f.name for f in fields(Predictions))
 
 
-def write_predictions_csv(records: list[PredictionRecord], path: str | Path) -> None:
+def write_predictions_csv(records: Predictions, path: str | Path) -> None:
+    """One row per prediction; floats as ``repr``, so they read back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTIONS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.index,
-                    repr(r.actual_ofi),
-                    repr(r.predicted_ofi),
-                    r.actual_signal.value,
-                    r.predicted_signal.value,
-                ]
+        writer.writerows(
+            zip(
+                records.index.tolist(),
+                map(repr, records.actual_ofi.tolist()),
+                map(repr, records.predicted_ofi.tolist()),
+                (s.value for s in records.actual_signal),
+                (s.value for s in records.predicted_signal),
             )
+        )
 
 
-def read_predictions_csv(path: str | Path) -> list[PredictionRecord]:
-    path = Path(path)
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != PREDICTIONS_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(PREDICTIONS_HEADER)}, got {header}"
-            )
-        for rec in reader:
-            if not rec:
-                continue
-            records.append(
-                PredictionRecord(
-                    index=int(rec[0]),
-                    actual_ofi=float(rec[1]),
-                    predicted_ofi=float(rec[2]),
-                    actual_signal=Signal(rec[3]),
-                    predicted_signal=Signal(rec[4]),
-                )
-            )
-    return records
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_SIGNAL_NAMED = {s.value: s for s in Signal}
+_PARSE_ERRORS = (ValueError, KeyError, OverflowError)
+
+#: Per column of PREDICTIONS_HEADER: token parser, array dtype, what it expects.
+_PREDICTION_COLUMNS = (
+    (int, np.int64, "an integer"),
+    (_finite_float, float, "a finite number"),
+    (_finite_float, float, "a finite number"),
+    (_SIGNAL_NAMED.__getitem__, object, "BUY, SELL or HOLD"),
+    (_SIGNAL_NAMED.__getitem__, object, "BUY, SELL or HOLD"),
+)
+
+
+def read_predictions_csv(path: str | Path) -> Predictions:
+    """Inverse of :func:`write_predictions_csv`, one column at a time.  A wrong
+    field count, a non-integer index, a non-numeric or non-finite OFI, or an
+    unknown signal raises :class:`DataFormatError` naming the file and line."""
+    width = len(PREDICTIONS_HEADER)
+    rows = list(read_csv_rows(path, PREDICTIONS_HEADER))
+    for line, rec in rows:
+        if len(rec) != width:
+            raise DataFormatError(f"expected {width} fields, got {len(rec)}", line, path)
+    columns = {}
+    for k, (name, (parse, dtype, expected)) in enumerate(
+        zip(PREDICTIONS_HEADER, _PREDICTION_COLUMNS)
+    ):
+        try:
+            columns[name] = np.array([parse(rec[k]) for _, rec in rows], dtype=dtype)
+        except _PARSE_ERRORS:
+            for line, rec in rows:  # name the first bad line
+                try:
+                    np.array([parse(rec[k])], dtype=dtype)
+                except _PARSE_ERRORS:
+                    raise DataFormatError(
+                        f"column {name}: expected {expected}, got {rec[k]!r}", line, path
+                    ) from None
+    return Predictions(**columns)

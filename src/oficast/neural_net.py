@@ -154,7 +154,7 @@ class TrainingTrace:
 
 
 class TrainingDivergedError(ValueError):
-    """An epoch overflowed or ended with a non-finite training or validation loss."""
+    """An epoch overflowed, or its loss is NaN or above DIVERGED_LOSS."""
 
 
 def write_trace_csv(trace: TrainingTrace, path: str | Path) -> None:
@@ -332,6 +332,10 @@ class _Adam:
 
 _OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 
+#: Largest epoch loss of a run that has not diverged.  Losses are MSE on
+#: standardised targets, where a sane fit is O(1).
+DIVERGED_LOSS = 1e6
+
 
 def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     """Mini-batch training; returns (FnnModel, TrainingTrace).
@@ -344,8 +348,9 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     procedure is a pure function of (data, topology, config).
 
     The returned model's weights and biases are views into one flat
-    parameter vector.  An epoch that overflows, or ends with a non-finite
-    training or validation loss, raises :class:`TrainingDivergedError`.
+    parameter vector.  An epoch that overflows, or ends with a training or
+    validation loss that is NaN or above :data:`DIVERGED_LOSS`, raises
+    :class:`TrainingDivergedError`.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -405,9 +410,9 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     best_flat = None
     epochs_since_best = 0
 
-    # overflow or an invalid operation anywhere in an epoch, or a non-finite
-    # loss at its end, means the run has diverged; saturating activations
-    # can keep the loss finite while the weights overflow
+    # overflow or an invalid operation anywhere in an epoch, or a loss at its
+    # end that is NaN or above DIVERGED_LOSS, means the run has diverged;
+    # saturating activations can keep every number finite meanwhile
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for epoch in range(1, config.epochs + 1):
@@ -425,7 +430,7 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
                     val_loss = loss(_forward_scaled(model, xs_val)[-1], ys_val)
                 else:
                     val_loss = None
-                if not math.isfinite(train_loss) or (n_val and not math.isfinite(val_loss)):
+                if not train_loss <= DIVERGED_LOSS or (n_val and not val_loss <= DIVERGED_LOSS):
                     raise FloatingPointError(
                         f"train loss {train_loss!r}, validation loss {val_loss!r}"
                     )

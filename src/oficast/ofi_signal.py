@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,11 @@ class Signal(str, enum.Enum):
     BUY = "BUY"
     SELL = "SELL"
     HOLD = "HOLD"
+
+
+#: Fixed signal order: confusion-matrix axes and the positions ``signal`` indexes.
+SIGNAL_ORDER = (Signal.BUY, Signal.SELL, Signal.HOLD)
+_SIGNALS = np.array(SIGNAL_ORDER, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -41,32 +45,32 @@ class OfiSeries:
     values: tuple[float, ...]
 
 
-def ofi(buy: float, sell: float) -> float:
+def ofi(buy, sell):
     """Normalized imbalance (buy - sell) / (buy + sell), in [-1, 1].
 
-    An empty window (0, 0) maps to 0.0: no activity is treated as balance.
-    Negative inputs raise ValueError.
+    Takes counts or arrays of counts and works element by element; a pair
+    of scalars gives a float.  An empty window (0, 0) maps to 0.0: no
+    activity is treated as balance.  Negative counts raise ValueError.
     """
-    if buy < 0 or sell < 0:
-        raise ValueError(f"counts must be nonnegative, got buy={buy} sell={sell}")
+    buy, sell = np.asarray(buy, dtype=float), np.asarray(sell, dtype=float)
+    if np.any(buy < 0) or np.any(sell < 0):
+        raise ValueError(f"counts must be nonnegative, got buy={buy.min()} sell={sell.min()}")
     total = buy + sell
-    if total == 0:
-        return 0.0
-    return (buy - sell) / total
+    out = np.divide(buy - sell, total, out=np.zeros_like(total), where=total != 0)
+    return out if out.ndim else float(out)
 
 
-def clamp_ofi(value: float) -> float:
+def clamp_ofi(value):
     """Clip into [-1, 1]; model outputs pass through here before signaling.
 
-    NaN has no place in [-1, 1] and raises ValueError.
+    Takes a float or an array.  NaN has no place in [-1, 1] and raises
+    ValueError.
     """
-    if math.isnan(value):
+    value = np.asarray(value, dtype=float)
+    if np.isnan(value).any():
         raise ValueError("predicted OFI is NaN; the model produced a non-finite output")
-    if value < -1.0:
-        return -1.0
-    if value > 1.0:
-        return 1.0
-    return float(value)
+    out = np.clip(value, -1.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def window_sums(arr: np.ndarray, h: int) -> np.ndarray:
@@ -92,23 +96,17 @@ def ofi_series(counts: list[OrderCounts], params: OfiParams) -> OfiSeries:
             f"series of length {len(counts)} is shorter than window_h={h}"
         )
     sums = window_sums(counts_to_array(counts), h)
-    values = tuple(ofi(b, s) for b, s in sums)
+    values = tuple(ofi(sums[:, 0], sums[:, 1]).tolist())
     timestamps = tuple(c.timestamp for c in counts[h - 1 :])
     return OfiSeries(timestamps=timestamps, values=values)
 
 
-def signal(ofi_value: float, threshold: float = DEFAULT_THRESHOLD) -> Signal:
+def signal(ofi_value, threshold: float = DEFAULT_THRESHOLD):
     """Threshold rule: BUY above +threshold, SELL below -threshold, else HOLD.
 
-    Boundary values map to HOLD.  The input is expected to be a valid OFI
+    Boundary values map to HOLD.  A float gives its :class:`Signal`, an array
+    an object array of them.  The input is expected to be a valid OFI
     (already clamped to [-1, 1]); no further validation here.
     """
-    if ofi_value > threshold:
-        return Signal.BUY
-    if ofi_value < -threshold:
-        return Signal.SELL
-    return Signal.HOLD
-
-
-def signal_series(values, threshold: float = DEFAULT_THRESHOLD) -> list[Signal]:
-    return [signal(v, threshold) for v in values]
+    value = np.asarray(ofi_value)
+    return _SIGNALS[np.where(value > threshold, 0, np.where(value < -threshold, 1, 2))]

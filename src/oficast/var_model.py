@@ -140,6 +140,16 @@ def _stacked_coef(model: VarModel) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _least_squares(Z: np.ndarray, Y: np.ndarray, names: list[str]):
+    """(B, E, sigma) of Y on Z; RankDeficiencyError names dependent columns."""
+    dependent = _dependent_columns(Z, names)
+    if dependent:
+        raise RankDeficiencyError(dependent)
+    B, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
+    E = Y - Z @ B
+    return B, E, E.T @ E / Z.shape[0]
+
+
 def fit_var(series, p: int):
     """Fit a VAR(p); returns (VarModel, FitDiagnostics).
 
@@ -156,13 +166,8 @@ def fit_var(series, p: int):
             f"series too short: fitting lag {p} needs at least "
             f"{p + Z.shape[1]} rows, got {len(series)}"
         )
-    dependent = _dependent_columns(Z, names)
-    if dependent:
-        raise RankDeficiencyError(dependent)
-    B, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
-    E = Y - Z @ B
+    B, E, sigma = _least_squares(Z, Y, names)
     n_obs = Z.shape[0]
-    sigma = E.T @ E / n_obs
     lag_coefs = np.stack(
         [B[1 + K * i : 1 + K * (i + 1), :].T for i in range(p)]
     )
@@ -234,15 +239,8 @@ def select_lag(series, candidate_lags, criterion: str = "bic") -> int:
     best_value = math.inf
     for p in cands:
         Z, Y = build_lag_matrix(arr, p, start=max_lag)
-        names = regressor_names(p)
-        dependent = _dependent_columns(Z, names)
-        if dependent:
-            raise RankDeficiencyError(dependent)
-        B, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
-        E = Y - Z @ B
-        n_obs = Z.shape[0]
-        ld = _log_det(E.T @ E / n_obs)
-        aic, bic = _information_criteria(ld, n_obs, p)
+        _, _, sigma = _least_squares(Z, Y, regressor_names(p))
+        aic, bic = _information_criteria(_log_det(sigma), Z.shape[0], p)
         value = aic if crit == "aic" else bic
         if value < best_value:
             best_value = value

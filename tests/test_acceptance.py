@@ -199,13 +199,13 @@ def test_criterion_07_ablation_bit_identity():
         hybrid_bundle = fit_hybrid(series, config)
         var_bundle = fit_var_only(series, config)
         ablated = zero_residual_head(hybrid_bundle)
-        from_var = {r.index: r for r in predict(var_bundle, series)}
+        from_var = predict(var_bundle, series)
         ablated_records = predict(ablated, series)
-        assert ablated_records
-        for rec in ablated_records:
-            twin = from_var[rec.index]
-            assert rec.predicted_ofi == twin.predicted_ofi  # bitwise
-            assert rec.predicted_signal is twin.predicted_signal
+        assert len(ablated_records)
+        twin = from_var.take(np.isin(from_var.index, ablated_records.index))
+        assert twin.index.tolist() == ablated_records.index.tolist()
+        assert ablated_records.predicted_ofi.tobytes() == twin.predicted_ofi.tobytes()  # bitwise
+        assert list(ablated_records.predicted_signal) == list(twin.predicted_signal)
 
 
 def _masked_rows(path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oficast.cli import DEFAULTS, derive_seed, main
-from oficast.hybrid import PredictionRecord, write_predictions_csv
-from oficast.ofi_signal import Signal
+from oficast.hybrid import Predictions, write_predictions_csv
+from oficast.ofi_signal import SIGNAL_ORDER
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -220,18 +220,16 @@ def test_refit_of_another_model_into_same_dir_predicts(tmp_path, first, second):
 
 # ----------------------------------------------------------------- evaluate
 
-def _fake_predictions(path, shift=0):
-    sigs = [Signal.BUY, Signal.SELL, Signal.HOLD]
-    records = [
-        PredictionRecord(
-            index=i,
-            actual_ofi=0.3 - 0.1 * i,
-            predicted_ofi=0.25 - 0.1 * i,
-            actual_signal=sigs[i % 3],
-            predicted_signal=sigs[(i + shift) % 3],
-        )
-        for i in range(6)
-    ]
+def _fake_predictions(path, shift=0, n=6):
+    i = np.arange(n)
+    sigs = np.array(SIGNAL_ORDER, dtype=object)
+    records = Predictions(
+        index=i,
+        actual_ofi=0.3 - 0.1 * i,
+        predicted_ofi=0.25 - 0.1 * i,
+        actual_signal=sigs[i % 3],
+        predicted_signal=sigs[(i + shift) % 3],
+    )
     write_predictions_csv(records, path)
 
 
@@ -270,10 +268,33 @@ def test_evaluate_defaults_label_from_filename(tmp_path, capsys):
 
 def test_evaluate_empty_predictions_fails(tmp_path, capsys):
     p = tmp_path / "empty.csv"
-    write_predictions_csv([], p)
+    _fake_predictions(p, n=0)
     out = tmp_path / "cmp.csv"
     assert run(["evaluate", p, "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "bad_row, complaint",
+    [
+        ("3,0.1,0.2", "expected 5 fields, got 3"),
+        ("x3,0.1,0.2,BUY,BUY", "column index: expected an integer, got 'x3'"),
+        ("3,abc,0.2,BUY,BUY", "column actual_ofi: expected a finite number, got 'abc'"),
+        ("3,0.1,nan,BUY,BUY", "column predicted_ofi: expected a finite number, got 'nan'"),
+        ("3,0.1,0.2,FOO,BUY", "column actual_signal: expected BUY, SELL or HOLD, got 'FOO'"),
+    ],
+    ids=["field-count", "index", "non-numeric-ofi", "non-finite-ofi", "signal"],
+)
+def test_evaluate_bad_predictions_row_names_file_and_line(tmp_path, capsys, bad_row, complaint):
+    p = tmp_path / "preds.csv"
+    _fake_predictions(p, n=3)
+    lines = p.read_text().splitlines()
+    lines.insert(3, bad_row)  # file line 4, after the header and two rows
+    p.write_text("\n".join(lines) + "\n")
+    assert run(["evaluate", p, "--out", tmp_path / "c.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: line 4: {complaint}\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_evaluate_label_count_mismatch(tmp_path, capsys):

@@ -15,7 +15,6 @@ from oficast.data_io import (
     generate_synthetic,
     load_counts_csv,
     load_trades_csv,
-    validate_series,
     write_counts_csv,
 )
 
@@ -79,13 +78,6 @@ def test_order_counts_rejects_negative():
         OrderCounts(0, 5, -1)
 
 
-def test_validate_series_rejects_empty_and_stride():
-    with pytest.raises(ValueError):
-        validate_series([])
-    with pytest.raises(ValueError):
-        validate_series([OrderCounts(0, 1, 1), OrderCounts(2, 1, 1)])
-
-
 def test_counts_to_array_shape_and_values():
     arr = counts_to_array(make_counts([(1, 2), (3, 4)]))
     assert arr.shape == (2, 2)
@@ -110,6 +102,11 @@ def test_counts_to_array_float_array_is_not_copied():
 def test_counts_to_array_rejects_other_shapes(shape):
     with pytest.raises(ValueError, match=r"expected an \(n, 2\) series"):
         counts_to_array(np.zeros(shape))
+
+
+def assert_unit_stride(series):
+    t0 = series[0].timestamp
+    assert [c.timestamp for c in series] == list(range(t0, t0 + len(series)))
 
 
 # --------------------------------------------------------------- trade tapes
@@ -142,7 +139,7 @@ def test_aggregate_trades_conserves_totals():
     out = aggregate_trades(events, bucket=1.0)
     assert sum(c.buy + c.sell for c in out) == 1000
     assert sum(c.buy for c in out) == int(sides.sum())
-    validate_series(out)
+    assert_unit_stride(out)
 
 
 def test_aggregate_trades_rejects_unsorted_and_bad_bucket():
@@ -191,7 +188,7 @@ def test_generator_counts_nonnegative_and_unit_stride():
         series = generate_synthetic(SyntheticSpec(length=200, seed=seed))
         assert min(c.buy for c in series) >= 0
         assert min(c.sell for c in series) >= 0
-        validate_series(series)
+        assert_unit_stride(series)
         assert len(series) == 200
 
 

@@ -18,8 +18,8 @@ from oficast.evaluation import (
     write_comparison_csv,
     write_confusion_csv,
 )
-from oficast.hybrid import PredictionRecord
-from oficast.ofi_signal import Signal
+from oficast.hybrid import Predictions
+from oficast.ofi_signal import Signal, signal
 
 B, S, H = Signal.BUY, Signal.SELL, Signal.HOLD
 
@@ -141,6 +141,18 @@ def test_confusion_matrix_layout():
     np.testing.assert_array_equal(conf, expected)  # rows actual, cols predicted
 
 
+def test_confusion_matrix_takes_strings_and_signal_arrays():
+    want = confusion_matrix([B, S, H, H], [B, S, S, B])
+    got = confusion_matrix(["BUY", "SELL", "HOLD", "HOLD"], np.array([B, S, S, B], dtype=object))
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+def test_confusion_matrix_rejects_unknown_signal():
+    with pytest.raises(ValueError, match="'FOO' is not a valid Signal"):
+        confusion_matrix([B, "FOO"], [B, S])
+
+
 def test_confusion_matrix_totals():
     rng = np.random.default_rng(2)
     sigs = list(Signal)
@@ -156,20 +168,15 @@ def test_confusion_matrix_totals():
 # ------------------------------------------------------------------ reports
 
 def _records(values):
-    out = []
-    for i, (a, p) in enumerate(values):
-        from oficast.ofi_signal import signal
-
-        out.append(
-            PredictionRecord(
-                index=i,
-                actual_ofi=a,
-                predicted_ofi=p,
-                actual_signal=signal(a, 0.1),
-                predicted_signal=signal(p, 0.1),
-            )
-        )
-    return out
+    pairs = np.array(values, dtype=float).reshape(-1, 2)
+    a, p = pairs[:, 0], pairs[:, 1]
+    return Predictions(
+        index=np.arange(len(pairs)),
+        actual_ofi=a,
+        predicted_ofi=p,
+        actual_signal=signal(a, 0.1),
+        predicted_signal=signal(p, 0.1),
+    )
 
 
 def test_evaluate_records_fields():
@@ -187,7 +194,7 @@ def test_evaluate_records_fields():
 
 def test_evaluate_records_requires_records():
     with pytest.raises(ValueError):
-        evaluate_records([], "d", "m")
+        evaluate_records(_records([]), "d", "m")
 
 
 def _sample_reports():

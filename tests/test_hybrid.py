@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from oficast.data_io import SyntheticSpec, chronological_split, generate_synthetic
+from oficast.data_io import (
+    SyntheticSpec,
+    chronological_split,
+    counts_to_array,
+    generate_synthetic,
+)
 from oficast.hybrid import (
     BundleFormatError,
     ModelBundle,
     PipelineConfig,
-    PredictionRecord,
+    Predictions,
     config_from_dict,
     config_to_dict,
     evaluate_on_holdout,
@@ -23,8 +29,8 @@ from oficast.hybrid import (
     write_predictions_csv,
     zero_residual_head,
 )
-from oficast.neural_net import TrainConfig
-from oficast.ofi_signal import OfiParams, Signal, ofi
+from oficast.neural_net import TrainConfig, forward
+from oficast.ofi_signal import OfiParams, clamp_ofi, ofi, signal, window_sums
 from oficast.evaluation import r_squared
 
 from conftest import make_counts, stable_var1_series, white_noise_counts
@@ -66,8 +72,49 @@ def test_prediction_count_is_length_minus_warmup():
         bundle = fitter(series, cfg)
         records = predict(bundle, series)
         assert len(records) == 250 - required_warmup(bundle)
-        assert records[0].index == required_warmup(bundle)
-        assert records[-1].index == 249
+        assert records.index[0] == required_warmup(bundle)
+        assert records.index[-1] == 249
+
+
+def per_row_reference(bundle, series):
+    """``predict`` built the way it once was: scalar ofi, clamp_ofi and
+    signal once per row, one (index, actual, predicted, signals) tuple each."""
+    arr = counts_to_array(series)
+    cfg = bundle.config
+    h, threshold = cfg.ofi.window_h, cfg.ofi.threshold
+    warmup = required_warmup(bundle)
+    sums = window_sums(arr, h)[warmup - h + 1 :]
+    actual = [ofi(b, s) for b, s in sums]
+    if bundle.kind == "fnn_only":
+        out = forward(bundle.fnn_part, lag_features(arr, cfg.residual_lags, warmup))
+        predicted = [clamp_ofi(v) for v in out[:, 0]]
+    else:
+        _, _, _, combined = hybrid_components(bundle, arr)
+        tail = sums - arr[warmup:]
+        predicted = [
+            clamp_ofi(ofi(b, s))
+            for b, s in zip(tail[:, 0] + combined[:, 0], tail[:, 1] + combined[:, 1])
+        ]
+    return [
+        (t, float(a), float(pv), signal(a, threshold), signal(pv, threshold))
+        for t, a, pv in zip(range(warmup, arr.shape[0]), actual, predicted)
+    ]
+
+
+@pytest.mark.parametrize("window_h", [1, 3])
+@pytest.mark.parametrize("fitter", [fit_var_only, fit_fnn_only, fit_hybrid])
+def test_predict_matches_per_row_reference_bit_for_bit(fitter, window_h):
+    series = synthetic(300, seed=16)
+    cfg = PipelineConfig(train=quick_train(), ofi=OfiParams(window_h=window_h))
+    bundle = fitter(series, cfg)
+    got = predict(bundle, series)
+    index, actual, predicted, actual_sig, predicted_sig = zip(*per_row_reference(bundle, series))
+    assert got.index.tolist() == list(index)
+    assert got.actual_ofi.tobytes() == np.array(actual).tobytes()
+    assert got.predicted_ofi.tobytes() == np.array(predicted).tobytes()
+    assert all(g is w for g, w in zip(got.actual_signal, actual_sig))
+    assert all(g is w for g, w in zip(got.predicted_signal, predicted_sig))
+    assert len(set(predicted_sig)) > 1  # the comparison covers more than one signal
 
 
 # ----------------------------------------------------------- lag features
@@ -119,8 +166,9 @@ def test_predicted_ofi_comes_from_combined_counts():
     bundle = fit_hybrid(series, cfg)
     records = predict(bundle, series)
     _, _, _, combined = hybrid_components(bundle, series)
-    for rec, row in zip(records, combined):
-        assert rec.predicted_ofi == pytest.approx(ofi(row[0], row[1]), abs=1e-12)
+    np.testing.assert_allclose(
+        records.predicted_ofi, ofi(combined[:, 0], combined[:, 1]), rtol=0, atol=1e-12
+    )
 
 
 def test_fnn_only_rejects_decomposition():
@@ -139,14 +187,14 @@ def test_zeroed_residual_head_reproduces_var_only_bit_for_bit():
     ablated = zero_residual_head(hybrid_bundle)
     var_bundle = fit_var_only(series, cfg)
     recs_a = predict(ablated, series)
-    by_index = {r.index: r for r in predict(var_bundle, series)}
+    recs_v = predict(var_bundle, series)
     # the hybrid warms up on p + q rows, so compare on the rows it evaluates
-    assert recs_a
-    for a in recs_a:
-        v = by_index[a.index]
-        assert a.predicted_ofi == v.predicted_ofi  # bitwise, no tolerance
-        assert a.predicted_signal is v.predicted_signal
-        assert a.actual_ofi == v.actual_ofi
+    v = recs_v.take(np.isin(recs_v.index, recs_a.index))
+    assert len(recs_a)
+    assert v.index.tolist() == recs_a.index.tolist()
+    assert recs_a.predicted_ofi.tobytes() == v.predicted_ofi.tobytes()  # bitwise
+    assert all(a is b for a, b in zip(recs_a.predicted_signal, v.predicted_signal))
+    assert recs_a.actual_ofi.tobytes() == v.actual_ofi.tobytes()
 
 
 def test_zero_residual_head_outputs_exactly_zero():
@@ -173,9 +221,8 @@ def test_var_only_exact_on_linear_system():
     cfg = PipelineConfig(var_lag=1, train=quick_train())
     bundle = fit_var_only(arr, cfg)
     records = predict(bundle, arr)
-    for rec in records:
-        assert rec.predicted_ofi == pytest.approx(rec.actual_ofi, abs=1e-6)
-        assert rec.predicted_signal is rec.actual_signal
+    np.testing.assert_allclose(records.predicted_ofi, records.actual_ofi, rtol=0, atol=1e-6)
+    assert all(p is a for p, a in zip(records.predicted_signal, records.actual_signal))
 
 
 def test_var_only_no_structure_in_white_noise():
@@ -183,9 +230,7 @@ def test_var_only_no_structure_in_white_noise():
     train_s, holdout = chronological_split(series, 0.8)
     bundle = fit_var_only(train_s, PipelineConfig(var_lag=2, train=quick_train()))
     records = evaluate_on_holdout(bundle, train_s, holdout)
-    actual = [r.actual_ofi for r in records]
-    predicted = [r.predicted_ofi for r in records]
-    assert r_squared(actual, predicted) <= 0.05
+    assert r_squared(records.actual_ofi, records.predicted_ofi) <= 0.05
 
 
 def test_hybrid_runs_on_synthetic_and_covers_every_index():
@@ -194,7 +239,7 @@ def test_hybrid_runs_on_synthetic_and_covers_every_index():
     bundle = fit_hybrid(series, cfg)
     records = predict(bundle, series)
     warmup = required_warmup(bundle)
-    assert [r.index for r in records] == list(range(warmup, 3000))
+    assert records.index.tolist() == list(range(warmup, 3000))
 
 
 # ------------------------------------------------------------ fnn-only path
@@ -209,25 +254,23 @@ def test_fnn_only_learns_alternating_lookup():
     )
     bundle = fit_fnn_only(train_s, cfg)
     records = evaluate_on_holdout(bundle, train_s, holdout)
-    assert all(
-        np.sign(r.predicted_ofi) == np.sign(r.actual_ofi) for r in records
-    )
+    assert np.all(np.sign(records.predicted_ofi) == np.sign(records.actual_ofi))
 
 
 def test_fnn_only_on_constant_series():
     series = make_counts([(30, 10)] * 120)
     cfg = PipelineConfig(train=quick_train(epochs=20))
     bundle = fit_fnn_only(series, cfg)
-    for rec in predict(bundle, series):
-        assert rec.actual_ofi == 0.5
-        assert abs(rec.predicted_ofi - 0.5) < 0.05
+    records = predict(bundle, series)
+    assert np.all(records.actual_ofi == 0.5)
+    assert np.all(np.abs(records.predicted_ofi - 0.5) < 0.05)
 
 
 def test_fnn_only_output_is_clamped():
     series = synthetic(200, seed=8)
     bundle = fit_fnn_only(series, PipelineConfig(train=quick_train()))
-    for rec in predict(bundle, series):
-        assert -1.0 <= rec.predicted_ofi <= 1.0
+    predicted = predict(bundle, series).predicted_ofi
+    assert np.all((-1.0 <= predicted) & (predicted <= 1.0))
 
 
 def test_same_seed_reproduces_identical_records():
@@ -249,14 +292,15 @@ def test_window_two_uses_trailing_actual_rows():
     records = predict(bundle, series)
     arr = np.array([[c.buy, c.sell] for c in series], dtype=float)
     _, _, _, combined = hybrid_components(bundle, series)
-    for rec, row in zip(records, combined):
-        t = rec.index
+    for t, actual, predicted, row in zip(
+        records.index, records.actual_ofi, records.predicted_ofi, combined
+    ):
         win_buy = arr[t - 1, 0] + row[0]
         win_sell = arr[t - 1, 1] + row[1]
         expected = max(min(ofi(win_buy, win_sell), 1.0), -1.0)
-        assert rec.predicted_ofi == pytest.approx(expected, abs=1e-12)
+        assert predicted == pytest.approx(expected, abs=1e-12)
         # actual side uses the true window
-        assert rec.actual_ofi == pytest.approx(
+        assert actual == pytest.approx(
             ofi(arr[t - 1 : t + 1, 0].sum(), arr[t - 1 : t + 1, 1].sum()), abs=1e-12
         )
 
@@ -270,12 +314,12 @@ def test_holdout_records_are_reindexed_and_causal():
     bundle = fit_hybrid(series=train_s, config=cfg)
     records = evaluate_on_holdout(bundle, train_s, holdout)
     assert len(records) == len(holdout)
-    assert [r.index for r in records] == list(range(len(holdout)))
+    assert records.index.tolist() == list(range(len(holdout)))
     # first holdout row must match a manual context prediction
     warmup = required_warmup(bundle)
     context = train_s[-warmup:] + holdout
     manual = predict(bundle, context)
-    assert [r.predicted_ofi for r in manual] == [r.predicted_ofi for r in records]
+    assert manual.predicted_ofi.tolist() == records.predicted_ofi.tolist()
 
 
 def test_holdout_rejects_insufficient_train_context():
@@ -406,3 +450,33 @@ def test_predictions_csv_round_trip(tmp_path):
     assert read_predictions_csv(path) == records
     header = path.read_text().splitlines()[0]
     assert header == "index,actual_ofi,predicted_ofi,actual_signal,predicted_signal"
+
+
+ofi_values = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@given(values=st.lists(ofi_values, max_size=30))
+@example(values=[-0.0, 5e-324, -5e-324, 0.0, 1.0, -1.0, 0.1, 1 / 3])
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_predictions_csv_round_trip_keeps_every_bit(tmp_path, values):
+    actual = np.array(values, dtype=float)
+    predicted = actual[::-1].copy()
+    records = Predictions(
+        index=np.arange(len(values)) * 7,
+        actual_ofi=actual,
+        predicted_ofi=predicted,
+        actual_signal=signal(actual),
+        predicted_signal=signal(predicted),
+    )
+    path = tmp_path / "preds.csv"
+    write_predictions_csv(records, path)
+    back = read_predictions_csv(path)
+    assert back.index.tolist() == records.index.tolist()
+    assert back.actual_ofi.tobytes() == actual.tobytes()
+    assert back.predicted_ofi.tobytes() == predicted.tobytes()
+    assert all(a is b for a, b in zip(back.actual_signal, records.actual_signal))
+    assert all(a is b for a, b in zip(back.predicted_signal, records.predicted_signal))
+    assert len(back) == len(values)

@@ -12,6 +12,7 @@ from oficast.neural_net import (
     FnnModel,
     FnnTopology,
     TrainConfig,
+    DIVERGED_LOSS,
     TrainingDivergedError,
     _Adam,
     _Sgd,
@@ -410,7 +411,8 @@ def test_train_raises_named_error_when_loss_diverges():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(40, 1))
     topology = FnnTopology(3, (8,), 1, "relu")
-    for lr, epoch in ((1e6, 1), (50.0, 2)):  # the second has a finite first epoch
+    # the second's epoch-1 loss is finite (8e227) but above DIVERGED_LOSS
+    for lr, epoch in ((1e6, 1), (50.0, 1)):
         config = TrainConfig(epochs=5, optimizer="sgd", learning_rate=lr, seed=0)
         with np.errstate(all="ignore"), pytest.raises(
             TrainingDivergedError, match=f"diverged at epoch {epoch}:"
@@ -422,16 +424,34 @@ def test_train_raises_named_error_when_loss_diverges():
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
 def test_saturating_activations_raise_when_training_diverges(activation):
     # bounded hidden units keep the loss finite for a while; the overflow
-    # inside the epoch is what gives the divergence away
+    # inside the epoch is what gives the divergence away (one row per step,
+    # so it comes within epoch 1, before the loss bound is checked)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(40, 1))
     topology = FnnTopology(3, (8,), 1, activation)
     config = TrainConfig(
-        epochs=50, optimizer="sgd", learning_rate=1e6, early_stopping=False, seed=0
+        epochs=50, batch_size=1, optimizer="sgd", learning_rate=1e6,
+        early_stopping=False, seed=0,
     )
     with pytest.raises(TrainingDivergedError, match=r"diverged at epoch \d+: overflow"):
         train(x, y, topology, config)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("lr", [10.0, 50.0, 1e3])
+def test_finite_but_absurd_loss_is_divergence(activation, lr):
+    # saturating units keep every number finite here, so only the loss
+    # bound tells these runs from a fit; early stopping used to restore
+    # epoch 1 and return silently
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 1))
+    topology = FnnTopology(3, (8,), 1, activation)
+    config = TrainConfig(epochs=50, optimizer="sgd", learning_rate=lr, patience=5, seed=0)
+    with pytest.raises(TrainingDivergedError, match=r"diverged at epoch \d+: train loss"):
+        train(x, y, topology, config)
+    assert DIVERGED_LOSS == 1e6
 
 
 def test_fit_divergence_prints_one_error_line_and_no_warnings(

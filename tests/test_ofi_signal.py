@@ -9,7 +9,6 @@ from oficast.ofi_signal import (
     ofi,
     ofi_series,
     signal,
-    signal_series,
     window_sums,
 )
 
@@ -159,9 +158,50 @@ def test_threshold_boundary_holds():
     assert signal(-t, t) is Signal.HOLD
 
 
-def test_signal_series_maps_elementwise():
-    vals = [0.294, 0.059, -0.351]
-    assert signal_series(vals, 0.1) == [Signal.BUY, Signal.HOLD, Signal.SELL]
+def test_signal_of_array_maps_elementwise():
+    vals = np.array([0.294, 0.059, -0.351, 0.1, -0.1, 1.0, -1.0, -0.0, np.nan])
+    out = signal(vals, 0.1)
+    assert out.shape == vals.shape
+    for got, v in zip(out, vals):
+        assert got is signal(float(v), 0.1)
+    assert list(out[:3]) == [Signal.BUY, Signal.HOLD, Signal.SELL]
+
+
+@given(
+    rows=st.lists(st.tuples(counts, counts), min_size=0, max_size=40),
+    t=st.floats(0.0, 0.99, allow_nan=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_rules_equal_scalar_rules_elementwise(rows, t):
+    arr = np.array(rows, dtype=float).reshape(-1, 2)
+    values = ofi(arr[:, 0], arr[:, 1])
+    assert values.shape == (len(rows),)
+    scalar = [ofi(b, s) for b, s in rows]
+    assert values.tobytes() == np.array(scalar, dtype=float).tobytes()
+    stretched = 3.0 * values - 0.5  # reaches outside [-1, 1]
+    clamped = clamp_ofi(stretched)
+    assert clamped.tobytes() == np.array(
+        [clamp_ofi(float(v)) for v in stretched], dtype=float
+    ).tobytes()
+    assert all(a is signal(float(v), t) for a, v in zip(signal(clamped, t), clamped))
+
+
+def test_array_ofi_rejects_any_negative_count():
+    with pytest.raises(ValueError):
+        ofi(np.array([3.0, -1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        ofi(np.array([3.0, 1.0]), np.array([1.0, -2.0]))
+
+
+def test_array_clamp_rejects_any_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        clamp_ofi(np.array([0.1, np.nan]))
+
+
+def test_scalar_rules_return_python_values():
+    assert type(ofi(3, 1)) is float and type(ofi(0, 0)) is float
+    assert type(clamp_ofi(np.float64(2.0))) is float
+    assert signal(np.float64(0.5)) is Signal.BUY
 
 
 _RANK = {Signal.SELL: -1, Signal.HOLD: 0, Signal.BUY: 1}
