@@ -1,8 +1,8 @@
 """Order-flow imbalance forecasting: VAR, feedforward net, and their hybrid."""
 
 from .data_io import (
+    CountSeries,
     DataFormatError,
-    OrderCounts,
     Side,
     SyntheticSpec,
     TradeEvent,

@@ -210,7 +210,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     keys = ["lag", "fnn_lags", "hidden", "activation", "optimizer", *_COMMON_KEYS]
     resolved = _resolve(args, keys)
     kind = _model_kind(resolved)
-    series = load_counts_csv(args.data)
+    series = load_counts_csv(args.data).counts
     fraction = float(resolved["train_fraction"])
     if fraction >= 1.0:
         train_rows = series
@@ -255,7 +255,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     resolved = _resolve(args, ["eval_start"])
     bundle = load_bundle(args.bundle)
-    series = load_counts_csv(args.data)
+    series = load_counts_csv(args.data).counts
     records = predict(bundle, series)
     eval_start = resolved["eval_start"]
     if eval_start is not None:
@@ -336,7 +336,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = lhs_sample(space, int(sample), derive_seed(master, 2))
     datasets = []
     for path in args.datasets:
-        datasets.append((Path(path).stem, load_counts_csv(path)))
+        datasets.append((Path(path).stem, load_counts_csv(path).counts))
     results = run_sweep(
         configs,
         datasets,

@@ -1,9 +1,10 @@
 """Loading, validating, and generating order-count series.
 
-The canonical in-memory representation is a list of :class:`OrderCounts`,
-one row per unit interval, timestamps strictly increasing with stride 1.
-Everything downstream (VAR, FNN, pipelines) consumes these rows via
-:func:`counts_to_array`, the one conversion to an ``(n, 2)`` array.
+A count series is one :class:`CountSeries`: an ``(n, 2)`` int64 array of
+buy and sell counts per unit interval plus ``t0``, the first interval's
+timestamp (the stride is 1).  Loaders, the generator and the trade
+aggregator return one; the model layer (VAR, FNN, pipelines) takes its
+``counts`` array and reads it through :func:`counts_to_array`.
 
 File formats:
 
@@ -45,19 +46,34 @@ class Side(enum.Enum):
     SELL = "SELL"
 
 
-@dataclass(frozen=True)
-class OrderCounts:
-    """Buy and sell order counts observed over one unit interval."""
+@dataclass(frozen=True, eq=False)
+class CountSeries:
+    """Buy and sell order counts per unit interval: row i of ``counts`` (an
+    ``(n, 2)`` int64 array, columns buy and sell) covers timestamp ``t0 + i``."""
 
-    timestamp: int
-    buy: int
-    sell: int
+    counts: np.ndarray
+    t0: int = 0
 
     def __post_init__(self) -> None:
-        if self.buy < 0 or self.sell < 0:
+        counts = np.asarray(self.counts)
+        if counts.ndim != 2 or counts.shape[1] != 2 or counts.dtype.kind not in "iu":
             raise ValueError(
-                f"order counts must be nonnegative, got buy={self.buy} sell={self.sell}"
+                f"expected an (n, 2) integer count array, got {counts.dtype} {counts.shape}"
             )
+        counts = counts.astype(np.int64, copy=False)
+        if (counts < 0).any():
+            raise ValueError(f"order counts must be nonnegative, got {counts.min()}")
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, CountSeries)
+            and self.t0 == other.t0
+            and np.array_equal(self.counts, other.counts)
+        )
 
 
 @dataclass(frozen=True)
@@ -112,27 +128,12 @@ class SyntheticSpec:
 
 
 def counts_to_array(series) -> np.ndarray:
-    """Return the series as a float array of shape (n, 2), columns (buy, sell).
-
-    Accepts a list of :class:`OrderCounts` or anything array-like; a float
-    ndarray passes through without a copy.  Any other shape raises ValueError.
-    """
-    if not isinstance(series, np.ndarray) and len(series) and isinstance(series[0], OrderCounts):
-        arr = np.array([[row.buy, row.sell] for row in series], dtype=float)
-    else:
-        arr = np.asarray(series, dtype=float)
+    """Return an ``(n, 2)`` count array (columns buy, sell) as float; a float
+    ndarray passes through without a copy.  Any other shape raises ValueError."""
+    arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) series, got shape {arr.shape}")
     return arr
-
-
-def _parse_int(token: str, column: str, line: int) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise DataFormatError(
-            f"column {column}: expected an integer, got {token!r}", line
-        ) from None
 
 
 def read_csv_rows(path: str | Path, header: tuple[str, ...]):
@@ -141,122 +142,149 @@ def read_csv_rows(path: str | Path, header: tuple[str, ...]):
 
     Raises:
         FileNotFoundError: missing file.
-        DataFormatError: missing or different header, naming the file.
+        DataFormatError: missing or different header, text that is not
+            UTF-8, or a row the csv module cannot tokenize, naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or tuple(f.strip() for f in found) != header:
-            raise DataFormatError(f"expected header {','.join(header)}, got {found}", 1, path)
-        for rec in reader:
-            if rec:
-                yield reader.line_num, rec
+        try:
+            found = next(reader, None)
+            if found is None or tuple(f.strip() for f in found) != header:
+                raise DataFormatError(f"expected header {','.join(header)}, got {found}", 1, path)
+            for rec in reader:
+                if rec:
+                    yield reader.line_num, rec
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), reader.line_num, path) from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
 
 
-def load_counts_csv(path: str | Path) -> list[OrderCounts]:
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_PARSE_ERRORS = (ValueError, KeyError, OverflowError)
+
+#: Token parser, array dtype and what it expects, for an int64 column.
+INT_COLUMN = (int, np.int64, "an integer")
+#: The same for a float column that must hold finite values.
+FINITE_COLUMN = (_finite_float, float, "a finite number")
+
+
+def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
+    """Return the 1-based line number of every row of a CSV file read by
+    :func:`read_csv_rows`, and one array per ``header`` column, parsed by its
+    (token parser, dtype, what it expects) triple in ``columns``.
+
+    Each column is parsed whole and walked again only on failure, to name
+    the first bad line: a wrong field count or a token its parser rejects
+    raises :class:`DataFormatError` naming the file and line.
+    """
+    width = len(header)
+    rows = list(read_csv_rows(path, header))
+    for line, rec in rows:
+        if len(rec) != width:
+            raise DataFormatError(f"expected {width} fields, got {len(rec)}", line, path)
+    arrays = []
+    for k, (name, (parse, dtype, expected)) in enumerate(zip(header, columns)):
+        try:
+            arrays.append(np.array([parse(rec[k]) for _, rec in rows], dtype=dtype))
+        except _PARSE_ERRORS:
+            for line, rec in rows:  # name the first bad line
+                try:
+                    np.array([parse(rec[k])], dtype=dtype)
+                except _PARSE_ERRORS:
+                    raise DataFormatError(
+                        f"column {name}: expected {expected}, got {rec[k]!r}", line, path
+                    ) from None
+    return np.array([line for line, _ in rows], dtype=np.int64), arrays
+
+
+def load_counts_csv(path: str | Path) -> CountSeries:
     """Load an order-count series, validating format and invariants.
 
     Raises:
         FileNotFoundError: missing file.
-        DataFormatError: bad header, malformed row (with line number),
-            negative count, non-unit-stride timestamps, or empty data section.
+        DataFormatError: bad header, malformed row, count outside int64,
+            negative count or non-unit-stride timestamps (each naming the
+            file and line), or an empty data section.
     """
-    rows: list[OrderCounts] = []
-    prev_ts: int | None = None
-    for lineno, rec in read_csv_rows(path, COUNTS_HEADER):
-        if len(rec) != 3:
-            raise DataFormatError(f"expected 3 fields, got {len(rec)}", lineno)
-        ts = _parse_int(rec[0], "timestamp", lineno)
-        buy = _parse_int(rec[1], "buy_orders", lineno)
-        sell = _parse_int(rec[2], "sell_orders", lineno)
-        if buy < 0:
-            raise DataFormatError("negative count in column buy_orders", lineno)
-        if sell < 0:
-            raise DataFormatError("negative count in column sell_orders", lineno)
-        if prev_ts is not None and ts != prev_ts + 1:
-            raise DataFormatError(
-                f"timestamps must increase with unit stride, got {ts} after {prev_ts}",
-                lineno,
-            )
-        prev_ts = ts
-        rows.append(OrderCounts(ts, buy, sell))
-    if not rows:
-        raise DataFormatError("empty series (header only)")
-    return rows
+    lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, (INT_COLUMN,) * 3)
+    if not len(ts):
+        raise DataFormatError("empty series (header only)", path=path)
+    # a row is bad if it holds a negative count or does not follow its
+    # predecessor by exactly 1 (the first test keeps ts - 1 from wrapping)
+    bad = (buy < 0) | (sell < 0)
+    bad[1:] |= (ts[1:] <= ts[:-1]) | (ts[1:] - 1 != ts[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        if buy[i] < 0:
+            message = "negative count in column buy_orders"
+        elif sell[i] < 0:
+            message = "negative count in column sell_orders"
+        else:
+            message = f"timestamps must increase with unit stride, got {ts[i]} after {ts[i - 1]}"
+        raise DataFormatError(message, int(lines[i]), path)
+    return CountSeries(np.column_stack([buy, sell]), int(ts[0]))
 
 
-def write_counts_csv(path: str | Path, series: list[OrderCounts]) -> None:
+def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     """Write a series in the counts CSV format (round-trips with the loader)."""
+    t0 = series.t0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(COUNTS_HEADER)
-        for row in series:
-            writer.writerow([row.timestamp, row.buy, row.sell])
+        writer.writerows(zip(range(t0, t0 + len(series)), *series.counts.T.tolist()))
 
 
 def load_trades_csv(path: str | Path) -> list[TradeEvent]:
-    """Load a trade tape (``timestamp,side`` with side BUY or SELL)."""
-    events: list[TradeEvent] = []
-    for lineno, rec in read_csv_rows(path, TRADES_HEADER):
-        if len(rec) != 2:
-            raise DataFormatError(f"expected 2 fields, got {len(rec)}", lineno)
-        try:
-            ts = float(rec[0].strip())
-        except ValueError:
-            raise DataFormatError(
-                f"column timestamp: expected a number, got {rec[0]!r}", lineno
-            ) from None
-        token = rec[1].strip()
-        try:
-            side = Side(token)
-        except ValueError:
-            raise DataFormatError(
-                f"column side: expected BUY or SELL, got {token!r}", lineno
-            ) from None
-        events.append(TradeEvent(ts, side))
-    return events
+    """Load a trade tape (``timestamp,side`` with a finite timestamp and side
+    BUY or SELL)."""
+    side_column = (lambda tok: Side(tok.strip()), object, "BUY or SELL")
+    _, (ts, sides) = read_csv_columns(path, TRADES_HEADER, (FINITE_COLUMN, side_column))
+    return [TradeEvent(t, side) for t, side in zip(ts.tolist(), sides)]
 
 
-def aggregate_trades(events: list[TradeEvent], bucket: float) -> list[OrderCounts]:
+def aggregate_trades(events: list[TradeEvent], bucket: float) -> CountSeries:
     """Bucket a trade tape into per-interval counts.
 
     Buckets are ``floor(timestamp / bucket)``; the output covers every index
     between the first and last event's bucket, with empty interior buckets
-    emitted as (0, 0).  Output timestamps are the bucket indices, so the
-    unit-stride series invariant holds by construction.
+    counted as (0, 0), and ``t0`` is the first event's bucket index.
 
     Raises:
-        ValueError: nonpositive bucket width, or events not sorted by time.
+        ValueError: nonpositive bucket width, or event times that are not
+            finite or not sorted.
     """
     if bucket <= 0:
         raise ValueError("bucket width must be positive")
     if not events:
-        return []
-    for prev, cur in zip(events, events[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise ValueError(
-                f"events must be sorted by timestamp, got {cur.timestamp} after {prev.timestamp}"
-            )
-    first = math.floor(events[0].timestamp / bucket)
-    last = math.floor(events[-1].timestamp / bucket)
-    buys = [0] * (last - first + 1)
-    sells = [0] * (last - first + 1)
-    for event in events:
-        idx = math.floor(event.timestamp / bucket) - first
-        if event.side is Side.BUY:
-            buys[idx] += 1
-        else:
-            sells[idx] += 1
-    return [
-        OrderCounts(first + i, buys[i], sells[i]) for i in range(len(buys))
-    ]
+        return CountSeries(np.zeros((0, 2), dtype=np.int64))
+    times = np.array([e.timestamp for e in events], dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("event timestamps must be finite")
+    unsorted = times[1:] < times[:-1]
+    if unsorted.any():
+        i = int(np.argmax(unsorted))
+        raise ValueError(
+            f"events must be sorted by timestamp, got {times[i + 1]} after {times[i]}"
+        )
+    buckets = np.floor(times / bucket)
+    idx = (buckets - buckets[0]).astype(np.int64)
+    is_sell = np.array([e.side is Side.SELL for e in events])
+    counts = np.bincount(2 * idx + is_sell, minlength=2 * idx[-1] + 2).reshape(-1, 2)
+    return CountSeries(counts, int(buckets[0]))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[OrderCounts]:
-    """Generate a seeded synthetic series per :class:`SyntheticSpec`.
+def generate_synthetic(spec: SyntheticSpec) -> CountSeries:
+    """Generate a seeded synthetic series per :class:`SyntheticSpec`, with t0 = 0.
 
     Uses numpy's ``default_rng`` (PCG64); identical specs replay
     bit-identically on any platform.
@@ -264,7 +292,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[OrderCounts]:
     rng = np.random.default_rng(spec.seed)
     z_prev = 0.0
     z_prev2 = 0.0
-    rows: list[OrderCounts] = []
+    counts = np.empty((spec.length, 2), dtype=np.int64)
     for t in range(spec.length):
         drive = spec.linear_strength * z_prev + spec.nonlinear_strength * math.tanh(
             z_prev * z_prev2
@@ -273,16 +301,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[OrderCounts]:
         lam_sell = max(spec.base_intensity * (1.0 - drive), 0.0)
         buy = int(rng.poisson(lam_buy))
         sell = int(rng.poisson(lam_sell))
-        rows.append(OrderCounts(t, buy, sell))
+        counts[t] = buy, sell
         z_prev2 = z_prev
         z_prev = (buy - sell) / (buy + sell + 1)
-    return rows
+    return CountSeries(counts)
 
 
 def chronological_split(
-    series: list[OrderCounts], train_fraction: float
-) -> tuple[list[OrderCounts], list[OrderCounts]]:
-    """Split into (train, holdout) with train = first floor(fraction * n) rows.
+    series: np.ndarray, train_fraction: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split an ``(n, 2)`` count array into (train, holdout), train being the
+    first floor(fraction * n) rows.
 
     Raises:
         ValueError: fraction outside (0, 1) or a split that leaves either

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import DataFormatError, counts_to_array, read_csv_rows
+from .data_io import FINITE_COLUMN, INT_COLUMN, counts_to_array, read_csv_columns
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -272,7 +271,8 @@ def predict(bundle: ModelBundle, series) -> Predictions:
 
 
 def evaluate_on_holdout(bundle: ModelBundle, train_series, holdout_series) -> Predictions:
-    """Rolling predictions for every holdout row, warmed up on the train tail.
+    """Rolling predictions for every holdout row, warmed up on the train tail
+    (both ``(n, 2)`` count arrays).
 
     Indices are 0-based positions within the holdout.
     """
@@ -281,7 +281,7 @@ def evaluate_on_holdout(bundle: ModelBundle, train_series, holdout_series) -> Pr
         raise ValueError(
             f"train series supplies {len(train_series)} rows but warmup needs {warmup}"
         )
-    context = list(train_series[len(train_series) - warmup :]) + list(holdout_series)
+    context = np.concatenate([train_series[len(train_series) - warmup :], holdout_series])
     records = predict(bundle, context)
     return replace(records, index=records.index - warmup)
 
@@ -462,47 +462,16 @@ def write_predictions_csv(records: Predictions, path: str | Path) -> None:
         )
 
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(token)
-    return value
-
-
-_SIGNAL_NAMED = {s.value: s for s in Signal}
-_PARSE_ERRORS = (ValueError, KeyError, OverflowError)
-
-#: Per column of PREDICTIONS_HEADER: token parser, array dtype, what it expects.
-_PREDICTION_COLUMNS = (
-    (int, np.int64, "an integer"),
-    (_finite_float, float, "a finite number"),
-    (_finite_float, float, "a finite number"),
-    (_SIGNAL_NAMED.__getitem__, object, "BUY, SELL or HOLD"),
-    (_SIGNAL_NAMED.__getitem__, object, "BUY, SELL or HOLD"),
-)
+_SIGNAL_COLUMN = ({s.value: s for s in Signal}.__getitem__, object, "BUY, SELL or HOLD")
 
 
 def read_predictions_csv(path: str | Path) -> Predictions:
-    """Inverse of :func:`write_predictions_csv`, one column at a time.  A wrong
-    field count, a non-integer index, a non-numeric or non-finite OFI, or an
-    unknown signal raises :class:`DataFormatError` naming the file and line."""
-    width = len(PREDICTIONS_HEADER)
-    rows = list(read_csv_rows(path, PREDICTIONS_HEADER))
-    for line, rec in rows:
-        if len(rec) != width:
-            raise DataFormatError(f"expected {width} fields, got {len(rec)}", line, path)
-    columns = {}
-    for k, (name, (parse, dtype, expected)) in enumerate(
-        zip(PREDICTIONS_HEADER, _PREDICTION_COLUMNS)
-    ):
-        try:
-            columns[name] = np.array([parse(rec[k]) for _, rec in rows], dtype=dtype)
-        except _PARSE_ERRORS:
-            for line, rec in rows:  # name the first bad line
-                try:
-                    np.array([parse(rec[k])], dtype=dtype)
-                except _PARSE_ERRORS:
-                    raise DataFormatError(
-                        f"column {name}: expected {expected}, got {rec[k]!r}", line, path
-                    ) from None
-    return Predictions(**columns)
+    """Inverse of :func:`write_predictions_csv`.  A wrong field count, a
+    non-integer index, a non-numeric or non-finite OFI, or an unknown signal
+    raises :class:`DataFormatError` naming the file and line."""
+    _, columns = read_csv_columns(
+        path,
+        PREDICTIONS_HEADER,
+        (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN),
+    )
+    return Predictions(*columns)

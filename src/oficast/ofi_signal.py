@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import OrderCounts, counts_to_array
+from .data_io import CountSeries, counts_to_array
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
@@ -83,7 +83,7 @@ def window_sums(arr: np.ndarray, h: int) -> np.ndarray:
     return cs[h:] - cs[:-h]
 
 
-def ofi_series(counts: list[OrderCounts], params: OfiParams) -> OfiSeries:
+def ofi_series(counts: CountSeries, params: OfiParams) -> OfiSeries:
     """Rolling OFI over windows of ``params.window_h`` trailing intervals.
 
     Output has length ``len(counts) - window_h + 1``; the value at output
@@ -95,9 +95,9 @@ def ofi_series(counts: list[OrderCounts], params: OfiParams) -> OfiSeries:
         raise ValueError(
             f"series of length {len(counts)} is shorter than window_h={h}"
         )
-    sums = window_sums(counts_to_array(counts), h)
+    sums = window_sums(counts_to_array(counts.counts), h)
     values = tuple(ofi(sums[:, 0], sums[:, 1]).tolist())
-    timestamps = tuple(c.timestamp for c in counts[h - 1 :])
+    timestamps = tuple(range(counts.t0 + h - 1, counts.t0 + len(counts)))
     return OfiSeries(timestamps=timestamps, values=values)
 
 

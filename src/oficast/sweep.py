@@ -275,7 +275,7 @@ def _run_cell(cell) -> SweepResult:
 
 def run_sweep(
     configs: list[SweepConfig],
-    datasets: list[tuple[str, list]],
+    datasets: list[tuple[str, np.ndarray]],
     kind: str = "hybrid",
     master_seed: int = 0,
     *,
@@ -284,7 +284,8 @@ def run_sweep(
     ofi_params: OfiParams | None = None,
     workers: int = 1,
 ) -> list[SweepResult]:
-    """Train and evaluate every (configuration, dataset) cell.
+    """Train and evaluate every (configuration, dataset) cell; a dataset is
+    a name and an ``(n, 2)`` count array.
 
     ``train_template`` supplies the non-swept optimization settings (its
     optimizer and seed fields are overridden per cell).  ``workers`` > 1

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import oficast
-from oficast.data_io import OrderCounts
 from oficast.neural_net import _forward_scaled
 
 
-def make_counts(rows, t0=0):
-    """Wrap (buy, sell) pairs in OrderCounts with unit-stride timestamps."""
-    return [OrderCounts(t0 + i, int(b), int(s)) for i, (b, s) in enumerate(rows)]
+def make_counts(rows):
+    """(buy, sell) pairs as an (n, 2) int64 count array."""
+    return np.array(list(rows), dtype=np.int64).reshape(-1, 2)
 
 
 def stable_var1_series(n, x0=(10.0, 3.0)):

@@ -175,7 +175,7 @@ def test_criterion_06_hybrid_beats_linear_baseline():
         for master in range(1, 6):
             gen_seed = derive_seed(master, 0)
             train_seed = derive_seed(master, 1)
-            series = generate_synthetic(SyntheticSpec(length=3000, seed=gen_seed))
+            series = generate_synthetic(SyntheticSpec(length=3000, seed=gen_seed)).counts
             train, holdout = chronological_split(series, 0.8)
             config = PipelineConfig(train=TrainConfig(seed=train_seed))
             hybrid_bundle = fit_hybrid(train, config)
@@ -194,7 +194,7 @@ def test_criterion_06_hybrid_beats_linear_baseline():
 
 def test_criterion_07_ablation_bit_identity():
     with criterion(7, "residual-head ablation identity", 10.0):
-        series = generate_synthetic(SyntheticSpec(length=800, seed=17))
+        series = generate_synthetic(SyntheticSpec(length=800, seed=17)).counts
         config = PipelineConfig(train=TrainConfig(epochs=5, seed=3))
         hybrid_bundle = fit_hybrid(series, config)
         var_bundle = fit_var_only(series, config)
@@ -222,7 +222,7 @@ def test_criterion_08_sweep_cardinality_and_determinism(tmp_path):
         space = SweepSpace()
         configs = enumerate_grid(space)
         assert len(configs) == 120
-        series = generate_synthetic(SyntheticSpec(length=500, seed=23))
+        series = generate_synthetic(SyntheticSpec(length=500, seed=23)).counts
         datasets = [("smoke", series)]
         template = TrainConfig(epochs=10)
         out = {}
@@ -248,7 +248,7 @@ def test_criterion_09_training_time_scales_linearly():
         )
 
         def best_of_two(n, seed):
-            series = generate_synthetic(SyntheticSpec(length=n, seed=seed))
+            series = generate_synthetic(SyntheticSpec(length=n, seed=seed)).counts
             times = []
             for _ in range(2):
                 start = time.perf_counter()

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oficast.cli import DEFAULTS, derive_seed, main
 from oficast.hybrid import Predictions, write_predictions_csv
@@ -419,3 +420,117 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown config keys" in err and "lenght" in err
     assert not out.exists()
+
+
+# ------------------------------------------------------ malformed input files
+
+COUNTS_HEADER_LINE = "timestamp,buy_orders,sell_orders\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row, complaint",
+    [
+        ("2,x,3", "line 3: column buy_orders: expected an integer, got 'x'"),
+        (f"2,5,{'9' * 30}", f"line 3: column sell_orders: expected an integer, got '{'9' * 30}'"),
+        ("2,5", "line 3: expected 3 fields, got 2"),
+    ],
+    ids=["non-integer", "out-of-range", "field-count"],
+)
+def test_fit_bad_counts_row_names_file_and_line(tmp_path, capsys, bad_row, complaint):
+    data = tmp_path / "badc.csv"
+    rows = [f"{t},{(t * 7) % 11},{(t * 5) % 13}" for t in range(3, 40)]
+    data.write_text(COUNTS_HEADER_LINE + "\n".join(["1,4,6", bad_row, *rows]) + "\n")
+    out = tmp_path / "bundle"
+    assert run(["fit", "--data", data, "--out", out, "--model", "var"]) == 1
+    assert capsys.readouterr().err == f"error: {data}: {complaint}\n"
+    assert not out.exists()
+
+
+def test_sweep_names_the_bad_dataset(tmp_path, capsys):
+    good = synth(tmp_path, "good.csv", length=150, seed=1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(COUNTS_HEADER_LINE + "1,4,6\n2,-4,6\n")
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--datasets", good, bad, "--out", out, "--lags", "1",
+                "--architectures", "4", "--epochs", 1]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 3: negative count in column buy_orders\n"
+    assert not out.exists()
+
+
+def _counts_file(tmp_path):
+    return synth(tmp_path, "in.csv", length=60, seed=3)
+
+
+def _predictions_file(tmp_path):
+    path = tmp_path / "in.csv"
+    _fake_predictions(path)
+    return path
+
+
+_READERS = {
+    "fit": (_counts_file, lambda p, d: ["fit", "--data", p, "--out", d / "bundle"]),
+    "evaluate": (_predictions_file, lambda p, d: ["evaluate", p, "--out", d / "c.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_overlong_field_is_a_named_error(tmp_path, capsys, command):
+    make, argv = _READERS[command]
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = "9" * 200_000 + "," + lines[2]  # past the csv module's field limit
+    path.write_text("\n".join(lines) + "\n")
+    assert run(argv(path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: field larger than field limit")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_invalid_utf8_is_a_named_error(tmp_path, capsys, command):
+    make, argv = _READERS[command]
+    path = make(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-3] = 0xFF
+    path.write_bytes(bytes(data))
+    assert run(argv(path, tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+@st.composite
+def _corruptions(draw):
+    """A truncation (cut, None) or a one-byte replacement (position, byte)."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 10_000)), None
+    return draw(st.integers(0, 10_000)), draw(st.integers(0, 255))
+
+
+@given(corruption=_corruptions())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_counts_csv_never_raises(tmp_path, capsys, corruption):
+    """fit on a truncated counts CSV, or one with any byte replaced, either
+    succeeds or exits 1 with one error line."""
+    clean = tmp_path / "clean.csv"
+    if not clean.exists():
+        synth(tmp_path, "clean.csv", length=40, seed=5)
+    data = bytearray(clean.read_bytes())
+    pos, byte = corruption
+    pos %= len(data)
+    if byte is None:
+        del data[pos:]
+    else:
+        data[pos] = byte
+    path = tmp_path / "corrupt.csv"
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = run(["fit", "--data", path, "--out", tmp_path / "bundle",
+                    "--epochs", 2, "--hidden", "4", "--seed", 1])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oficast.data_io import (
+    CountSeries,
     DataFormatError,
     MIN_SYNTHETIC_LENGTH,
-    OrderCounts,
     Side,
     SyntheticSpec,
     TradeEvent,
@@ -27,11 +27,9 @@ def test_load_counts_known_rows(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("timestamp,buy_orders,sell_orders\n1,55,30\n2,45,40\n3,60,125\n")
     series = load_counts_csv(path)
-    assert series == [
-        OrderCounts(1, 55, 30),
-        OrderCounts(2, 45, 40),
-        OrderCounts(3, 60, 125),
-    ]
+    assert series == CountSeries(make_counts([(55, 30), (45, 40), (60, 125)]), t0=1)
+    assert len(series) == 3
+    assert series.counts.dtype == np.int64
 
 
 def test_load_counts_header_only_is_empty_series(tmp_path):
@@ -50,6 +48,60 @@ def test_load_counts_negative_count_names_line_and_column(tmp_path):
     assert "buy" in msg and "3" in msg  # line 3 of the file holds the bad row
 
 
+@pytest.mark.parametrize(
+    "body, complaint",
+    [
+        ("1,10,5\n2,3\n", "line 3: expected 3 fields, got 2"),
+        ("1,10,5\n2,x,7\n", "line 3: column buy_orders: expected an integer, got 'x'"),
+        ("1,10,5\n2,3,-7\n", "line 3: negative count in column sell_orders"),
+        ("1,10,5\n2,3,7\n4,1,1\n", "line 4: timestamps must increase with unit stride, got 4 after 2"),
+        ("1,10,5\n1,3,7\n", "line 3: timestamps must increase with unit stride, got 1 after 1"),
+        ("", "empty series (header only)"),
+    ],
+    ids=["field-count", "non-integer", "negative", "stride-gap", "repeat", "header-only"],
+)
+def test_load_counts_error_names_file_and_line(tmp_path, body, complaint):
+    path = tmp_path / "bad.csv"
+    path.write_text("timestamp,buy_orders,sell_orders\n" + body)
+    with pytest.raises(DataFormatError) as exc:
+        load_counts_csv(path)
+    assert str(exc.value) == f"{path}: {complaint}"
+
+
+def test_load_counts_names_first_bad_row_across_checks(tmp_path):
+    # a stride gap on line 3 comes before a negative count on line 5
+    path = tmp_path / "two.csv"
+    path.write_text("timestamp,buy_orders,sell_orders\n1,1,1\n3,1,1\n4,1,1\n5,-1,1\n")
+    with pytest.raises(DataFormatError, match="line 3: timestamps"):
+        load_counts_csv(path)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_load_counts_out_of_range_integer_is_named(tmp_path, column):
+    # a 30-digit count used to load as ~1e30 and fit silently
+    row = ["2", "5", "7"]
+    row[column] = "9" * 30
+    path = tmp_path / "huge.csv"
+    path.write_text("timestamp,buy_orders,sell_orders\n1,1,1\n" + ",".join(row) + "\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_counts_csv(path)
+    name = ("timestamp", "buy_orders", "sell_orders")[column]
+    assert str(exc.value) == (
+        f"{path}: line 3: column {name}: expected an integer, got '{'9' * 30}'"
+    )
+
+
+def test_load_counts_extreme_timestamps_do_not_wrap(tmp_path):
+    big = np.iinfo(np.int64).max
+    ok = tmp_path / "edge.csv"
+    ok.write_text(f"timestamp,buy_orders,sell_orders\n{big - 1},1,2\n{big},3,4\n")
+    assert load_counts_csv(ok) == CountSeries(make_counts([(1, 2), (3, 4)]), t0=big - 1)
+    wrapped = tmp_path / "wrap.csv"
+    wrapped.write_text(f"timestamp,buy_orders,sell_orders\n{big},1,2\n{-big - 1},3,4\n")
+    with pytest.raises(DataFormatError, match="unit stride"):
+        load_counts_csv(wrapped)
+
+
 def test_load_counts_rejects_bad_header(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("time,b,s\n1,2,3\n")
@@ -65,17 +117,45 @@ def test_load_counts_rejects_timestamp_gap(tmp_path):
 
 
 def test_counts_csv_round_trip(tmp_path):
-    series = make_counts([(5, 3), (0, 9), (12, 12)], t0=100)
+    series = CountSeries(make_counts([(5, 3), (0, 9), (12, 12)]), t0=100)
     path = tmp_path / "rt.csv"
+    write_counts_csv(path, series)
+    assert path.read_bytes() == b"timestamp,buy_orders,sell_orders\r\n100,5,3\r\n101,0,9\r\n102,12,12\r\n"
+    assert load_counts_csv(path) == series
+
+
+@given(
+    t0=st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max - 50),
+    pairs=st.lists(
+        st.tuples(st.integers(0, np.iinfo(np.int64).max), st.integers(0, np.iinfo(np.int64).max)),
+        min_size=1,
+        max_size=50,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_csv_round_trip_property(tmp_path_factory, t0, pairs):
+    series = CountSeries(make_counts(pairs), t0=t0)
+    path = tmp_path_factory.mktemp("rt") / "counts.csv"
     write_counts_csv(path, series)
     assert load_counts_csv(path) == series
 
 
-def test_order_counts_rejects_negative():
-    with pytest.raises(ValueError):
-        OrderCounts(0, -1, 5)
-    with pytest.raises(ValueError):
-        OrderCounts(0, 5, -1)
+def test_count_series_rejects_negative_and_bad_shape():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountSeries(make_counts([(0, 1), (-1, 5)]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountSeries(make_counts([(5, -1)]))
+    for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=r"\(n, 2\) integer count array"):
+            CountSeries(bad)
+
+
+def test_count_series_equality_compares_t0_and_counts():
+    a = CountSeries(make_counts([(1, 2), (3, 4)]), t0=5)
+    assert a == CountSeries(make_counts([(1, 2), (3, 4)]), t0=5)
+    assert a != CountSeries(make_counts([(1, 2), (3, 4)]), t0=6)
+    assert a != CountSeries(make_counts([(1, 2), (3, 5)]), t0=5)
+    assert len(a) == 2
 
 
 def test_counts_to_array_shape_and_values():
@@ -104,11 +184,6 @@ def test_counts_to_array_rejects_other_shapes(shape):
         counts_to_array(np.zeros(shape))
 
 
-def assert_unit_stride(series):
-    t0 = series[0].timestamp
-    assert [c.timestamp for c in series] == list(range(t0, t0 + len(series)))
-
-
 # --------------------------------------------------------------- trade tapes
 
 def test_aggregate_trades_direct_count():
@@ -119,13 +194,20 @@ def test_aggregate_trades_direct_count():
         TradeEvent(0.9, Side.BUY),
     ]
     out = aggregate_trades(events, bucket=1.0)
-    assert out == [OrderCounts(0, 3, 1)]
+    assert out == CountSeries(make_counts([(3, 1)]), t0=0)
 
 
 def test_aggregate_trades_fills_interior_gap():
     events = [TradeEvent(0.5, Side.BUY), TradeEvent(2.5, Side.SELL)]
     out = aggregate_trades(events, bucket=1.0)
-    assert out == [OrderCounts(0, 1, 0), OrderCounts(1, 0, 0), OrderCounts(2, 0, 1)]
+    assert out == CountSeries(make_counts([(1, 0), (0, 0), (0, 1)]), t0=0)
+
+
+def test_aggregate_trades_t0_is_first_bucket():
+    events = [TradeEvent(-7.5, Side.SELL), TradeEvent(-2.0, Side.BUY)]
+    out = aggregate_trades(events, bucket=2.5)
+    assert out == CountSeries(make_counts([(0, 1), (0, 0), (1, 0)]), t0=-3)
+    assert aggregate_trades([], bucket=1.0) == CountSeries(np.zeros((0, 2), dtype=np.int64))
 
 
 def test_aggregate_trades_conserves_totals():
@@ -137,17 +219,20 @@ def test_aggregate_trades_conserves_totals():
         for t, s in zip(times, sides)
     ]
     out = aggregate_trades(events, bucket=1.0)
-    assert sum(c.buy + c.sell for c in out) == 1000
-    assert sum(c.buy for c in out) == int(sides.sum())
-    assert_unit_stride(out)
+    assert out.counts.sum() == 1000
+    assert out.counts[:, 0].sum() == int(sides.sum())
+    assert (out.t0, len(out)) == (int(times[0]), int(times[-1]) - int(times[0]) + 1)
 
 
 def test_aggregate_trades_rejects_unsorted_and_bad_bucket():
     events = [TradeEvent(2.0, Side.BUY), TradeEvent(1.0, Side.SELL)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1.0 after 2.0"):
         aggregate_trades(events, bucket=1.0)
     with pytest.raises(ValueError):
         aggregate_trades(events, bucket=0.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            aggregate_trades([TradeEvent(0.5, Side.BUY), TradeEvent(t, Side.SELL)], 1.0)
 
 
 def test_load_trades_csv(tmp_path):
@@ -157,8 +242,20 @@ def test_load_trades_csv(tmp_path):
     assert events == [TradeEvent(0.25, Side.BUY), TradeEvent(0.75, Side.SELL)]
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,side\n0.25,LIMIT\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError) as exc:
         load_trades_csv(bad)
+    assert str(exc.value) == f"{bad}: line 2: column side: expected BUY or SELL, got 'LIMIT'"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_load_trades_rejects_non_finite_timestamp(tmp_path, token):
+    path = tmp_path / "tape.csv"
+    path.write_text(f"timestamp,side\n0.25,BUY\n{token},SELL\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_trades_csv(path)
+    assert str(exc.value) == (
+        f"{path}: line 3: column timestamp: expected a finite number, got '{token}'"
+    )
 
 
 # ----------------------------------------------------------------- generator
@@ -179,16 +276,16 @@ def test_generator_law_of_large_numbers():
         linear_strength=0.0, nonlinear_strength=0.0,
     )
     series = generate_synthetic(spec)
-    mean_buy = np.mean([c.buy for c in series])
+    mean_buy = series.counts[:, 0].mean()
     assert abs(mean_buy - 40.0) < 0.05 * 40.0
 
 
 def test_generator_counts_nonnegative_and_unit_stride():
     for seed in (0, 1, 2):
         series = generate_synthetic(SyntheticSpec(length=200, seed=seed))
-        assert min(c.buy for c in series) >= 0
-        assert min(c.sell for c in series) >= 0
-        assert_unit_stride(series)
+        assert series.counts.min() >= 0
+        assert series.counts.dtype == np.int64
+        assert series.t0 == 0
         assert len(series) == 200
 
 
@@ -209,7 +306,7 @@ def test_synthetic_spec_parameter_validation():
 def test_generator_default_regime_does_not_saturate():
     # the feedback term must not pin the imbalance at +-1 (one side starved)
     series = generate_synthetic(SyntheticSpec(length=5000, seed=3))
-    arr = counts_to_array(series)
+    arr = counts_to_array(series.counts)
     z = (arr[:, 0] - arr[:, 1]) / (arr[:, 0] + arr[:, 1] + 1)
     assert np.mean(np.abs(z) > 0.95) < 0.05
     assert arr[:, 0].mean() > 0.5 and arr[:, 1].mean() > 0.5
@@ -228,7 +325,7 @@ def test_split_3000_rows():
     series = make_counts([(i % 7, i % 5) for i in range(3000)])
     tr, ho = chronological_split(series, 0.8)
     assert (len(tr), len(ho)) == (2400, 600)
-    assert tr + ho == series
+    assert np.array_equal(np.concatenate([tr, ho]), series)
 
 
 @given(n=st.integers(2, 400), frac_pct=st.integers(1, 99))
@@ -242,7 +339,7 @@ def test_split_partition_property(n, frac_pct):
         # an empty partition is the only legitimate refusal
         assert int(np.floor(frac * n + 1e-9)) in (0, n)
         return
-    assert tr + ho == series
+    assert np.array_equal(np.concatenate([tr, ho]), series)
     assert len(tr) == int(np.floor(frac * n + 1e-9))
 
 

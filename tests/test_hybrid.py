@@ -43,7 +43,7 @@ def quick_train(**kw):
 
 
 def synthetic(n=300, seed=0):
-    return generate_synthetic(SyntheticSpec(length=n, seed=seed))
+    return generate_synthetic(SyntheticSpec(length=n, seed=seed)).counts
 
 
 # ------------------------------------------------------------------- warmup
@@ -290,7 +290,7 @@ def test_window_two_uses_trailing_actual_rows():
     )
     bundle = fit_var_only(series, cfg)
     records = predict(bundle, series)
-    arr = np.array([[c.buy, c.sell] for c in series], dtype=float)
+    arr = counts_to_array(series)
     _, _, _, combined = hybrid_components(bundle, series)
     for t, actual, predicted, row in zip(
         records.index, records.actual_ofi, records.predicted_ofi, combined
@@ -317,7 +317,7 @@ def test_holdout_records_are_reindexed_and_causal():
     assert records.index.tolist() == list(range(len(holdout)))
     # first holdout row must match a manual context prediction
     warmup = required_warmup(bundle)
-    context = train_s[-warmup:] + holdout
+    context = np.concatenate([train_s[-warmup:], holdout])
     manual = predict(bundle, context)
     assert manual.predicted_ofi.tolist() == records.predicted_ofi.tolist()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oficast.data_io import CountSeries
 from oficast.ofi_signal import (
     OfiParams,
     Signal,
@@ -81,40 +82,40 @@ TABLE_ROWS = [(55, 30), (45, 40), (60, 125)]
 
 
 def test_series_window_one_matches_per_row_values():
-    out = ofi_series(make_counts(TABLE_ROWS, t0=1), OfiParams(window_h=1))
+    out = ofi_series(CountSeries(make_counts(TABLE_ROWS), t0=1), OfiParams(window_h=1))
     assert [round(v, 3) for v in out.values] == [0.294, 0.059, -0.351]
     assert out.timestamps == (1, 2, 3)
 
 
 def test_series_window_two_hand_summed():
     # (55+45, 30+40) -> 30/170
-    out = ofi_series(make_counts(TABLE_ROWS[:2]), OfiParams(window_h=2))
+    out = ofi_series(CountSeries(make_counts(TABLE_ROWS[:2])), OfiParams(window_h=2))
     assert len(out.values) == 1
     assert out.values[0] == pytest.approx(0.17647, abs=5e-6)
 
 
 def test_series_window_two_timestamps_align_to_window_end():
-    out = ofi_series(make_counts(TABLE_ROWS, t0=10), OfiParams(window_h=2))
+    out = ofi_series(CountSeries(make_counts(TABLE_ROWS), t0=10), OfiParams(window_h=2))
     assert out.timestamps == (11, 12)
 
 
 def test_series_balanced_counts_all_zero():
-    out = ofi_series(make_counts([(8, 8)] * 6), OfiParams(window_h=1))
+    out = ofi_series(CountSeries(make_counts([(8, 8)] * 6)), OfiParams(window_h=1))
     assert all(v == 0.0 for v in out.values)
-    out2 = ofi_series(make_counts([(8, 8)] * 6), OfiParams(window_h=3))
+    out2 = ofi_series(CountSeries(make_counts([(8, 8)] * 6)), OfiParams(window_h=3))
     assert all(v == 0.0 for v in out2.values)
 
 
 def test_series_shorter_than_window_rejected():
     with pytest.raises(ValueError):
-        ofi_series(make_counts([(1, 1)]), OfiParams(window_h=2))
+        ofi_series(CountSeries(make_counts([(1, 1)])), OfiParams(window_h=2))
 
 
 def test_series_matches_manual_accumulation():
     rng = np.random.default_rng(11)
     rows = [(int(b), int(s)) for b, s in zip(rng.poisson(20, 50), rng.poisson(20, 50))]
     h = 4
-    out = ofi_series(make_counts(rows), OfiParams(window_h=h))
+    out = ofi_series(CountSeries(make_counts(rows)), OfiParams(window_h=h))
     for i, v in enumerate(out.values):
         window = rows[i : i + h]
         b = sum(w[0] for w in window)

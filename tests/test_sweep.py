@@ -40,7 +40,7 @@ def small_space():
 
 def tiny_datasets(n=90, count=2):
     return [
-        (f"syn{i}", generate_synthetic(SyntheticSpec(length=n, seed=100 + i)))
+        (f"syn{i}", generate_synthetic(SyntheticSpec(length=n, seed=100 + i)).counts)
         for i in range(count)
     ]
 
@@ -192,7 +192,7 @@ def test_failed_cell_is_isolated():
         SweepConfig(10, (4,), "relu", "adam"),
         SweepConfig(1, (4,), "relu", "adam"),
     ]
-    datasets = [("tiny", generate_synthetic(SyntheticSpec(length=30, seed=0)))]
+    datasets = [("tiny", generate_synthetic(SyntheticSpec(length=30, seed=0)).counts)]
     results = run_sweep(configs, datasets, master_seed=0, train_template=FAST_TRAIN)
     assert len(results) == 2
     statuses = {r.lag: r.status for r in results}

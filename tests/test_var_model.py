@@ -271,7 +271,7 @@ def test_forecast_recursion_geometric_decay():
 
 def test_forecast_matches_in_sample_fitted_values():
     series = noisy_ar1_counts(60, seed=9)
-    arr = np.array([[c.buy, c.sell] for c in series], dtype=float)
+    arr = series.astype(float)
     p = 2
     model, _ = fit_var(series, p)
     preds = one_step_predictions(model, series)
