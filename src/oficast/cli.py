@@ -14,8 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS/OpenMP thread per process unless the environment says otherwise.
+# The model's matmuls (at most 400x128 by 128x64 in the sweep) are too
+# small for BLAS threads to help, and one thread per core in every pool
+# worker oversubscribes the cores.  The libraries read these variables
+# once, when numpy first loads, so this must run before the imports below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .data_io import (
     SyntheticSpec,
@@ -121,13 +130,16 @@ def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{config_path}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: a config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
             raise ValueError(
-                f"unknown config keys for this command: {sorted(unknown)}"
+                f"{config_path}: unknown config keys for this command: {sorted(unknown)}"
             )
         for key, value in file_values.items():
             _check_type(key, value, config_path)

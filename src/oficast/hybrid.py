@@ -370,8 +370,11 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != BUNDLE_FORMAT_TAG:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise BundleFormatError(MANIFEST_FILE, str(exc)) from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_FORMAT_TAG:
         raise BundleFormatError("format", f"expected {BUNDLE_FORMAT_TAG!r}")
     kind = manifest.get("kind")
     if kind not in KINDS:

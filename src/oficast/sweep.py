@@ -289,13 +289,23 @@ def run_sweep(
 
     ``train_template`` supplies the non-swept optimization settings (its
     optimizer and seed fields are overridden per cell).  ``workers`` > 1
-    fans cells out to a process pool; the result order and content are
-    identical either way.
+    fans cells out to a process pool of at most one process per
+    cell; the result order and content are identical either way.
+
+    Every worker runs as many BLAS threads as numpy loaded with, one per
+    core by default.  The cells' matmuls are too small to gain from them,
+    and a pool of such workers oversubscribes the cores: two workers on
+    two cores ran no faster than one.  The ``oficast`` CLI therefore sets
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+    to 1 where the environment leaves them unset; a library caller who
+    wants the same must set them before numpy is first imported.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not datasets:
         raise ValueError("no datasets supplied")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if train_template is None:
         train_template = TrainConfig()
     if ofi_params is None:
@@ -315,6 +325,8 @@ def run_sweep(
                     ofi_params,
                 )
             )
+    # a worker beyond one per cell would start and never get a cell
+    workers = min(workers, len(cells))
     if workers <= 1:
         return [_run_cell(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as executor:

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -362,6 +363,24 @@ def test_sweep_sample_flag_shrinks_run(tmp_path):
     assert len(_read_masked(out)) == 2
 
 
+@pytest.mark.parametrize("workers, via_config", [(0, False), (-2, False), (0, True)])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers, via_config):
+    d1 = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--datasets", d1, "--out", out, "--lags", "1",
+            "--architectures", "4", "--epochs", 1]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": workers}))
+        argv += ["--config", cfg]
+    else:
+        argv += ["--workers", workers]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- precedence
 
 def test_config_file_overrides_default_flag_overrides_file(tmp_path):
@@ -418,8 +437,25 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["synth", "--out", out, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "unknown config keys" in err and "lenght" in err
+    assert err.startswith(f"error: {cfg}: unknown config keys") and "lenght" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["config", "manifest"])
+def test_json_that_does_not_parse_is_named(tmp_path, capsys, which):
+    data = synth(tmp_path, length=200, seed=1)
+    if which == "config":
+        bad = tmp_path / "cfg.json"
+        argv = ["fit", "--data", data, "--out", tmp_path / "b", "--config", bad]
+        named = str(bad)
+    else:
+        bad = fit_small(tmp_path, data) / "manifest.json"
+        argv = ["predict", "--bundle", bad.parent, "--data", data, "--out", tmp_path / "p.csv"]
+        named = "bundle field 'manifest.json'"
+    bad.write_text('{"epochs": 2')
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}: Expecting ',' delimiter: line 1 column 13 (char 12)\n"
 
 
 # ------------------------------------------------------ malformed input files
@@ -506,28 +542,62 @@ def _corruptions(draw):
     return draw(st.integers(0, 10_000)), draw(st.integers(0, 255))
 
 
+def _make_clean_inputs(clean):
+    """A counts CSV, a fit config, the bundle fitted from them and its
+    predictions: every file the corruption test damages, made once."""
+    if clean.exists():
+        return
+    clean.mkdir()
+    synth(clean, "counts.csv", length=40, seed=5)
+    (clean / "config.json").write_text(json.dumps({"epochs": 2, "hidden": "4", "seed": 1}))
+    assert run(["fit", "--data", clean / "counts.csv", "--config", clean / "config.json",
+                "--out", clean / "bundle"]) == 0
+    assert run(["predict", "--bundle", clean / "bundle", "--data", clean / "counts.csv",
+                "--out", clean / "preds.csv"]) == 0
+
+
+def _predict_bad_bundle(clean, bad):
+    return ["predict", "--bundle", bad / "bundle", "--data", clean / "counts.csv",
+            "--out", bad / "out.csv"]
+
+
+#: damaged file -> the command that reads it, given the clean inputs and
+#: a copy of them holding the damaged file
+_CORRUPTIBLE = {
+    "counts.csv": lambda clean, bad: ["fit", "--data", bad / "counts.csv",
+                                      "--config", clean / "config.json", "--out", bad / "out"],
+    "config.json": lambda clean, bad: ["fit", "--data", clean / "counts.csv",
+                                       "--config", bad / "config.json", "--out", bad / "out"],
+    "bundle/manifest.json": _predict_bad_bundle,
+    "bundle/var.txt": _predict_bad_bundle,
+    "bundle/fnn.txt": _predict_bad_bundle,
+    "preds.csv": lambda clean, bad: ["evaluate", bad / "preds.csv", "--out", bad / "out.csv"],
+}
+
+
+@pytest.mark.parametrize("name", list(_CORRUPTIBLE))
 @given(corruption=_corruptions())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_corrupted_counts_csv_never_raises(tmp_path, capsys, corruption):
-    """fit on a truncated counts CSV, or one with any byte replaced, either
-    succeeds or exits 1 with one error line."""
-    clean = tmp_path / "clean.csv"
-    if not clean.exists():
-        synth(tmp_path, "clean.csv", length=40, seed=5)
-    data = bytearray(clean.read_bytes())
+def test_corrupted_input_never_raises(tmp_path, capsys, name, corruption):
+    """A command reading a truncated file, or one with any byte replaced,
+    either succeeds or exits 1 with one error line: fit on its counts CSV
+    or config, predict on each bundle file, evaluate on a predictions CSV."""
+    clean, bad = tmp_path / "clean", tmp_path / "bad"
+    _make_clean_inputs(clean)
+    shutil.rmtree(bad, ignore_errors=True)
+    shutil.copytree(clean, bad)
+    data = bytearray((bad / name).read_bytes())
     pos, byte = corruption
     pos %= len(data)
     if byte is None:
         del data[pos:]
     else:
         data[pos] = byte
-    path = tmp_path / "corrupt.csv"
-    path.write_bytes(bytes(data))
+    (bad / name).write_bytes(bytes(data))
     capsys.readouterr()
     with np.errstate(all="ignore"):
-        code = run(["fit", "--data", path, "--out", tmp_path / "bundle",
-                    "--epochs", 2, "--hidden", "4", "--seed", 1])
+        code = run(_CORRUPTIBLE[name](clean, bad))
     err = capsys.readouterr().err
     if code == 0:
         assert err == ""

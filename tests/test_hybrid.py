@@ -384,7 +384,7 @@ def _tamper(tmp_path, mutate):
     path = tmp_path / "bundle"
     save_bundle(bundle, path)
     manifest = json.loads((path / "manifest.json").read_text())
-    mutate(manifest)
+    manifest = mutate(manifest) or manifest  # edited in place, or replaced
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(BundleFormatError) as exc:
         load_bundle(path)
@@ -413,6 +413,11 @@ def test_tampered_kind_names_field(tmp_path):
 
 def test_tampered_format_tag_names_field(tmp_path):
     err = _tamper(tmp_path, lambda m: m.update(format="something-else"))
+    assert err.field == "format"
+
+
+def test_manifest_that_is_not_an_object_names_format(tmp_path):
+    err = _tamper(tmp_path, lambda m: list(m))
     assert err.field == "format"
 
 

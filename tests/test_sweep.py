@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oficast import sweep as sweep_module
 from oficast.data_io import SyntheticSpec, generate_synthetic
 from oficast.neural_net import TrainConfig
 from oficast.sweep import (
@@ -184,6 +185,49 @@ def test_run_sweep_parallel_matches_serial():
         configs, datasets, master_seed=5, train_template=FAST_TRAIN, workers=2
     )
     assert _strip_runtime(serial) == _strip_runtime(parallel)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize(
+    "workers, n_configs, n_datasets, pool_sizes",
+    [(8, 3, 2, [6]), (2, 3, 2, [2]), (6, 1, 2, [2]), (4, 1, 1, []), (2, 0, 2, []),
+     (1, 3, 2, [])],
+)
+def test_pool_starts_at_most_one_worker_per_cell(
+    monkeypatch, workers, n_configs, n_datasets, pool_sizes
+):
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    configs = enumerate_grid(small_space())[:n_configs]
+    datasets = tiny_datasets(count=n_datasets)
+    results = run_sweep(configs, datasets, kind="var_only", workers=workers)
+    assert len(results) == n_configs * n_datasets
+    assert all(r.status == "ok" for r in results)
+    assert _RecordingPool.sizes == pool_sizes
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_workers_below_one(workers):
+    configs = enumerate_grid(small_space())[:1]
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_sweep(configs, tiny_datasets(count=1), kind="var_only", workers=workers)
 
 
 def test_failed_cell_is_isolated():
