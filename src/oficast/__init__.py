@@ -15,9 +15,8 @@ _EXPORTS = {
     for module, names in {
         "data_io": (
             "CountSeries", "DataFormatError", "Side", "SyntheticSpec",
-            "TradeEvent", "aggregate_trades", "chronological_split",
-            "generate_synthetic", "load_counts_csv", "load_trades_csv",
-            "write_counts_csv",
+            "aggregate_trades", "chronological_split", "generate_synthetic",
+            "load_counts_csv", "load_trades_csv", "write_counts_csv",
         ),
         "ofi_signal": (
             "OfiParams", "OfiSeries", "Signal", "clamp_ofi", "ofi",

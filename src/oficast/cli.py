@@ -1,9 +1,9 @@
 """Command-line interface: synth, fit, predict, evaluate, sweep.
 
 Settings resolve in precedence order: command-line flag, then JSON config
-file (--config), then built-in default.  The defaults are the library's
-standard operating point: lag 2, hidden layers 32,16, relu, adam,
-50 epochs, batch size 8, learning rate 0.001, threshold 0.1, window 1.
+file (--config), then built-in default.  ``SETTINGS`` declares each one
+(its default, type and help) and ``COMMAND_KEYS`` the commands that take
+it; most defaults are read from the library's own configuration classes.
 
 Each run writes a fully resolved configuration sidecar next to its
 outputs, and all randomness flows from the single --seed value through
@@ -52,9 +52,13 @@ from .hybrid import (
     write_json,
     write_predictions_csv,
 )
-from .neural_net import TrainConfig, write_trace_csv
+from .neural_net import ACTIVATIONS, TrainConfig, write_trace_csv
 from .ofi_signal import OfiParams
 from .sweep import (
+    DEFAULT_ACTIVATIONS,
+    DEFAULT_ARCHITECTURES,
+    DEFAULT_LAGS,
+    DEFAULT_OPTIMIZERS,
     SweepSpace,
     best_configurations,
     derive_seed,
@@ -66,38 +70,72 @@ from .sweep import (
 )
 from . import var_model as vm
 
-DEFAULTS = {
-    "length": 2000,
-    "base_intensity": 4.0,
-    "linear_strength": 0.2,
-    "nonlinear_strength": 0.95,
-    "model": "hybrid",
-    "lag": 2,
-    "fnn_lags": None,
-    "hidden": "32,16",
-    "activation": "relu",
-    "optimizer": "adam",
-    "epochs": 50,
-    "batch_size": 8,
-    "learning_rate": 0.001,
-    "early_stopping": True,
-    "patience": 5,
-    "validation_fraction": 0.2,
-    "threshold": 0.1,
-    "window": 1,
-    "seed": 0,
-    "train_fraction": 0.8,
-    "eval_start": None,
-    "lags": "1,2,5,10",
-    "architectures": "128,64;32,16;32,32;128,64,32;64,32,16",
-    "activations": "relu,tanh,sigmoid",
-    "optimizers": "adam,sgd",
-    "sample": None,
-    "workers": 1,
+#: Every command-line setting: config key -> (default, type, help).  The
+#: flag is the key with dashes (``batch_size`` -> ``--batch-size``); a bool
+#: setting defaults to True and its flag is ``--no-`` plus the key.
+SETTINGS = {
+    "length": (2000, int, None),
+    "base_intensity": (SyntheticSpec.base_intensity, float, None),
+    "linear_strength": (SyntheticSpec.linear_strength, float, None),
+    "nonlinear_strength": (SyntheticSpec.nonlinear_strength, float, None),
+    "model": ("hybrid", str, None),
+    "lag": (PipelineConfig.var_lag, int, None),
+    "fnn_lags": (PipelineConfig.fnn_input_lags, int, None),
+    "hidden": (
+        ",".join(map(str, PipelineConfig.hidden_layers)),
+        str,
+        "hidden layer widths, e.g. 32,16",
+    ),
+    "activation": (PipelineConfig.activation, str, None),
+    "optimizer": (TrainConfig.optimizer, str, None),
+    "epochs": (TrainConfig.epochs, int, None),
+    "batch_size": (TrainConfig.batch_size, int, None),
+    "learning_rate": (TrainConfig.learning_rate, float, None),
+    "early_stopping": (TrainConfig.early_stopping, bool, None),
+    "patience": (TrainConfig.patience, int, None),
+    "validation_fraction": (TrainConfig.validation_fraction, float, None),
+    "threshold": (OfiParams.threshold, float, None),
+    "window": (OfiParams.window_h, int, None),
+    "seed": (0, int, None),
+    "train_fraction": (
+        0.8,
+        float,
+        "train on the first fraction of rows; fit also accepts 1.0 (all rows)",
+    ),
+    "eval_start": (None, float, "keep predictions from this fraction of the series on"),
+    "lags": (",".join(map(str, DEFAULT_LAGS)), str, "comma list, e.g. 1,2,5,10"),
+    "architectures": (
+        ";".join(",".join(map(str, arch)) for arch in DEFAULT_ARCHITECTURES),
+        str,
+        "semicolon-separated comma lists, e.g. 32,16;128,64",
+    ),
+    "activations": (",".join(DEFAULT_ACTIVATIONS), str, "comma list"),
+    "optimizers": (",".join(DEFAULT_OPTIMIZERS), str, "comma list"),
+    "sample": (None, int, "Latin-hypercube subsample size instead of the full grid"),
+    "workers": (1, int, None),
 }
 
-#: Value types of the keys whose default is None (unset).
-_OPTIONAL_TYPES = {"fnn_lags": int, "eval_start": float, "sample": int}
+DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+
+#: Settings shared by fit and sweep.
+_COMMON_KEYS = (
+    "model", "epochs", "batch_size", "learning_rate", "early_stopping",
+    "patience", "validation_fraction", "threshold", "window", "seed",
+    "train_fraction",
+)
+
+#: The settings of each command that has any; each also takes --config.
+COMMAND_KEYS = {
+    "synth": (
+        "length", "seed", "base_intensity", "linear_strength", "nonlinear_strength"
+    ),
+    "fit": ("lag", "fnn_lags", "hidden", "activation", "optimizer", *_COMMON_KEYS),
+    "predict": ("eval_start",),
+    "sweep": (
+        "lags", "architectures", "activations", "optimizers", "sample", "workers",
+        *_COMMON_KEYS,
+    ),
+}
 
 _MODEL_KINDS = {
     "var": "var_only",
@@ -107,52 +145,58 @@ _MODEL_KINDS = {
     "hybrid": "hybrid",
 }
 
+#: The values a setting's flag accepts, where only a few are valid.
+_CHOICES = {
+    "model": sorted(_MODEL_KINDS),
+    "activation": ACTIVATIONS,
+    "optimizer": ("adam", "sgd"),
+}
 
-def _check_type(key: str, value, source: str) -> None:
-    """A config-file value must have the type of its default: bool only for
-    bools, int (not bool) for ints, int or float for floats, str for
-    strings; None only where the default is None."""
-    default = DEFAULTS[key]
+
+def _config_value(key: str, value, source: str):
+    """A config-file value, which must have its setting's type: bool only for
+    bools, int (not bool) for ints, int or float for floats (returned as a
+    float), str for strings; None only where the default is None."""
+    default, expected, _ = SETTINGS[key]
     if value is None and default is None:
-        return
-    expected = _OPTIONAL_TYPES.get(key, type(default))
+        return None
     accepted = (int, float) if expected is float else (expected,)
     if (isinstance(value, bool) and expected is not bool) or not isinstance(value, accepted):
         raise ValueError(
             f"{source}: config key {key!r} must be {expected.__name__}, "
             f"got {type(value).__name__} {value!r}"
         )
+    return float(value) if expected is float else value
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
-    """flag > config file > default, for the given keys."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """flag > config file > default, for the command's settings."""
+    keys = COMMAND_KEYS[args.command]
     resolved = {k: DEFAULTS[k] for k in keys}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 file_values = json.load(fh)
             except ValueError as exc:  # not JSON, or not UTF-8
-                raise ValueError(f"{config_path}: {exc}") from exc
+                raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
-            raise ValueError(f"{config_path}: a config file must hold a JSON object")
+            raise ValueError(f"{args.config}: a config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
             raise ValueError(
-                f"{config_path}: unknown config keys for this command: {sorted(unknown)}"
+                f"{args.config}: unknown config keys for this command: {sorted(unknown)}"
             )
         for key, value in file_values.items():
-            _check_type(key, value, config_path)
-        resolved.update(file_values)
+            resolved[key] = _config_value(key, value, args.config)
     for key in keys:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in str(text).split(","))
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _write_sidecar(out: str | Path, resolved: dict) -> None:
@@ -160,54 +204,38 @@ def _write_sidecar(out: str | Path, resolved: dict) -> None:
 
 
 def _model_kind(resolved: dict) -> str:
-    kind = _MODEL_KINDS.get(str(resolved["model"]))
+    kind = _MODEL_KINDS.get(resolved["model"])
     if kind is None:
         raise ValueError(
-            f"model must be one of {sorted(set(_MODEL_KINDS))}, got {resolved['model']!r}"
+            f"model must be one of {sorted(_MODEL_KINDS)}, got {resolved['model']!r}"
         )
     return kind
 
 
-#: Config keys of the flags that fit and sweep share (see build_parser).
-_COMMON_KEYS = [
-    "model", "epochs", "batch_size", "learning_rate", "early_stopping",
-    "patience", "validation_fraction", "threshold", "window", "seed",
-    "train_fraction",
-]
-
-#: TrainConfig fields that fit and sweep both resolve, with their types.
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "early_stopping": bool,
-    "patience": int,
-    "validation_fraction": float,
-}
+#: TrainConfig fields that fit and sweep both resolve.
+_TRAIN_KEYS = (
+    "epochs", "batch_size", "learning_rate", "early_stopping", "patience",
+    "validation_fraction",
+)
 
 
 def _train_config(resolved: dict, **fields) -> TrainConfig:
-    return TrainConfig(
-        **{key: cast(resolved[key]) for key, cast in _TRAIN_KEYS.items()}, **fields
-    )
+    return TrainConfig(**{key: resolved[key] for key in _TRAIN_KEYS}, **fields)
 
 
 def _ofi_params(resolved: dict) -> OfiParams:
-    return OfiParams(
-        window_h=int(resolved["window"]), threshold=float(resolved["threshold"])
-    )
+    return OfiParams(window_h=resolved["window"], threshold=resolved["threshold"])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    keys = ["length", "seed", "base_intensity", "linear_strength", "nonlinear_strength"]
-    resolved = _resolve(args, keys)
-    generator_seed = derive_seed(int(resolved["seed"]), 0)
+    resolved = _resolve(args)
+    generator_seed = derive_seed(resolved["seed"], 0)
     spec = SyntheticSpec(
-        length=int(resolved["length"]),
+        length=resolved["length"],
         seed=generator_seed,
-        base_intensity=float(resolved["base_intensity"]),
-        linear_strength=float(resolved["linear_strength"]),
-        nonlinear_strength=float(resolved["nonlinear_strength"]),
+        base_intensity=resolved["base_intensity"],
+        linear_strength=resolved["linear_strength"],
+        nonlinear_strength=resolved["nonlinear_strength"],
     )
     series = generate_synthetic(spec)
     write_counts_csv(args.out, series)
@@ -219,25 +247,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    keys = ["lag", "fnn_lags", "hidden", "activation", "optimizer", *_COMMON_KEYS]
-    resolved = _resolve(args, keys)
+    resolved = _resolve(args)
     kind = _model_kind(resolved)
     series = load_counts_csv(args.data).counts
-    fraction = float(resolved["train_fraction"])
+    fraction = resolved["train_fraction"]
     if fraction >= 1.0:
         train_rows = series
     else:
         train_rows, _ = chronological_split(series, fraction)
-    fnn_lags = resolved["fnn_lags"]
     config = PipelineConfig(
-        var_lag=int(resolved["lag"]),
-        fnn_input_lags=None if fnn_lags is None else int(fnn_lags),
+        var_lag=resolved["lag"],
+        fnn_input_lags=resolved["fnn_lags"],
         hidden_layers=_parse_hidden(resolved["hidden"]),
         activation=resolved["activation"],
         train=_train_config(
             resolved,
             optimizer=resolved["optimizer"],
-            seed=derive_seed(int(resolved["seed"]), 1),
+            seed=derive_seed(resolved["seed"], 1),
         ),
         ofi=_ofi_params(resolved),
     )
@@ -265,13 +291,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ["eval_start"])
+    resolved = _resolve(args)
     bundle = load_bundle(args.bundle)
     series = load_counts_csv(args.data).counts
     records = predict(bundle, series)
-    eval_start = resolved["eval_start"]
-    if eval_start is not None:
-        start = float(eval_start)
+    start = resolved["eval_start"]
+    if start is not None:
         if not 0.0 <= start < 1.0:
             raise ValueError(f"eval-start must lie in [0, 1), got {start}")
         records = records.take(records.index >= int(start * len(series)))
@@ -328,24 +353,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    keys = ["lags", "architectures", "activations", "optimizers", "sample", "workers"]
-    keys += _COMMON_KEYS
-    resolved = _resolve(args, keys)
+    resolved = _resolve(args)
     kind = _model_kind(resolved)
     space = SweepSpace(
-        lags=tuple(int(tok) for tok in str(resolved["lags"]).split(",")),
+        lags=tuple(int(tok) for tok in resolved["lags"].split(",")),
         architectures=tuple(
-            _parse_hidden(part) for part in str(resolved["architectures"]).split(";")
+            _parse_hidden(part) for part in resolved["architectures"].split(";")
         ),
-        activations=tuple(str(resolved["activations"]).split(",")),
-        optimizers=tuple(str(resolved["optimizers"]).split(",")),
+        activations=tuple(resolved["activations"].split(",")),
+        optimizers=tuple(resolved["optimizers"].split(",")),
     )
-    master = int(resolved["seed"])
+    master = resolved["seed"]
     sample = resolved["sample"]
     if sample is None:
         configs = enumerate_grid(space)
     else:
-        configs = lhs_sample(space, int(sample), derive_seed(master, 2))
+        configs = lhs_sample(space, sample, derive_seed(master, 2))
     datasets = []
     for path in args.datasets:
         datasets.append((Path(path).stem, load_counts_csv(path).counts))
@@ -354,10 +377,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         datasets,
         kind,
         master,
-        train_fraction=float(resolved["train_fraction"]),
+        train_fraction=resolved["train_fraction"],
         train_template=_train_config(resolved),
         ofi_params=_ofi_params(resolved),
-        workers=int(resolved["workers"]),
+        workers=resolved["workers"],
     )
     write_sweep_csv(results, args.out)
     write_heatmap_csv(results, str(args.out) + ".heatmap.csv")
@@ -385,64 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic counts CSV")
     p_synth.add_argument("--out", required=True, help="output counts CSV path")
-    p_synth.add_argument("--length", type=int)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--base-intensity", dest="base_intensity", type=float)
-    p_synth.add_argument("--linear-strength", dest="linear_strength", type=float)
-    p_synth.add_argument("--nonlinear-strength", dest="nonlinear_strength", type=float)
-    p_synth.add_argument("--config", help="JSON config file")
     p_synth.set_defaults(func=cmd_synth)
 
-    # flags that fit and sweep share
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=sorted(set(_MODEL_KINDS)))
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", dest="batch_size", type=int)
-    common.add_argument("--learning-rate", dest="learning_rate", type=float)
-    common.add_argument(
-        "--no-early-stopping",
-        dest="early_stopping",
-        action="store_const",
-        const=False,
-    )
-    common.add_argument("--patience", type=int)
-    common.add_argument(
-        "--validation-fraction", dest="validation_fraction", type=float
-    )
-    common.add_argument("--threshold", type=float)
-    common.add_argument("--window", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument(
-        "--train-fraction",
-        dest="train_fraction",
-        type=float,
-        help="train on the first fraction of rows; fit also accepts 1.0 (all rows)",
-    )
-    common.add_argument("--config", help="JSON config file")
-
-    p_fit = sub.add_parser(
-        "fit", parents=[common], help="fit a pipeline and save the model bundle"
-    )
+    p_fit = sub.add_parser("fit", help="fit a pipeline and save the model bundle")
     p_fit.add_argument("--data", required=True, help="counts CSV to fit on")
     p_fit.add_argument("--out", required=True, help="bundle output directory")
-    p_fit.add_argument("--lag", type=int)
-    p_fit.add_argument("--fnn-lags", dest="fnn_lags", type=int)
-    p_fit.add_argument("--hidden", help="hidden layer widths, e.g. 32,16")
-    p_fit.add_argument("--activation", choices=["relu", "tanh", "sigmoid"])
-    p_fit.add_argument("--optimizer", choices=["adam", "sgd"])
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="rolling predictions from a saved bundle")
     p_pred.add_argument("--bundle", required=True, help="bundle directory")
     p_pred.add_argument("--data", required=True, help="counts CSV to predict over")
     p_pred.add_argument("--out", required=True, help="output predictions CSV")
-    p_pred.add_argument(
-        "--eval-start",
-        dest="eval_start",
-        type=float,
-        help="keep predictions from this fraction of the series on",
-    )
-    p_pred.add_argument("--config", help="JSON config file")
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("evaluate", help="metric table from prediction CSVs")
@@ -455,22 +431,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="comparison CSV path")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="hyperparameter sweep over datasets"
-    )
+    p_sweep = sub.add_parser("sweep", help="hyperparameter sweep over datasets")
     p_sweep.add_argument("--datasets", nargs="+", required=True, help="counts CSVs")
     p_sweep.add_argument("--out", required=True, help="results CSV path")
-    p_sweep.add_argument("--lags", help="comma list, e.g. 1,2,5,10")
-    p_sweep.add_argument(
-        "--architectures", help="semicolon-separated comma lists, e.g. 32,16;128,64"
-    )
-    p_sweep.add_argument("--activations", help="comma list")
-    p_sweep.add_argument("--optimizers", help="comma list")
-    p_sweep.add_argument(
-        "--sample", type=int, help="Latin-hypercube subsample size instead of the full grid"
-    )
-    p_sweep.add_argument("--workers", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
+
+    for command, keys in COMMAND_KEYS.items():
+        p_cmd = sub.choices[command]
+        for key in keys:
+            _, kind, help_text = SETTINGS[key]
+            flag = key.replace("_", "-")
+            if kind is bool:
+                p_cmd.add_argument(
+                    f"--no-{flag}", dest=key, action="store_const", const=False,
+                    help=help_text,
+                )
+            else:
+                p_cmd.add_argument(
+                    f"--{flag}", type=kind, choices=_CHOICES.get(key), help=help_text
+                )
+        p_cmd.add_argument("--config", help="JSON config file")
 
     return parser
 

@@ -2,8 +2,8 @@
 
 A count series is one :class:`CountSeries`: an ``(n, 2)`` int64 array of
 buy and sell counts per unit interval plus ``t0``, the first interval's
-timestamp (the stride is 1).  Loaders, the generator and the trade
-aggregator return one; the model layer (VAR, FNN, pipelines) takes its
+timestamp (the stride is 1).  The counts loader, the generator and the
+trade aggregator return one; the model layer (VAR, FNN, pipelines) takes its
 ``counts`` array and reads it through :func:`counts_to_array`.
 
 File formats:
@@ -74,14 +74,6 @@ class CountSeries:
             and self.t0 == other.t0
             and np.array_equal(self.counts, other.counts)
         )
-
-
-@dataclass(frozen=True)
-class TradeEvent:
-    """A single tape print: event time in epoch seconds plus aggressor side."""
-
-    timestamp: float
-    side: Side
 
 
 @dataclass(frozen=True)
@@ -244,30 +236,37 @@ def write_counts_csv(path: str | Path, series: CountSeries) -> None:
         writer.writerows(zip(range(t0, t0 + len(series)), *series.counts.T.tolist()))
 
 
-def load_trades_csv(path: str | Path) -> list[TradeEvent]:
+def load_trades_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load a trade tape (``timestamp,side`` with a finite timestamp and side
-    BUY or SELL)."""
+    BUY or SELL) as two arrays, one entry per trade: the float times (epoch
+    seconds) and the aggressor :class:`Side` members (dtype object)."""
     side_column = (lambda tok: Side(tok.strip()), object, "BUY or SELL")
-    _, (ts, sides) = read_csv_columns(path, TRADES_HEADER, (FINITE_COLUMN, side_column))
-    return [TradeEvent(t, side) for t, side in zip(ts.tolist(), sides)]
+    _, (times, sides) = read_csv_columns(path, TRADES_HEADER, (FINITE_COLUMN, side_column))
+    return times, sides
 
 
-def aggregate_trades(events: list[TradeEvent], bucket: float) -> CountSeries:
-    """Bucket a trade tape into per-interval counts.
+def aggregate_trades(times, sides, bucket: float) -> CountSeries:
+    """Bucket a trade tape, given as trade times and aggressor sides (one
+    :class:`Side` each), into per-interval counts.
 
-    Buckets are ``floor(timestamp / bucket)``; the output covers every index
-    between the first and last event's bucket, with empty interior buckets
-    counted as (0, 0), and ``t0`` is the first event's bucket index.
+    Buckets are ``floor(time / bucket)``; the output covers every index
+    between the first and last trade's bucket, with empty interior buckets
+    counted as (0, 0), and ``t0`` is the first trade's bucket index.
 
     Raises:
-        ValueError: nonpositive bucket width, or event times that are not
-            finite or not sorted.
+        ValueError: nonpositive bucket width, times and sides of different
+            lengths, or times that are not finite or not sorted.
     """
     if bucket <= 0:
         raise ValueError("bucket width must be positive")
-    if not events:
+    times = np.asarray(times, dtype=float)
+    sides = np.asarray(sides, dtype=object)
+    if len(times) != len(sides):
+        raise ValueError(
+            f"times and sides must have the same length, got {len(times)} and {len(sides)}"
+        )
+    if not len(times):
         return CountSeries(np.zeros((0, 2), dtype=np.int64))
-    times = np.array([e.timestamp for e in events], dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("event timestamps must be finite")
     unsorted = times[1:] < times[:-1]
@@ -278,7 +277,7 @@ def aggregate_trades(events: list[TradeEvent], bucket: float) -> CountSeries:
         )
     buckets = np.floor(times / bucket)
     idx = (buckets - buckets[0]).astype(np.int64)
-    is_sell = np.array([e.side is Side.SELL for e in events])
+    is_sell = sides == Side.SELL
     counts = np.bincount(2 * idx + is_sell, minlength=2 * idx[-1] + 2).reshape(-1, 2)
     return CountSeries(counts, int(buckets[0]))
 

@@ -1,4 +1,8 @@
 """Shared builders for the test suite."""
+# First, before numpy loads: oficast.cli sets one BLAS thread per process,
+# as every CLI run has, so the in-process 2-worker sweep pools do not run
+# a BLAS thread per core in each worker and oversubscribe the cores.
+import oficast.cli  # noqa: F401
 import os
 from pathlib import Path
 

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
 import shutil
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oficast.cli import DEFAULTS, derive_seed, main
+from oficast.cli import DEFAULTS, build_parser, derive_seed, main
 from oficast.hybrid import Predictions, write_predictions_csv
 from oficast.ofi_signal import SIGNAL_ORDER
 
@@ -197,9 +199,7 @@ def test_predict_on_truncated_fnn_file_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "first, second", [("hybrid", "var"), ("var", "hybrid"), ("hybrid", "fnn")]
-)
+@pytest.mark.parametrize("first, second", permutations(("hybrid", "var", "fnn"), 2))
 def test_refit_of_another_model_into_same_dir_predicts(tmp_path, first, second):
     data = synth(tmp_path, length=200, seed=1)
     out, fresh = tmp_path / "bundle", tmp_path / "fresh"
@@ -381,6 +381,117 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers, via_config):
     assert not out.exists()
 
 
+# ------------------------------------------------------------ flag surface
+
+#: The options fit and sweep share.
+_SHARED_FLAGS = {
+    "--model": ("model", str, ["fnn", "fnn_only", "hybrid", "var", "var_only"], None),
+    "--epochs": ("epochs", int, None, None),
+    "--batch-size": ("batch_size", int, None, None),
+    "--learning-rate": ("learning_rate", float, None, None),
+    "--no-early-stopping": ("early_stopping", "const False", None, None),
+    "--patience": ("patience", int, None, None),
+    "--validation-fraction": ("validation_fraction", float, None, None),
+    "--threshold": ("threshold", float, None, None),
+    "--window": ("window", int, None, None),
+    "--seed": ("seed", int, None, None),
+    "--train-fraction": (
+        "train_fraction", float, None,
+        "train on the first fraction of rows; fit also accepts 1.0 (all rows)",
+    ),
+    "--config": ("config", str, None, "JSON config file"),
+}
+
+#: Each subcommand's options: flag, or name of a positional -> (dest, the
+#: value's type or the constant a flag without a value stores, choices, help).
+FLAGS = {
+    "synth": {
+        "--out": ("out", str, None, "output counts CSV path"),
+        "--length": ("length", int, None, None),
+        "--seed": ("seed", int, None, None),
+        "--base-intensity": ("base_intensity", float, None, None),
+        "--linear-strength": ("linear_strength", float, None, None),
+        "--nonlinear-strength": ("nonlinear_strength", float, None, None),
+        "--config": ("config", str, None, "JSON config file"),
+    },
+    "fit": {
+        **_SHARED_FLAGS,
+        "--data": ("data", str, None, "counts CSV to fit on"),
+        "--out": ("out", str, None, "bundle output directory"),
+        "--lag": ("lag", int, None, None),
+        "--fnn-lags": ("fnn_lags", int, None, None),
+        "--hidden": ("hidden", str, None, "hidden layer widths, e.g. 32,16"),
+        "--activation": ("activation", str, ["relu", "tanh", "sigmoid"], None),
+        "--optimizer": ("optimizer", str, ["adam", "sgd"], None),
+    },
+    "predict": {
+        "--bundle": ("bundle", str, None, "bundle directory"),
+        "--data": ("data", str, None, "counts CSV to predict over"),
+        "--out": ("out", str, None, "output predictions CSV"),
+        "--eval-start": (
+            "eval_start", float, None, "keep predictions from this fraction of the series on"
+        ),
+        "--config": ("config", str, None, "JSON config file"),
+    },
+    "evaluate": {
+        "predictions": ("predictions", str, None, "prediction CSV files"),
+        "--labels": (
+            "labels", str, None, "dataset/model label per file, e.g. synthetic/hybrid"
+        ),
+        "--out": ("out", str, None, "comparison CSV path"),
+    },
+    "sweep": {
+        **_SHARED_FLAGS,
+        "--datasets": ("datasets", str, None, "counts CSVs"),
+        "--out": ("out", str, None, "results CSV path"),
+        "--lags": ("lags", str, None, "comma list, e.g. 1,2,5,10"),
+        "--architectures": (
+            "architectures", str, None, "semicolon-separated comma lists, e.g. 32,16;128,64"
+        ),
+        "--activations": ("activations", str, None, "comma list"),
+        "--optimizers": ("optimizers", str, None, "comma list"),
+        "--sample": (
+            "sample", int, None, "Latin-hypercube subsample size instead of the full grid"
+        ),
+        "--workers": ("workers", int, None, None),
+    },
+}
+
+
+def _option(action):
+    # argparse reads the value of a flag declared without a type as a string
+    kind = f"const {action.const!r}" if action.nargs == 0 else action.type or str
+    return action.dest, kind, action.choices and list(action.choices), action.help
+
+
+def test_every_subcommand_keeps_its_flags():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    surface = {
+        name: {
+            (a.option_strings[0] if a.option_strings else a.dest): _option(a)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in commands.choices.items()
+    }
+    assert surface == FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--length", "2.5"],
+    ["fit", "--data", "c.csv", "--learning-rate", "fast"],
+    ["fit", "--data", "c.csv", "--activation", "gelu"],
+    ["sweep", "--datasets", "c.csv", "--early-stopping"],
+    ["evaluate", "p.csv", "--config", "cfg.json"],
+])
+def test_flag_that_argparse_refuses_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+
+
 # --------------------------------------------------------------- precedence
 
 def test_config_file_overrides_default_flag_overrides_file(tmp_path):
@@ -439,6 +550,36 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: unknown config keys") and "lenght" in err
     assert not out.exists()
+
+
+#: Every config key that fit and sweep share, with a value of its type.
+_SHARED_CONFIG = {
+    "model": "hybrid", "epochs": 2, "batch_size": 8, "learning_rate": 0.01,
+    "early_stopping": True, "patience": 5, "validation_fraction": 0.2,
+    "threshold": 0, "window": 1, "seed": 3, "train_fraction": 0.8,
+}
+
+
+@pytest.mark.parametrize("command, own_config", [
+    ("fit", {"lag": 2, "fnn_lags": None, "hidden": "8", "activation": "tanh",
+             "optimizer": "sgd"}),
+    ("sweep", {"lags": "1", "architectures": "4", "activations": "relu",
+               "optimizers": "adam", "sample": None, "workers": 1}),
+])
+def test_config_file_with_every_key_is_accepted(tmp_path, command, own_config):
+    data = synth(tmp_path, length=150, seed=1)
+    cfg = tmp_path / "cfg.json"
+    values = {**_SHARED_CONFIG, **own_config}
+    cfg.write_text(json.dumps(values))
+    if command == "fit":
+        argv = ["fit", "--data", data, "--out", tmp_path / "bundle"]
+        sidecar = tmp_path / "bundle" / "run_config.json"
+    else:
+        argv = ["sweep", "--datasets", data, "--out", tmp_path / "s.csv"]
+        sidecar = tmp_path / "s.csv.config.json"
+    assert run([*argv, "--config", cfg]) == 0
+    side = json.loads(sidecar.read_text())
+    assert {key: side[key] for key in values} == values
 
 
 @pytest.mark.parametrize("which", ["config", "manifest"])

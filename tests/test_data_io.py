@@ -8,7 +8,6 @@ from oficast.data_io import (
     MIN_SYNTHETIC_LENGTH,
     Side,
     SyntheticSpec,
-    TradeEvent,
     aggregate_trades,
     chronological_split,
     counts_to_array,
@@ -186,60 +185,59 @@ def test_counts_to_array_rejects_other_shapes(shape):
 
 # --------------------------------------------------------------- trade tapes
 
+BUY, SELL = Side.BUY, Side.SELL
+
+
 def test_aggregate_trades_direct_count():
-    events = [
-        TradeEvent(0.1, Side.BUY),
-        TradeEvent(0.4, Side.BUY),
-        TradeEvent(0.6, Side.SELL),
-        TradeEvent(0.9, Side.BUY),
-    ]
-    out = aggregate_trades(events, bucket=1.0)
+    out = aggregate_trades([0.1, 0.4, 0.6, 0.9], [BUY, BUY, SELL, BUY], bucket=1.0)
     assert out == CountSeries(make_counts([(3, 1)]), t0=0)
 
 
 def test_aggregate_trades_fills_interior_gap():
-    events = [TradeEvent(0.5, Side.BUY), TradeEvent(2.5, Side.SELL)]
-    out = aggregate_trades(events, bucket=1.0)
+    out = aggregate_trades([0.5, 2.5], [BUY, SELL], bucket=1.0)
     assert out == CountSeries(make_counts([(1, 0), (0, 0), (0, 1)]), t0=0)
 
 
 def test_aggregate_trades_t0_is_first_bucket():
-    events = [TradeEvent(-7.5, Side.SELL), TradeEvent(-2.0, Side.BUY)]
-    out = aggregate_trades(events, bucket=2.5)
+    out = aggregate_trades([-7.5, -2.0], [SELL, BUY], bucket=2.5)
     assert out == CountSeries(make_counts([(0, 1), (0, 0), (1, 0)]), t0=-3)
-    assert aggregate_trades([], bucket=1.0) == CountSeries(np.zeros((0, 2), dtype=np.int64))
+    assert aggregate_trades([], [], bucket=1.0) == CountSeries(np.zeros((0, 2), dtype=np.int64))
 
 
 def test_aggregate_trades_conserves_totals():
     rng = np.random.default_rng(5)
     times = np.sort(rng.uniform(0.0, 37.0, size=1000))
-    sides = rng.integers(0, 2, size=1000)
-    events = [
-        TradeEvent(float(t), Side.BUY if s else Side.SELL)
-        for t, s in zip(times, sides)
-    ]
-    out = aggregate_trades(events, bucket=1.0)
+    is_buy = rng.integers(0, 2, size=1000)
+    sides = np.array([SELL, BUY], dtype=object)[is_buy]
+    out = aggregate_trades(times, sides, bucket=1.0)
     assert out.counts.sum() == 1000
-    assert out.counts[:, 0].sum() == int(sides.sum())
+    assert out.counts[:, 0].sum() == int(is_buy.sum())
     assert (out.t0, len(out)) == (int(times[0]), int(times[-1]) - int(times[0]) + 1)
 
 
 def test_aggregate_trades_rejects_unsorted_and_bad_bucket():
-    events = [TradeEvent(2.0, Side.BUY), TradeEvent(1.0, Side.SELL)]
     with pytest.raises(ValueError, match="got 1.0 after 2.0"):
-        aggregate_trades(events, bucket=1.0)
+        aggregate_trades([2.0, 1.0], [BUY, SELL], bucket=1.0)
     with pytest.raises(ValueError):
-        aggregate_trades(events, bucket=0.0)
+        aggregate_trades([2.0, 1.0], [BUY, SELL], bucket=0.0)
     for t in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            aggregate_trades([TradeEvent(0.5, Side.BUY), TradeEvent(t, Side.SELL)], 1.0)
+            aggregate_trades([0.5, t], [BUY, SELL], 1.0)
+
+
+@pytest.mark.parametrize("times, sides", [([0.5, 1.5], [BUY]), ([0.5], [BUY, SELL]), ([], [BUY])])
+def test_aggregate_trades_rejects_columns_of_different_lengths(times, sides):
+    with pytest.raises(ValueError, match="times and sides must have the same length"):
+        aggregate_trades(times, sides, bucket=1.0)
 
 
 def test_load_trades_csv(tmp_path):
     path = tmp_path / "tape.csv"
-    path.write_text("timestamp,side\n0.25,BUY\n0.75,SELL\n")
-    events = load_trades_csv(path)
-    assert events == [TradeEvent(0.25, Side.BUY), TradeEvent(0.75, Side.SELL)]
+    path.write_text("timestamp,side\n0.25,BUY\n0.75,SELL\n1.5,SELL\n")
+    times, sides = load_trades_csv(path)
+    assert times.dtype == float and times.tolist() == [0.25, 0.75, 1.5]
+    assert sides.tolist() == [BUY, SELL, SELL]
+    assert aggregate_trades(times, sides, 1.0) == CountSeries(make_counts([(1, 1), (0, 1)]))
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,side\n0.25,LIMIT\n")
     with pytest.raises(DataFormatError) as exc:
