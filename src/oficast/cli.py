@@ -52,7 +52,7 @@ from .hybrid import (
     write_json,
     write_predictions_csv,
 )
-from .neural_net import ACTIVATIONS, TrainConfig, write_trace_csv
+from .neural_net import ACTIVATIONS, OPTIMIZERS, TrainConfig, write_trace_csv
 from .ofi_signal import OfiParams
 from .sweep import (
     DEFAULT_ACTIVATIONS,
@@ -149,7 +149,7 @@ _MODEL_KINDS = {
 _CHOICES = {
     "model": sorted(_MODEL_KINDS),
     "activation": ACTIVATIONS,
-    "optimizer": ("adam", "sgd"),
+    "optimizer": OPTIMIZERS,
 }
 
 
@@ -195,8 +195,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _int_list(key: str, text: str) -> tuple[int, ...]:
+    """The comma list of integers ``text`` of setting ``key``; a token that is
+    not an integer is a ValueError naming the setting and the token."""
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{key}: expected a comma list of integers, got {tok!r}") from None
+    return tuple(values)
 
 
 def _write_sidecar(out: str | Path, resolved: dict) -> None:
@@ -258,7 +266,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         var_lag=resolved["lag"],
         fnn_input_lags=resolved["fnn_lags"],
-        hidden_layers=_parse_hidden(resolved["hidden"]),
+        hidden_layers=_int_list("hidden", resolved["hidden"]),
         activation=resolved["activation"],
         train=_train_config(
             resolved,
@@ -356,9 +364,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     kind = _model_kind(resolved)
     space = SweepSpace(
-        lags=tuple(int(tok) for tok in resolved["lags"].split(",")),
+        lags=_int_list("lags", resolved["lags"]),
         architectures=tuple(
-            _parse_hidden(part) for part in resolved["architectures"].split(";")
+            _int_list("architectures", part) for part in resolved["architectures"].split(";")
         ),
         activations=tuple(resolved["activations"].split(",")),
         optimizers=tuple(resolved["optimizers"].split(",")),

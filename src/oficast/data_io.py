@@ -16,8 +16,12 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,30 +166,112 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_floats(tokens: list[str]) -> np.ndarray:
+    values = np.array(tokens, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
 _PARSE_ERRORS = (ValueError, KeyError, OverflowError)
 
-#: Token parser, array dtype and what it expects, for an int64 column.
-INT_COLUMN = (int, np.int64, "an integer")
-#: The same for a float column that must hold finite values.
-FINITE_COLUMN = (_finite_float, float, "a finite number")
+
+class Column(NamedTuple):
+    """How :func:`read_csv_columns` parses one column: ``parse`` takes one
+    token, ``dtype`` is the array's, ``expected`` names a good token in
+    errors, and ``cast`` (None: map ``parse``) turns the column's whole token
+    list into the array ``parse`` would give, or raises."""
+
+    parse: Callable[[str], object]
+    dtype: type
+    expected: str
+    cast: Callable[[list[str]], np.ndarray] | None = None
+
+
+# numpy parses each str element with Python's own int() and float(), so
+# these casts accept the same tokens as ``parse`` and give the same values.
+INT_COLUMN = Column(int, np.int64, "an integer", partial(np.array, dtype=np.int64))
+#: A float column that must hold finite values.
+FINITE_COLUMN = Column(_finite_float, float, "a finite number", _finite_floats)
+_SIDE_COLUMN = Column(lambda tok: Side(tok.strip()), object, "BUY or SELL")
+
+COUNTS_COLUMNS = (INT_COLUMN,) * 3
+TRADES_COLUMNS = (FINITE_COLUMN, _SIDE_COLUMN)
 
 
 def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
     """Return the 1-based line number of every row of a CSV file read by
     :func:`read_csv_rows`, and one array per ``header`` column, parsed by its
-    (token parser, dtype, what it expects) triple in ``columns``.
+    :class:`Column` in ``columns``.
 
-    Each column is parsed whole and walked again only on failure, to name
-    the first bad line: a wrong field count or a token its parser rejects
-    raises :class:`DataFormatError` naming the file and line.
+    A plain file is read in one whole-file pass.  Any other file, and any
+    file with a bad row, is read row by row; a wrong field count or a token
+    its parser rejects raises :class:`DataFormatError` naming the file and
+    the first bad line.
     """
+    plain = _plain_csv_columns(path, header, columns)
+    return plain if plain is not None else _walk_csv_columns(path, header, columns)
+
+
+def _plain_csv_columns(path, header, columns):
+    """The whole-file pass of :func:`read_csv_columns`: its result for a
+    plain file, or None, and the row walk then reads the file.
+
+    A file is plain when it is UTF-8, its first line is exactly the header,
+    every line ends in LF or CRLF, every other line has exactly one comma
+    fewer than the header has fields (so none is blank), and it holds no
+    quote, NUL, lone CR or line longer than ``csv.field_size_limit()``: the
+    csv module then splits each line at its commas and nothing else.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":  # the last line's terminator
+        lines.pop()
+    if not lines or lines[0] != ",".join(header):
+        return None
+    del lines[0]
+    width = len(header)
+    if set(map(str.count, lines, repeat(","))) - {width - 1}:
+        return None
+    n = len(lines)
+    if n and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    tokens = ",".join(lines).split(",") if n else []
+    del lines
+    arrays = []
+    for k, column in enumerate(columns):
+        chunk = tokens[k::width]
+        try:
+            if column.cast is None:
+                arrays.append(np.array(list(map(column.parse, chunk)), dtype=column.dtype))
+            else:
+                arrays.append(column.cast(chunk))
+        except _PARSE_ERRORS:
+            return None
+    return np.arange(2, n + 2, dtype=np.int64), arrays
+
+
+def _walk_csv_columns(path, header, columns):
+    """The row walk of :func:`read_csv_columns`, which reads any file the
+    csv module reads and raises every error the readers report."""
     width = len(header)
     rows = list(read_csv_rows(path, header))
     for line, rec in rows:
         if len(rec) != width:
             raise DataFormatError(f"expected {width} fields, got {len(rec)}", line, path)
     arrays = []
-    for k, (name, (parse, dtype, expected)) in enumerate(zip(header, columns)):
+    for k, (name, (parse, dtype, expected, _)) in enumerate(zip(header, columns)):
         try:
             arrays.append(np.array([parse(rec[k]) for _, rec in rows], dtype=dtype))
         except _PARSE_ERRORS:
@@ -208,7 +294,7 @@ def load_counts_csv(path: str | Path) -> CountSeries:
             negative count or non-unit-stride timestamps (each naming the
             file and line), or an empty data section.
     """
-    lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, (INT_COLUMN,) * 3)
+    lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
     if not len(ts):
         raise DataFormatError("empty series (header only)", path=path)
     # a row is bad if it holds a negative count or does not follow its
@@ -229,19 +315,26 @@ def load_counts_csv(path: str | Path) -> CountSeries:
 
 def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     """Write a series in the counts CSV format (round-trips with the loader)."""
-    t0 = series.t0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNTS_HEADER)
-        writer.writerows(zip(range(t0, t0 + len(series)), *series.counts.T.tolist()))
+    buy, sell = series.counts.T.tolist()
+    timestamps = range(series.t0, series.t0 + len(buy))
+    write_csv_columns(path, COUNTS_HEADER, [map(str, c) for c in (timestamps, buy, sell)])
+
+
+def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> None:
+    """Write a CSV file: ``header``, then row i of the str ``columns`` (each
+    an iterable, one field per row) for every i.  The fields must need no
+    quoting (no comma, quote or line break); the bytes are then those of
+    ``csv.writer``: fields joined by commas, every line ended by CRLF."""
+    rows = map(",".join, zip(*columns))
+    text = "\r\n".join(chain([",".join(header)], rows, [""]))
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def load_trades_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load a trade tape (``timestamp,side`` with a finite timestamp and side
     BUY or SELL) as two arrays, one entry per trade: the float times (epoch
     seconds) and the aggressor :class:`Side` members (dtype object)."""
-    side_column = (lambda tok: Side(tok.strip()), object, "BUY or SELL")
-    _, (times, sides) = read_csv_columns(path, TRADES_HEADER, (FINITE_COLUMN, side_column))
+    _, (times, sides) = read_csv_columns(path, TRADES_HEADER, TRADES_COLUMNS)
     return times, sides
 
 

@@ -13,14 +13,20 @@ only true rows before t.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import FINITE_COLUMN, INT_COLUMN, counts_to_array, read_csv_columns
+from .data_io import (
+    FINITE_COLUMN,
+    INT_COLUMN,
+    Column,
+    counts_to_array,
+    read_csv_columns,
+    write_csv_columns,
+)
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -451,30 +457,26 @@ PREDICTIONS_HEADER = tuple(f.name for f in fields(Predictions))
 
 def write_predictions_csv(records: Predictions, path: str | Path) -> None:
     """One row per prediction; floats as ``repr``, so they read back exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTIONS_HEADER)
-        writer.writerows(
-            zip(
-                records.index.tolist(),
-                map(repr, records.actual_ofi.tolist()),
-                map(repr, records.predicted_ofi.tolist()),
-                (s.value for s in records.actual_signal),
-                (s.value for s in records.predicted_signal),
-            )
-        )
+    write_csv_columns(
+        path,
+        PREDICTIONS_HEADER,
+        (
+            map(str, records.index.tolist()),
+            map(repr, records.actual_ofi.tolist()),
+            map(repr, records.predicted_ofi.tolist()),
+            records.actual_signal,  # Signal members are str: they join as their values
+            records.predicted_signal,
+        ),
+    )
 
 
-_SIGNAL_COLUMN = ({s.value: s for s in Signal}.__getitem__, object, "BUY, SELL or HOLD")
+_SIGNAL_COLUMN = Column({s.value: s for s in Signal}.__getitem__, object, "BUY, SELL or HOLD")
+PREDICTIONS_COLUMNS = (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN)
 
 
 def read_predictions_csv(path: str | Path) -> Predictions:
     """Inverse of :func:`write_predictions_csv`.  A wrong field count, a
     non-integer index, a non-numeric or non-finite OFI, or an unknown signal
     raises :class:`DataFormatError` naming the file and line."""
-    _, columns = read_csv_columns(
-        path,
-        PREDICTIONS_HEADER,
-        (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN),
-    )
+    _, columns = read_csv_columns(path, PREDICTIONS_HEADER, PREDICTIONS_COLUMNS)
     return Predictions(*columns)

@@ -24,6 +24,7 @@ FNN_FORMAT_TAG = "oficast-fnn v1"
 
 #: ReLU's derivative at exactly zero is taken as 0 (one-sided subgradient).
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
+OPTIMIZERS = ("adam", "sgd")
 
 
 def _relu(x):
@@ -133,7 +134,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")

@@ -29,7 +29,7 @@ from .hybrid import (
     fit_hybrid,
     fit_var_only,
 )
-from .neural_net import TrainConfig
+from .neural_net import ACTIVATIONS, OPTIMIZERS, TrainConfig
 from .ofi_signal import OfiParams
 
 DEFAULT_LAGS = (1, 2, 5, 10)
@@ -77,6 +77,13 @@ class SweepSpace:
         for name in ("lags", "architectures", "activations", "optimizers"):
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name} is empty")
+        for name, known in (("activations", ACTIVATIONS), ("optimizers", OPTIMIZERS)):
+            unknown = [value for value in getattr(self, name) if value not in known]
+            if unknown:
+                raise ValueError(
+                    f"sweep axis {name}: unknown {', '.join(map(repr, unknown))}, "
+                    f"expected one of {', '.join(known)}"
+                )
 
     @property
     def size(self) -> int:

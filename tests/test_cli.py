@@ -599,6 +599,57 @@ def test_json_that_does_not_parse_is_named(tmp_path, capsys, which):
     assert capsys.readouterr().err == f"error: {named}: Expecting ',' delimiter: line 1 column 13 (char 12)\n"
 
 
+@pytest.mark.parametrize(
+    "command, key, value, token",
+    [
+        ("fit", "hidden", "abc", "abc"),
+        ("fit", "hidden", "8,", ""),
+        ("sweep", "lags", "1,x", "x"),
+        ("sweep", "architectures", "4;4,2.5", "2.5"),
+    ],
+)
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bad_integer_list_names_setting_and_token(tmp_path, capsys, command, key, value,
+                                                  token, via_config):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "out"
+    argv = {"fit": ["fit", "--data", data, "--out", out],
+            "sweep": ["sweep", "--datasets", data, "--out", out, "--epochs", 1]}[command]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", cfg]
+    else:
+        argv += [f"--{key}", value]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key}: expected a comma list of integers, got {token!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, complaint",
+    [
+        ("--activations", "relu,gelu",
+         "sweep axis activations: unknown 'gelu', expected one of relu, tanh, sigmoid"),
+        ("--optimizers", "rmsprop,adam,lbfgs",
+         "sweep axis optimizers: unknown 'rmsprop', 'lbfgs', expected one of adam, sgd"),
+    ],
+)
+def test_sweep_unknown_activation_or_optimizer_fails_before_training(
+    tmp_path, capsys, flag, value, complaint
+):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", data, "--out", out, "--lags", "1",
+                "--architectures", "4", "--epochs", 1, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
 # ------------------------------------------------------ malformed input files
 
 COUNTS_HEADER_LINE = "timestamp,buy_orders,sell_orders\n"

@@ -1,0 +1,285 @@
+"""The CSV readers' two paths and the CSV writers' bytes.
+
+``read_csv_columns`` reads a plain file in one whole-file pass and any
+other file with the csv-module row walk.  The differential tests here
+damage valid files and check that the two paths agree: the same line
+numbers and bit-identical arrays, or the same DataFormatError text.
+"""
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oficast.data_io import (
+    COUNTS_COLUMNS,
+    COUNTS_HEADER,
+    TRADES_COLUMNS,
+    TRADES_HEADER,
+    CountSeries,
+    DataFormatError,
+    Side,
+    _plain_csv_columns,
+    _walk_csv_columns,
+    read_csv_columns,
+    write_counts_csv,
+)
+from oficast.hybrid import (
+    PREDICTIONS_COLUMNS,
+    PREDICTIONS_HEADER,
+    Predictions,
+    write_predictions_csv,
+)
+from oficast.ofi_signal import SIGNAL_ORDER
+
+FIELD_LIMIT = csv.field_size_limit()
+INT64 = np.iinfo(np.int64)
+
+#: reader name -> (header, columns) as the reader passes them
+READERS = {
+    "counts": (COUNTS_HEADER, COUNTS_COLUMNS),
+    "trades": (TRADES_HEADER, TRADES_COLUMNS),
+    "predictions": (PREDICTIONS_HEADER, PREDICTIONS_COLUMNS),
+}
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+#: Field texts that int(), float() or a signal parser may read otherwise
+#: than they look: non-finite, out of range, spaced, signed, underscored,
+#: non-ASCII digits, other enum spellings.
+ODD_TOKENS = [
+    "nan", "-inf", "1e999", "-0", "+7", "1_000", " 5 ", "\t5", "\u0662", "9" * 19,
+    "-9223372036854775809", "0x10", "1.0", "", "BUY ", "buy", "Side.BUY", "HOLD",
+]
+
+
+def _outcome(read, path, reader):
+    """(line numbers, arrays) from ``read``, or the DataFormatError text."""
+    header, columns = READERS[reader]
+    try:
+        return read(path, header, columns)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    (got_lines, got_arrays), (want_lines, want_arrays) = got, want
+    assert got_lines.dtype == want_lines.dtype == np.int64
+    assert got_lines.tolist() == want_lines.tolist()
+    assert len(got_arrays) == len(want_arrays)
+    for g, w in zip(got_arrays, want_arrays):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        if w.dtype == object:
+            assert g.tolist() == w.tolist()
+        else:  # bitwise, so -0.0 and 0.0 differ
+            assert g.tobytes() == w.tobytes()
+
+
+# ------------------------------------------------------------- valid files
+
+def _text_of_writer(write, tmp_path_factory):
+    path = tmp_path_factory.mktemp("w") / "out.csv"
+    write(path)
+    return path.read_bytes()
+
+
+@st.composite
+def counts_files(draw, tmp_path_factory):
+    t0 = draw(st.integers(INT64.min, INT64.max - 20))
+    pairs = draw(st.lists(st.tuples(st.integers(0, INT64.max), st.integers(0, 99)), max_size=20))
+    series = CountSeries(np.array(pairs, dtype=np.int64).reshape(-1, 2), t0)
+    return _text_of_writer(lambda p: write_counts_csv(p, series), tmp_path_factory)
+
+
+@st.composite
+def trades_files(draw, tmp_path_factory):
+    rows = draw(st.lists(st.tuples(finite_floats, st.sampled_from(Side)), max_size=20))
+    lines = [",".join(TRADES_HEADER)] + [f"{t!r},{side.value}" for t, side in rows]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def predictions_strategy(max_size=20):
+    def build(index, rows):
+        n = min(len(index), len(rows))
+        signals = np.array(SIGNAL_ORDER, dtype=object)
+        actual, predicted, a_sig, p_sig = zip(*rows[:n]) if n else ((), (), (), ())
+        return Predictions(
+            np.array(index[:n], dtype=np.int64),
+            np.array(actual, dtype=float),
+            np.array(predicted, dtype=float),
+            signals[list(a_sig)] if n else np.array([], dtype=object),
+            signals[list(p_sig)] if n else np.array([], dtype=object),
+        )
+
+    row = st.tuples(finite_floats, finite_floats, st.integers(0, 2), st.integers(0, 2))
+    return st.builds(
+        build,
+        st.lists(st.integers(INT64.min, INT64.max), max_size=max_size),
+        st.lists(row, max_size=max_size),
+    )
+
+
+@st.composite
+def predictions_files(draw, tmp_path_factory):
+    records = draw(predictions_strategy())
+    return _text_of_writer(lambda p: write_predictions_csv(records, p), tmp_path_factory)
+
+
+# ----------------------------------------------------------------- damage
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` as written, with LF line ends, or with one kind of damage:
+    cut short, one byte replaced, a quote, lone CR, blank line or NUL
+    inserted, a field padded with a space, or a field replaced by one near
+    the csv module's field limit."""
+    kind = draw(st.sampled_from([
+        "none", "lf", "truncate", "replace", "quote", "cr", "blank", "nul", "pad", "long",
+    ]))
+    pos = draw(st.integers(0, len(data)))
+    if kind == "none":
+        return data
+    if kind == "lf":
+        return data.replace(b"\r\n", b"\n")
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "replace":
+        pos = min(pos, len(data) - 1)
+        return data[:pos] + bytes([draw(st.integers(0, 255))]) + data[pos + 1:]
+    if kind in ("quote", "cr", "nul"):
+        return data[:pos] + {"quote": b'"', "cr": b"\r", "nul": b"\0"}[kind] + data[pos:]
+    seps = [i for i, byte in enumerate(data) if byte in b",\n"]
+    at = draw(st.sampled_from(seps))
+    if kind == "blank":
+        at = data.rfind(b"\n", 0, at + 1)
+        return data[:at + 1] + draw(st.sampled_from([b"\n", b"\r\n"])) + data[at + 1:]
+    if kind == "pad":  # a space before or after a separator
+        at += draw(st.sampled_from([0, 1]))
+        return data[:at] + b" " + data[at:]
+    # a field of spaces ending in 1 (an integer and a number) of a length
+    # just under, at or over the csv module's field limit
+    length = draw(st.sampled_from([FIELD_LIMIT - 1, FIELD_LIMIT, FIELD_LIMIT + 1]))
+    field = b" " * (length - 1) + b"1"
+    start = max(data.rfind(b",", 0, at), data.rfind(b"\n", 0, at)) + 1
+    return data[:start] + field + data[at:]
+
+
+def _check_paths_agree(reader, data, tmp_path_factory) -> bool:
+    """Assert that both paths read ``data`` alike; True if the bulk pass took it."""
+    path = tmp_path_factory.mktemp("d") / "in.csv"
+    path.write_bytes(data)
+    walked = _outcome(_walk_csv_columns, path, reader)
+    header, columns = READERS[reader]
+    plain = _plain_csv_columns(path, header, columns)
+    if plain is not None:
+        _assert_same(plain, walked)
+    _assert_same(_outcome(read_csv_columns, path, reader), walked)
+    return plain is not None
+
+
+@pytest.mark.parametrize(
+    "reader, files",
+    [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader, files, data):
+    clean = data.draw(files(tmp_path_factory))
+    assert _check_paths_agree(reader, clean, tmp_path_factory)  # a writer's file is plain
+    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory)
+
+
+@pytest.mark.parametrize(
+    "reader, files",
+    [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, files, data):
+    lines = data.draw(files(tmp_path_factory)).split(b"\r\n")
+    if len(lines) < 3:  # header, a row and the final line end
+        return
+    row = data.draw(st.integers(1, len(lines) - 2))
+    fields = lines[row].split(b",")
+    token = data.draw(st.sampled_from(ODD_TOKENS) | st.text("0123456789.-+e_ ", max_size=6))
+    fields[data.draw(st.integers(0, len(fields) - 1))] = token.encode()
+    lines[row] = b",".join(fields)
+    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_writer_output_takes_the_bulk_pass(tmp_path, reader):
+    header, columns = READERS[reader]
+    path = tmp_path / "in.csv"
+    rows = {"counts": ["5,1,2", "6,0,0"], "trades": ["-0.0,BUY", "1e-300,SELL"],
+            "predictions": ["3,-0.0,0.5,BUY,HOLD", "4,1.0,-1.0,SELL,SELL"]}[reader]
+    for end in ("\r\n", "\n"):
+        path.write_text(end.join([",".join(header), *rows]) + end, newline="")
+        plain = _plain_csv_columns(path, header, columns)
+        assert plain is not None
+        _assert_same(plain, _walk_csv_columns(path, header, columns))
+        assert plain[0].tolist() == [2, 3]
+
+
+def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text('timestamp,buy_orders,sell_orders\n1,"5",2\n\n2,3,"4"\n')
+    assert _plain_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS) is None
+    lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
+    assert lines.tolist() == [2, 4]
+    assert (ts.tolist(), buy.tolist(), sell.tolist()) == ([1, 2], [5, 3], [2, 4])
+
+
+@pytest.mark.parametrize("length, ok", [(FIELD_LIMIT, True), (FIELD_LIMIT + 1, False)])
+def test_field_at_and_over_the_limit(tmp_path, length, ok):
+    path = tmp_path / "in.csv"
+    path.write_text(f"timestamp,buy_orders,sell_orders\n1,{' ' * (length - 1)}1,2\n")
+    assert _plain_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS) is None
+    if ok:
+        _, (_, buy, _) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
+        assert buy.tolist() == [1]
+    else:
+        with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
+            read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
+
+
+# ---------------------------------------------------------------- writers
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@given(
+    t0=st.integers(INT64.min, INT64.max - 30),
+    pairs=st.lists(st.tuples(st.integers(0, INT64.max), st.integers(0, INT64.max)), max_size=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_counts_writer_bytes_equal_csv_writer(tmp_path_factory, t0, pairs):
+    series = CountSeries(np.array(pairs, dtype=np.int64).reshape(-1, 2), t0)
+    path = tmp_path_factory.mktemp("w") / "counts.csv"
+    write_counts_csv(path, series)
+    rows = [(t0 + i, buy, sell) for i, (buy, sell) in enumerate(pairs)]
+    assert path.read_bytes() == _csv_writer_bytes(COUNTS_HEADER, rows)
+
+
+@given(records=predictions_strategy(max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("w") / "preds.csv"
+    write_predictions_csv(records, path)
+    rows = zip(
+        records.index.tolist(),
+        map(repr, records.actual_ofi.tolist()),
+        map(repr, records.predicted_ofi.tolist()),
+        (s.value for s in records.actual_signal),
+        (s.value for s in records.predicted_signal),
+    )
+    assert path.read_bytes() == _csv_writer_bytes(PREDICTIONS_HEADER, rows)

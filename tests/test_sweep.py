@@ -88,6 +88,18 @@ def test_space_rejects_empty_axis():
         SweepSpace(lags=())
 
 
+@pytest.mark.parametrize(
+    "axis, values, complaint",
+    [
+        ("activations", ("relu", "gelu"), "sweep axis activations: unknown 'gelu'"),
+        ("optimizers", ("adam", "rmsprop"), "sweep axis optimizers: unknown 'rmsprop'"),
+    ],
+)
+def test_space_rejects_unknown_activation_or_optimizer(axis, values, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        SweepSpace(**{axis: values})
+
+
 # ---------------------------------------------------------------------- lhs
 
 def test_lhs_full_size_is_permutation_of_grid():
