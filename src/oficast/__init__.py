@@ -19,13 +19,12 @@ _EXPORTS = {
             "load_counts_csv", "load_trades_csv", "write_counts_csv",
         ),
         "ofi_signal": (
-            "OfiParams", "OfiSeries", "Signal", "clamp_ofi", "ofi",
-            "ofi_series", "signal",
+            "OfiParams", "Signal", "clamp_ofi", "ofi", "signal",
         ),
         "var_model": (
             "FitDiagnostics", "RankDeficiencyError", "VarModel",
-            "build_lag_matrix", "fit_var", "forecast", "load_var",
-            "residuals", "save_var", "select_lag", "summary",
+            "build_lag_matrix", "fit_var", "load_var", "residuals",
+            "save_var", "summary",
         ),
         "neural_net": (
             "FnnModel", "FnnTopology", "TrainConfig", "TrainingTrace",

@@ -176,6 +176,12 @@ def _finite_floats(tokens: list[str]) -> np.ndarray:
 _PARSE_ERRORS = (ValueError, KeyError, OverflowError)
 
 
+def _quote(token: str) -> str:
+    """``repr(token)``, cut to 40 characters plus the token's length when
+    longer, so that an error line stays short."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}… ({len(token)} characters)"
+
+
 class Column(NamedTuple):
     """How :func:`read_csv_columns` parses one column: ``parse`` takes one
     token, ``dtype`` is the array's, ``expected`` names a good token in
@@ -280,7 +286,7 @@ def _walk_csv_columns(path, header, columns):
                     np.array([parse(rec[k])], dtype=dtype)
                 except _PARSE_ERRORS:
                     raise DataFormatError(
-                        f"column {name}: expected {expected}, got {rec[k]!r}", line, path
+                        f"column {name}: expected {expected}, got {_quote(rec[k])}", line, path
                     ) from None
     return np.array([line for line, _ in rows], dtype=np.int64), arrays
 

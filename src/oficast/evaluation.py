@@ -68,34 +68,19 @@ def _positions(signals) -> np.ndarray:
         raise ValueError(f"{exc.args[0]!r} is not a valid Signal") from None
 
 
-def intensity_metrics(actual_signals, predicted_signals, average: str = "macro"):
-    """Signal accuracy, precision, and the confusion matrix.
+def intensity_metrics(actual_signals, predicted_signals):
+    """Signal accuracy, macro precision, and the confusion matrix.
 
-    Precision averages per-class precision over the classes that actually
-    appear in the predictions (absent classes have no precision).
-    ``average`` selects macro (unweighted, the default), micro (pooled,
-    equals accuracy for single-label signals), or weighted (by the actual
-    count of each predicted class).
+    Precision is the unweighted mean of per-class precision over the classes
+    that actually appear in the predictions (absent classes have no
+    precision).
     """
-    if average not in ("macro", "micro", "weighted"):
-        raise ValueError(f"average must be macro, micro, or weighted, got {average!r}")
     conf = confusion_matrix(actual_signals, predicted_signals)
-    total = int(conf.sum())
-    correct = int(np.trace(conf))
-    accuracy = correct / total
+    accuracy = int(np.trace(conf)) / int(conf.sum())
     predicted_counts = conf.sum(axis=0)
     present = predicted_counts > 0
     per_class = np.diag(conf)[present] / predicted_counts[present]
-    if average == "micro":
-        precision = correct / total
-    elif average == "macro":
-        precision = float(np.mean(per_class))
-    else:
-        weights = conf.sum(axis=1)[present].astype(float)
-        if weights.sum() == 0.0:
-            precision = 0.0
-        else:
-            precision = float((per_class * weights).sum() / weights.sum())
+    precision = float(np.mean(per_class))
     return accuracy, precision, conf
 
 
@@ -111,12 +96,10 @@ class EvalReport:
     confusion: tuple[tuple[int, int, int], ...]
 
 
-def evaluate_records(
-    records: Predictions, dataset: str, model: str, average: str = "macro"
-) -> EvalReport:
+def evaluate_records(records: Predictions, dataset: str, model: str) -> EvalReport:
     actual, predicted = records.actual_ofi, records.predicted_ofi
     accuracy, precision, conf = intensity_metrics(
-        records.actual_signal, records.predicted_signal, average=average
+        records.actual_signal, records.predicted_signal
     )
     return EvalReport(
         dataset=dataset,

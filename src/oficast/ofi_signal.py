@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import CountSeries, counts_to_array
-
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
 
@@ -35,14 +33,6 @@ class OfiParams:
             raise ValueError(f"window_h must be >= 1, got {self.window_h}")
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
-
-
-@dataclass(frozen=True)
-class OfiSeries:
-    """Imbalance values aligned to the timestamp of each window's last interval."""
-
-    timestamps: tuple[int, ...]
-    values: tuple[float, ...]
 
 
 def ofi(buy, sell):
@@ -81,24 +71,6 @@ def window_sums(arr: np.ndarray, h: int) -> np.ndarray:
     """
     cs = np.vstack([np.zeros((1, arr.shape[1])), np.cumsum(arr, axis=0)])
     return cs[h:] - cs[:-h]
-
-
-def ofi_series(counts: CountSeries, params: OfiParams) -> OfiSeries:
-    """Rolling OFI over windows of ``params.window_h`` trailing intervals.
-
-    Output has length ``len(counts) - window_h + 1``; the value at output
-    position i covers input rows i .. i + window_h - 1 and carries the
-    timestamp of the window's last row.
-    """
-    h = params.window_h
-    if len(counts) < h:
-        raise ValueError(
-            f"series of length {len(counts)} is shorter than window_h={h}"
-        )
-    sums = window_sums(counts_to_array(counts.counts), h)
-    values = tuple(ofi(sums[:, 0], sums[:, 1]).tolist())
-    timestamps = tuple(range(counts.t0 + h - 1, counts.t0 + len(counts)))
-    return OfiSeries(timestamps=timestamps, values=values)
 
 
 def signal(ofi_value, threshold: float = DEFAULT_THRESHOLD):

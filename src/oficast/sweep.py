@@ -84,6 +84,11 @@ class SweepSpace:
                     f"sweep axis {name}: unknown {', '.join(map(repr, unknown))}, "
                     f"expected one of {', '.join(known)}"
                 )
+        widths = [width for arch in self.architectures for width in arch]
+        for name, values in (("lags", self.lags), ("architectures", widths)):
+            low = ", ".join(str(value) for value in values if value < 1)
+            if low:
+                raise ValueError(f"sweep axis {name}: expected at least 1, got {low}")
 
     @property
     def size(self) -> int:
@@ -228,9 +233,6 @@ def derive_seed(master: int, *path: int) -> int:
     return int(seed_sequence(master, *path).generate_state(1, np.uint64)[0])
 
 
-cell_seed = derive_seed  # the sweep's name for per-cell seeds
-
-
 _FITTERS = {
     "var_only": fit_var_only,
     "fnn_only": fit_fnn_only,
@@ -342,10 +344,6 @@ def run_sweep(
 
 def format_architecture(architecture: tuple[int, ...]) -> str:
     return "-".join(str(w) for w in architecture)
-
-
-def parse_architecture(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split("-"))
 
 
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:

@@ -84,29 +84,22 @@ def regressor_names(p: int) -> list[str]:
     return names
 
 
-def build_lag_matrix(series, p: int, *, start: int | None = None):
+def build_lag_matrix(series, p: int):
     """Stack the regression pair (Z, Y) for a VAR(p).
 
-    Z has shape (n - start, 1 + k p): constant column then lags 1..p of both
-    variables; Y holds the corresponding current rows.  ``start`` (>= p)
-    positions the first regressed row and exists so lag selection can score
-    every candidate on one common trimmed sample; it defaults to p.
+    Z has shape (n - p, 1 + k p): constant column then lags 1..p of both
+    variables; Y holds the current rows p .. n-1.
     """
     arr = counts_to_array(series)
     n = arr.shape[0]
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
-    if start is None:
-        start = p
-    if start < p:
-        raise ValueError("start must be >= p")
-    if n <= start:
-        raise ValueError(f"series of length {n} is too short for p={p}, start={start}")
-    rows = n - start
-    Z = np.ones((rows, 1 + K * p))
+    if n <= p:
+        raise ValueError(f"series of length {n} is too short for p={p}")
+    Z = np.ones((n - p, 1 + K * p))
     for lag in range(1, p + 1):
-        Z[:, 1 + K * (lag - 1) : 1 + K * lag] = arr[start - lag : n - lag]
-    Y = arr[start:].copy()
+        Z[:, 1 + K * (lag - 1) : 1 + K * lag] = arr[p - lag : n - lag]
+    Y = arr[p:].copy()
     return Z, Y
 
 
@@ -140,16 +133,6 @@ def _stacked_coef(model: VarModel) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _least_squares(Z: np.ndarray, Y: np.ndarray, names: list[str]):
-    """(B, E, sigma) of Y on Z; RankDeficiencyError names dependent columns."""
-    dependent = _dependent_columns(Z, names)
-    if dependent:
-        raise RankDeficiencyError(dependent)
-    B, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
-    E = Y - Z @ B
-    return B, E, E.T @ E / Z.shape[0]
-
-
 def fit_var(series, p: int):
     """Fit a VAR(p); returns (VarModel, FitDiagnostics).
 
@@ -166,8 +149,13 @@ def fit_var(series, p: int):
             f"series too short: fitting lag {p} needs at least "
             f"{p + Z.shape[1]} rows, got {len(series)}"
         )
-    B, E, sigma = _least_squares(Z, Y, names)
+    dependent = _dependent_columns(Z, names)
+    if dependent:
+        raise RankDeficiencyError(dependent)
+    B, _, _, _ = np.linalg.lstsq(Z, Y, rcond=None)
+    E = Y - Z @ B
     n_obs = Z.shape[0]
+    sigma = E.T @ E / n_obs
     lag_coefs = np.stack(
         [B[1 + K * i : 1 + K * (i + 1), :].T for i in range(p)]
     )
@@ -176,11 +164,6 @@ def fit_var(series, p: int):
     )
     diagnostics = _diagnostics(Z, Y, B, E, sigma, names)
     return model, diagnostics
-
-
-def _log_det(sigma: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(sigma)
-    return ld if sign > 0 else -math.inf
 
 
 def _information_criteria(ld: float, n_obs: int, p: int):
@@ -193,7 +176,8 @@ def _information_criteria(ld: float, n_obs: int, p: int):
 def _diagnostics(Z, Y, B, E, sigma, names) -> FitDiagnostics:
     n_obs, m = Z.shape
     p = (m - 1) // K
-    ld = _log_det(sigma)
+    sign, ld = np.linalg.slogdet(sigma)
+    ld = ld if sign > 0 else -math.inf
     aic, bic = _information_criteria(ld, n_obs, p)
     loglik = -0.5 * n_obs * K * (1.0 + math.log(2.0 * math.pi)) - 0.5 * n_obs * ld
     dof = n_obs - m
@@ -218,36 +202,6 @@ def _diagnostics(Z, Y, B, E, sigma, names) -> FitDiagnostics:
     )
 
 
-def select_lag(series, candidate_lags, criterion: str = "bic") -> int:
-    """Pick the lag minimizing AIC or BIC over one common trimmed sample.
-
-    Every candidate is scored on the rows left after trimming the largest
-    candidate's warmup, so the criteria are comparable; ties go to the
-    smaller lag.
-    """
-    crit = criterion.lower()
-    if crit not in ("aic", "bic"):
-        raise ValueError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
-    cands = sorted({int(p) for p in candidate_lags})
-    if not cands:
-        raise ValueError("candidate lag set is empty")
-    if cands[0] < 1:
-        raise ValueError(f"lags must be >= 1, got {cands[0]}")
-    arr = counts_to_array(series)
-    max_lag = cands[-1]
-    best_p = None
-    best_value = math.inf
-    for p in cands:
-        Z, Y = build_lag_matrix(arr, p, start=max_lag)
-        _, _, sigma = _least_squares(Z, Y, regressor_names(p))
-        aic, bic = _information_criteria(_log_det(sigma), Z.shape[0], p)
-        value = aic if crit == "aic" else bic
-        if value < best_value:
-            best_value = value
-            best_p = p
-    return best_p
-
-
 def one_step_predictions(model: VarModel, series) -> np.ndarray:
     """In-sample one-step-ahead predictions; row i targets series row p + i."""
     Z, _ = build_lag_matrix(series, model.p)
@@ -258,30 +212,6 @@ def residuals(model: VarModel, series) -> np.ndarray:
     """Actual minus one-step prediction for rows p .. n-1, shape (n - p, k)."""
     Z, Y = build_lag_matrix(series, model.p)
     return Y - Z @ _stacked_coef(model)
-
-
-def forecast(model: VarModel, history, steps: int) -> np.ndarray:
-    """Recursive forecast with future innovations set to zero.
-
-    ``history`` must supply at least p rows; forecasts feed back as inputs
-    for subsequent steps.  Returns shape (steps, k).
-    """
-    arr = counts_to_array(history)
-    if arr.shape[0] < model.p:
-        raise ValueError(
-            f"history of length {arr.shape[0]} is shorter than p={model.p}"
-        )
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    state = [arr[i] for i in range(arr.shape[0] - model.p, arr.shape[0])]
-    out = []
-    for _ in range(steps):
-        nxt = model.c.copy()
-        for lag in range(1, model.p + 1):
-            nxt = nxt + model.lag_coefs[lag - 1] @ state[-lag]
-        out.append(nxt)
-        state.append(nxt)
-    return np.array(out)
 
 
 def summary(model: VarModel, diagnostics: FitDiagnostics) -> str:

@@ -650,6 +650,27 @@ def test_sweep_unknown_activation_or_optimizer_fails_before_training(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, complaint",
+    [
+        ("--lags", "0,1", "sweep axis lags: expected at least 1, got 0"),
+        ("--architectures", "4;0", "sweep axis architectures: expected at least 1, got 0"),
+    ],
+    ids=["lags", "architectures"],
+)
+def test_sweep_lag_or_width_below_one_fails_before_training(
+    tmp_path, capsys, flag, value, complaint
+):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", data, "--out", out, "--lags", "1",
+                "--architectures", "4", "--activations", "relu", "--optimizers", "adam",
+                "--epochs", 1, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
 # ------------------------------------------------------ malformed input files
 
 COUNTS_HEADER_LINE = "timestamp,buy_orders,sell_orders\n"
@@ -661,8 +682,10 @@ COUNTS_HEADER_LINE = "timestamp,buy_orders,sell_orders\n"
         ("2,x,3", "line 3: column buy_orders: expected an integer, got 'x'"),
         (f"2,5,{'9' * 30}", f"line 3: column sell_orders: expected an integer, got '{'9' * 30}'"),
         ("2,5", "line 3: expected 3 fields, got 2"),
+        (f"2,5,{'9' * 100_001}", "line 3: column sell_orders: expected an integer, "
+         f"got '{'9' * 40}'… (100001 characters)"),
     ],
-    ids=["non-integer", "out-of-range", "field-count"],
+    ids=["non-integer", "out-of-range", "field-count", "overlong"],
 )
 def test_fit_bad_counts_row_names_file_and_line(tmp_path, capsys, bad_row, complaint):
     data = tmp_path / "badc.csv"

@@ -107,31 +107,9 @@ def test_macro_precision_hand_count():
     acc, prec, _ = intensity_metrics([B, B, S, S], [B, S, S, S])
     assert acc == 0.75
     assert prec == pytest.approx(5.0 / 6.0, abs=1e-12)  # (1/1 + 2/3) / 2
-
-
-def test_micro_precision_equals_accuracy():
-    rng = np.random.default_rng(1)
-    sigs = list(Signal)
-    for _ in range(10):
-        a = [sigs[i] for i in rng.integers(0, 3, size=30)]
-        p = [sigs[i] for i in rng.integers(0, 3, size=30)]
-        acc, prec, _ = intensity_metrics(a, p, average="micro")
-        assert prec == pytest.approx(acc, abs=1e-12)
-
-
-def test_weighted_precision_uses_actual_support():
-    # precision BUY = 1, SELL = 1/3; supports 3 and 1
-    actual = [B, B, B, S]
-    predicted = [B, S, S, S]
-    _, macro, _ = intensity_metrics(actual, predicted, average="macro")
-    _, weighted, _ = intensity_metrics(actual, predicted, average="weighted")
-    assert macro == pytest.approx((1.0 + 1.0 / 3.0) / 2.0, abs=1e-12)
-    assert weighted == pytest.approx((3 * 1.0 + 1 * (1.0 / 3.0)) / 4.0, abs=1e-12)
-
-
-def test_intensity_metrics_rejects_unknown_average():
-    with pytest.raises(ValueError):
-        intensity_metrics([B], [B], average="harmonic")
+    # precision BUY = 1, SELL = 1/3: unweighted by the classes' actual support
+    _, prec, _ = intensity_metrics([B, B, B, S], [B, S, S, S])
+    assert prec == pytest.approx((1.0 + 1.0 / 3.0) / 2.0, abs=1e-12)
 
 
 def test_confusion_matrix_layout():

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oficast.data_io import CountSeries
 from oficast.ofi_signal import (
     OfiParams,
     Signal,
     clamp_ofi,
     ofi,
-    ofi_series,
     signal,
     window_sums,
 )
@@ -76,47 +74,39 @@ def test_clamp_rejects_nan():
         clamp_ofi(np.float64("nan"))
 
 
-# ------------------------------------------------------------ ofi_series
+# ------------------------------------------------------------ window OFI
 
 TABLE_ROWS = [(55, 30), (45, 40), (60, 125)]
 
 
+def window_ofi(rows, h):
+    """OFI of every h-row window, as ``predict`` and ``fit_fnn_only`` take it."""
+    return ofi(*window_sums(make_counts(rows), h).T)
+
+
 def test_series_window_one_matches_per_row_values():
-    out = ofi_series(CountSeries(make_counts(TABLE_ROWS), t0=1), OfiParams(window_h=1))
-    assert [round(v, 3) for v in out.values] == [0.294, 0.059, -0.351]
-    assert out.timestamps == (1, 2, 3)
+    assert [round(v, 3) for v in window_ofi(TABLE_ROWS, 1)] == [0.294, 0.059, -0.351]
 
 
 def test_series_window_two_hand_summed():
     # (55+45, 30+40) -> 30/170
-    out = ofi_series(CountSeries(make_counts(TABLE_ROWS[:2])), OfiParams(window_h=2))
-    assert len(out.values) == 1
-    assert out.values[0] == pytest.approx(0.17647, abs=5e-6)
-
-
-def test_series_window_two_timestamps_align_to_window_end():
-    out = ofi_series(CountSeries(make_counts(TABLE_ROWS), t0=10), OfiParams(window_h=2))
-    assert out.timestamps == (11, 12)
+    out = window_ofi(TABLE_ROWS[:2], 2)
+    assert len(out) == 1
+    assert out[0] == pytest.approx(0.17647, abs=5e-6)
 
 
 def test_series_balanced_counts_all_zero():
-    out = ofi_series(CountSeries(make_counts([(8, 8)] * 6)), OfiParams(window_h=1))
-    assert all(v == 0.0 for v in out.values)
-    out2 = ofi_series(CountSeries(make_counts([(8, 8)] * 6)), OfiParams(window_h=3))
-    assert all(v == 0.0 for v in out2.values)
-
-
-def test_series_shorter_than_window_rejected():
-    with pytest.raises(ValueError):
-        ofi_series(CountSeries(make_counts([(1, 1)])), OfiParams(window_h=2))
+    assert all(v == 0.0 for v in window_ofi([(8, 8)] * 6, 1))
+    assert all(v == 0.0 for v in window_ofi([(8, 8)] * 6, 3))
 
 
 def test_series_matches_manual_accumulation():
     rng = np.random.default_rng(11)
     rows = [(int(b), int(s)) for b, s in zip(rng.poisson(20, 50), rng.poisson(20, 50))]
     h = 4
-    out = ofi_series(CountSeries(make_counts(rows)), OfiParams(window_h=h))
-    for i, v in enumerate(out.values):
+    out = window_ofi(rows, h)
+    assert len(out) == len(rows) - h + 1
+    for i, v in enumerate(out):
         window = rows[i : i + h]
         b = sum(w[0] for w in window)
         s = sum(w[1] for w in window)
@@ -131,7 +121,7 @@ def test_series_matches_manual_accumulation():
 def test_window_sums_equal_convolution_bit_for_bit(rows, h):
     arr = np.array(rows, dtype=float)
     sums = window_sums(arr, h)
-    for col in range(2):  # the per-column convolution ofi_series used to run
+    for col in range(2):  # the per-column convolution as reference
         want = np.convolve(arr[:, col], np.ones(h), mode="valid")
         assert sums[:, col].tobytes() == want.tobytes()
 

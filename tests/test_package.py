@@ -16,12 +16,11 @@ PUBLIC = {
         "load_counts_csv", "load_trades_csv", "write_counts_csv",
     ],
     "ofi_signal": [
-        "OfiParams", "OfiSeries", "Signal", "clamp_ofi", "ofi", "ofi_series", "signal",
+        "OfiParams", "Signal", "clamp_ofi", "ofi", "signal",
     ],
     "var_model": [
         "FitDiagnostics", "RankDeficiencyError", "VarModel", "build_lag_matrix",
-        "fit_var", "forecast", "load_var", "residuals", "save_var", "select_lag",
-        "summary",
+        "fit_var", "load_var", "residuals", "save_var", "summary",
     ],
     "neural_net": [
         "FnnModel", "FnnTopology", "TrainConfig", "TrainingTrace", "backward",
@@ -64,7 +63,7 @@ def test_import_loads_no_numpy(oficast_env):
 
 def test_public_names_are_the_submodules_objects():
     names = [name for module_names in PUBLIC.values() for name in module_names]
-    assert len(names) == 63
+    assert len(names) == 59
     assert oficast.__all__ == sorted(names)
     assert set(names) <= set(dir(oficast))
     for module, module_names in PUBLIC.items():

@@ -11,17 +11,15 @@ from oficast.var_model import (
     VarModel,
     build_lag_matrix,
     fit_var,
-    forecast,
     load_var,
     one_step_predictions,
     regressor_names,
     residuals,
     save_var,
-    select_lag,
     summary,
 )
 
-from conftest import make_counts, noisy_ar1_counts, stable_var1_series, white_noise_counts
+from conftest import make_counts, noisy_ar1_counts, stable_var1_series
 
 
 def brute_force_ols(series_arr, p):
@@ -209,45 +207,7 @@ def test_p_value_normal_tail():
     assert s.p_value == pytest.approx(expected, rel=1e-12)
 
 
-# ------------------------------------------------------------ lag selection
-
-def test_select_lag_recovers_single_lag_process():
-    hits = 0
-    for seed in range(20):
-        series = noisy_ar1_counts(400, seed=100 + seed)
-        if select_lag(series, {1, 2, 5, 10}, criterion="bic") == 1:
-            hits += 1
-    assert hits >= 15  # majority outcome; the process has one real lag
-
-
-def test_select_lag_white_noise_prefers_smallest():
-    hits = 0
-    for seed in range(10):
-        series = white_noise_counts(400, seed=50 + seed)
-        if select_lag(series, {1, 2, 5}, criterion="bic") == 1:
-            hits += 1
-    assert hits >= 8  # extra lags only add penalty
-
-
-def test_select_lag_singleton_identity():
-    series = noisy_ar1_counts(100, seed=1)
-    assert select_lag(series, {2}, criterion="bic") == 2
-    assert select_lag(series, {2}, criterion="aic") == 2
-
-
-def test_select_lag_empty_candidates():
-    series = noisy_ar1_counts(100, seed=1)
-    with pytest.raises(ValueError):
-        select_lag(series, set(), criterion="bic")
-
-
-def test_select_lag_rejects_unknown_criterion():
-    series = noisy_ar1_counts(100, seed=1)
-    with pytest.raises(ValueError):
-        select_lag(series, {1, 2}, criterion="hqic")
-
-
-# ----------------------------------------------------------------- forecast
+# ------------------------------------------------------- one-step predictions
 
 def _halving_model():
     return VarModel(
@@ -260,13 +220,8 @@ def _halving_model():
 
 
 def test_forecast_one_step():
-    out = forecast(_halving_model(), np.array([[2.0, 4.0]]), steps=1)
+    out = one_step_predictions(_halving_model(), np.array([[2.0, 4.0], [0.0, 0.0]]))
     np.testing.assert_array_equal(out, [[1.0, 2.0]])
-
-
-def test_forecast_recursion_geometric_decay():
-    out = forecast(_halving_model(), np.array([[2.0, 4.0]]), steps=3)
-    np.testing.assert_allclose(out, [[1.0, 2.0], [0.5, 1.0], [0.25, 0.5]], atol=1e-15)
 
 
 def test_forecast_matches_in_sample_fitted_values():
@@ -275,22 +230,23 @@ def test_forecast_matches_in_sample_fitted_values():
     p = 2
     model, _ = fit_var(series, p)
     preds = one_step_predictions(model, series)
-    for t in (p, 10, 30, 59):
-        step = forecast(model, arr[:t], steps=1)
-        np.testing.assert_allclose(step[0], preds[t - p], atol=1e-10)
+    assert preds.shape == (60 - p, 2)
+    for t in range(p, 60):
+        direct = model.c + sum(model.lag_coefs[lag - 1] @ arr[t - lag] for lag in range(1, p + 1))
+        np.testing.assert_allclose(preds[t - p], direct, atol=1e-10)
 
 
 def test_forecast_insufficient_history():
     series = noisy_ar1_counts(60, seed=9)
     model, _ = fit_var(series, 3)
-    with pytest.raises(ValueError):
-        forecast(model, np.array([[1.0, 1.0]]), steps=1)
+    with pytest.raises(ValueError):  # p rows leave no row to predict
+        one_step_predictions(model, make_counts([(1, 1)] * 3))
 
 
 def test_forecast_output_is_real_valued():
     series = noisy_ar1_counts(60, seed=10)
     model, _ = fit_var(series, 1)
-    out = forecast(model, np.array([[3.0, 5.0]]), steps=2)
+    out = one_step_predictions(model, make_counts([(3, 5), (4, 6), (2, 2)]))
     assert out.dtype == float
     assert not np.allclose(out, np.round(out))  # not silently integerized
 
