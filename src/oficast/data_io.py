@@ -149,7 +149,8 @@ def read_csv_rows(path: str | Path, header: tuple[str, ...]):
         try:
             found = next(reader, None)
             if found is None or tuple(f.strip() for f in found) != header:
-                raise DataFormatError(f"expected header {','.join(header)}, got {found}", 1, path)
+                got = "nothing" if found is None else _quote(",".join(found))
+                raise DataFormatError(f"expected header {','.join(header)}, got {got}", 1, path)
             for rec in reader:
                 if rec:
                     yield reader.line_num, rec

@@ -23,6 +23,7 @@ from .data_io import (
     FINITE_COLUMN,
     INT_COLUMN,
     Column,
+    _quote,
     counts_to_array,
     read_csv_columns,
     write_csv_columns,
@@ -225,16 +226,16 @@ def hybrid_components(bundle: ModelBundle, series):
             f"series supplies {n} rows but the pipeline needs more than {warmup}"
         )
     preds = vm.one_step_predictions(bundle.var_part, arr)  # row i targets p + i
-    t_idx = np.arange(warmup, n)
-    var_pred = preds[t_idx - p]
+    var_pred = preds[warmup - p :]  # rows warmup .. n-1, a view
     if bundle.kind == "hybrid":
         resid = arr[p:] - preds  # causal: residual at u uses rows <= u
         feats = lag_features(resid, cfg.residual_lags, warmup - p)
         resid_pred = forward(bundle.fnn_part, feats)
     else:
         resid_pred = np.zeros_like(var_pred)
-    combined = np.maximum(var_pred + resid_pred, 0.0)
-    return t_idx, var_pred, resid_pred, combined
+    combined = var_pred + resid_pred
+    np.maximum(combined, 0.0, out=combined)
+    return np.arange(warmup, n), var_pred, resid_pred, combined
 
 
 def predict(bundle: ModelBundle, series) -> Predictions:
@@ -384,7 +385,8 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
         raise BundleFormatError("format", f"expected {BUNDLE_FORMAT_TAG!r}")
     kind = manifest.get("kind")
     if kind not in KINDS:
-        raise BundleFormatError("kind", f"expected one of {KINDS}, got {kind!r}")
+        got = _quote(kind if isinstance(kind, str) else repr(kind))
+        raise BundleFormatError("kind", f"expected one of {KINDS}, got {got}")
     try:
         config = config_from_dict(manifest["config"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data_io import _quote
+
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
 #: ReLU's derivative at exactly zero is taken as 0 (one-sided subgradient).
@@ -27,24 +29,31 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OPTIMIZERS = ("adam", "sgd")
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
-def _sigmoid(x):
-    """Logistic function without overflow and without boolean masks.
+def _sigmoid(x, out=None):
+    """Logistic function without overflow, into ``out`` (which may be ``x``).
 
     With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) for x < 0:
     the same operations on the same values as evaluating 1/(1+exp(-x)) on
     the non-negative entries and exp(x)/(1+exp(x)) on the rest, so the
-    bits match that two-branch form exactly.
+    bits match that two-branch form exactly.  Besides ``out`` it allocates
+    one scratch array for 1+e and a sign mask.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    nonneg = x >= 0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = np.add(1.0, e)
+    np.copyto(e, 1.0, where=nonneg)  # the numerator: 1 where x >= 0, else e
+    return np.divide(e, den, out=e)
 
 
 #: activation -> (function, derivative written in terms of the function's
-#: output a, which the forward pass already holds).
+#: output a, which the forward pass already holds).  Each function takes
+#: ``out=`` like a ufunc, so a layer activates in place.
 _ACTIVATION_FUNCS = {
     "relu": (_relu, lambda a: a > 0.0),
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
@@ -70,7 +79,7 @@ class FnnTopology:
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
         if self.activation not in _ACTIVATION_FUNCS:
             raise ValueError(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+                f"activation must be one of {ACTIVATIONS}, got {_quote(str(self.activation))}"
             )
 
     @property
@@ -99,10 +108,14 @@ class AffineScaler:
         return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     def transform(self, data: np.ndarray) -> np.ndarray:
-        return (np.asarray(data, dtype=float) - self.mean) / self.scale
+        out = np.asarray(data, dtype=float) - self.mean
+        out /= self.scale
+        return out
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(data, dtype=float) * self.scale + self.mean
+        out = np.asarray(data, dtype=float) * self.scale
+        out += self.mean
+        return out
 
 
 @dataclass
@@ -198,18 +211,28 @@ def _layer_views(flat: np.ndarray, dims: tuple[int, ...]):
     return weights, biases
 
 
+def _layers(model: FnnModel, a: np.ndarray):
+    """Yield each layer's output in scaled space for the scaled input ``a``.
+
+    A layer is one matmul over all rows, the bias added in place and the
+    hidden activation applied in place.  The loop drops its reference to a
+    layer's input once the output exists, so a caller that keeps only the
+    latest output holds at most two layers at a time.
+    """
+    act, _ = _ACTIVATION_FUNCS[model.topology.activation]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w
+        a += b
+        if i != last:  # identity output layer
+            act(a, out=a)
+        yield a
+
+
 def _forward_scaled(model: FnnModel, xs: np.ndarray):
     """Forward pass in scaled space; returns the per-layer activations.
     activations[0] is the input, activations[-1] the network output."""
-    act, _ = _ACTIVATION_FUNCS[model.topology.activation]
-    activations = [xs]
-    out = xs
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = out @ w + b
-        out = z if i == last else act(z)  # identity output layer
-        activations.append(out)
-    return activations
+    return [xs, *_layers(model, xs)]
 
 
 def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
@@ -223,9 +246,9 @@ def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected inputs of width {model.topology.input_dim}, got {x.shape[1]}"
         )
-    out = model.target_scaler.inverse(
-        _forward_scaled(model, model.input_scaler.transform(x))[-1]
-    )
+    for out in _layers(model, model.input_scaler.transform(x)):
+        pass  # only the latest layer is kept; the scaled input goes after the first
+    out = model.target_scaler.inverse(out)
     return out[0] if single else out
 
 
@@ -556,7 +579,7 @@ def load_fnn(path: str | Path) -> FnnModel:
     def expect(idx: int, key: str) -> str:
         prefix = key + ": "
         if not line(idx).startswith(prefix):
-            raise bad(idx, f"expected '{key}:', got {lines[idx]!r}")
+            raise bad(idx, f"expected '{key}:', got {_quote(lines[idx])}")
         return lines[idx][len(prefix) :]
 
     def numbers(idx: int, text: str, kind=float, sep=None, count=None) -> list:
@@ -564,7 +587,7 @@ def load_fnn(path: str | Path) -> FnnModel:
         try:
             values = [kind(tok) for tok in tokens]
         except ValueError:
-            raise bad(idx, f"non-numeric token in {text!r}") from None
+            raise bad(idx, f"non-numeric token in {_quote(text)}") from None
         if count is not None and len(values) != count:
             raise bad(idx, f"expected {count} values, got {len(values)}")
         return values
@@ -594,12 +617,12 @@ def load_fnn(path: str | Path) -> FnnModel:
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         if line(row) != f"layer {i} weight {fan_in} {fan_out}":
-            raise bad(row, f"bad layer header {lines[row]!r}")
+            raise bad(row, f"bad layer header {_quote(lines[row])}")
         rows = [numbers(row + 1 + r, line(row + 1 + r), count=fan_out) for r in range(fan_in)]
         weights.append(np.array(rows))
         row += 1 + fan_in
         if line(row) != f"layer {i} bias {fan_out}":
-            raise bad(row, f"bad bias header {lines[row]!r}")
+            raise bad(row, f"bad bias header {_quote(lines[row])}")
         biases.append(np.array(numbers(row + 1, line(row + 1), count=fan_out)))
         row += 2
     return FnnModel(

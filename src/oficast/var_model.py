@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import counts_to_array
+from .data_io import _quote, counts_to_array
 
 VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
@@ -258,8 +258,16 @@ def save_var(model: VarModel, path: str | Path) -> None:
 def _parse_floats(line: str, key: str, path) -> np.ndarray:
     prefix = key + ": "
     if not line.startswith(prefix):
-        raise ValueError(f"{path}: expected '{key}:' line, got {line!r}")
-    return np.array([float(tok) for tok in line[len(prefix) :].split()])
+        raise ValueError(f"{path}: expected '{key}:' line, got {_quote(line)}")
+    values = []
+    for tok in line[len(prefix) :].split():
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(
+                f"{path}: '{key}:' line: expected a number, got {_quote(tok)}"
+            ) from None
+    return np.array(values)
 
 
 def load_var(path: str | Path) -> VarModel:
@@ -276,7 +284,7 @@ def load_var(path: str | Path) -> VarModel:
         line = lines[idx]
         prefix = key + ": "
         if not line.startswith(prefix):
-            raise ValueError(f"{path}: expected '{key}:' line, got {line!r}")
+            raise ValueError(f"{path}: expected '{key}:' line, got {_quote(line)}")
         fields[key] = int(line[len(prefix) :])
     p, k, n_obs = fields["p"], fields["k"], fields["n_obs"]
     if len(lines) < 6 + p:

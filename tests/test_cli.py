@@ -697,6 +697,71 @@ def test_fit_bad_counts_row_names_file_and_line(tmp_path, capsys, bad_row, compl
     assert not out.exists()
 
 
+def test_overlong_header_is_quoted_short(tmp_path, capsys):
+    data = synth(tmp_path, length=60, seed=3)
+    lines = data.read_text().splitlines(keepends=True)
+    data.write_text(lines[0].rstrip("\n") + "x" * 100_000 + "\n" + "".join(lines[1:]))
+    assert run(["fit", "--data", data, "--out", tmp_path / "bundle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 1: expected header ") and err.count("\n") == 1
+    assert "(100032 characters)" in err
+    assert len(err.replace(str(tmp_path), "").encode()) < 300  # the directory does not count
+
+
+def _swap_line(path, pick, text):
+    """Replace the first line of ``path`` that ``pick`` accepts with ``text``."""
+    lines = path.read_text().splitlines()
+    lines[next(i for i, line in enumerate(lines) if pick(line))] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_kind(path, kind):
+    manifest = json.loads(path.read_text())
+    manifest["kind"] = kind
+    path.write_text(json.dumps(manifest))
+
+
+_LONG = "x" * 100_000
+
+#: bundle file -> how one line or field of it is made 100,000 characters long
+_OVERLONG_BUNDLE = {
+    "var-count-line": ("var.txt", lambda p: _swap_line(p, lambda s: s.startswith("p:"), _LONG)),
+    "var-float-line": ("var.txt", lambda p: _swap_line(p, lambda s: s.startswith("c:"), _LONG)),
+    "var-float-token": (
+        "var.txt", lambda p: _swap_line(p, lambda s: s.startswith("c:"), "c: 1.0 " + _LONG)),
+    "fnn-key-line": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("input_dim:"), _LONG)),
+    "fnn-number": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("input_dim:"),
+                                        "input_dim: " + _LONG)),
+    "fnn-activation": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("activation:"),
+                                        "activation: " + _LONG)),
+    "fnn-layer-header": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("layer 0 weight"), _LONG)),
+    "fnn-bias-header": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("layer 0 bias"), _LONG)),
+    "manifest-kind": ("manifest.json", lambda p: _set_kind(p, _LONG)),
+    "manifest-kind-list": ("manifest.json", lambda p: _set_kind(p, [0] * 33_333)),
+}
+
+
+@pytest.mark.parametrize("site", list(_OVERLONG_BUNDLE))
+def test_overlong_bundle_line_is_quoted_short(tmp_path, capsys, site):
+    data = synth(tmp_path, length=120, seed=2)
+    bundle = fit_small(tmp_path, data, extra=["--hidden", "4"])
+    name, damage = _OVERLONG_BUNDLE[site]
+    damage(bundle / name)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    # the temporary directory's name, which the message repeats, does not count
+    assert " characters)" in err, err[:300]
+    assert len(err.replace(str(tmp_path), "").encode()) < 300, err[:300]
+    assert not out.exists()
+
+
 def test_sweep_names_the_bad_dataset(tmp_path, capsys):
     good = synth(tmp_path, "good.csv", length=150, seed=1)
     bad = tmp_path / "bad.csv"

@@ -1,10 +1,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oficast.neural_net import (
     ACTIVATIONS,
@@ -94,6 +97,80 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
         got = _sigmoid(x)
     np.testing.assert_array_equal(got, masked_sigmoid(x))
     assert got[0] == 0.0 and got[11] == 1.0
+
+
+def stored_layer_forward(model, x):
+    """The forward pass with a new array per operation: ``out @ w + b`` for
+    each layer, then max(z, 0), numpy's tanh or the sigmoid as
+    e = exp(-|z|), where(z >= 0, 1, e) / (1 + e)."""
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "sigmoid": sigmoid}
+    out = (x - model.input_scaler.mean) / model.input_scaler.scale
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = out @ w + b
+        out = z if i == last else act[model.topology.activation](z)
+    return out * model.target_scaler.scale + model.target_scaler.mean
+
+
+@st.composite
+def _forward_cases(draw):
+    """A model with random scalers and weights scaled up to saturation, and
+    inputs that include +-1000, 0.0 and -0.0."""
+    d = draw(st.integers(1, 6))
+    topology = FnnTopology(
+        d,
+        tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from(ACTIVATIONS)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = init_model(topology, seed=seed)
+    rng = np.random.default_rng(seed)
+    gain = draw(st.sampled_from([1.0, 10.0, 1000.0]))
+    model.weights = [w * gain for w in model.weights]
+    model.biases = [rng.normal(size=b.shape) for b in model.biases]
+    model.input_scaler = AffineScaler(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    model.target_scaler = AffineScaler(
+        rng.normal(size=topology.output_dim), rng.uniform(0.5, 2.0, size=topology.output_dim)
+    )
+    values = st.one_of(st.sampled_from([1000.0, -1000.0, 0.0, -0.0]), st.floats(-50.0, 50.0))
+    x = draw(arrays(np.float64, (draw(st.integers(1, 300)), d), elements=values))
+    return model, x
+
+
+@given(case=_forward_cases())
+@settings(max_examples=150, deadline=None)
+def test_forward_is_bit_identical_to_stored_layer_forward(case):
+    model, x = case
+    with np.errstate(all="ignore"):
+        pairs = [
+            (forward(model, x), stored_layer_forward(model, x)),
+            (forward(model, x[0]), stored_layer_forward(model, x[:1])[0]),  # a (d,) sample
+        ]
+    for got, expected in pairs:
+        # as integers, so that 0.0 and -0.0 differ
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("activation, limit_mib", [("relu", 9), ("tanh", 9), ("sigmoid", 12.5)])
+def test_forward_keeps_one_layer_alive(activation, limit_mib):
+    """20,000 rows through 4 -> (32, 16) -> 2: the 32-wide layer alone is
+    5,120,000 bytes, so keeping every layer, or a temporary per operation,
+    goes past the limit."""
+    model = init_model(FnnTopology(4, (32, 16), 2, activation), seed=1)
+    x = np.random.default_rng(0).normal(size=(20_000, 4))
+    forward(model, x[:10])  # set-up done on the first call is not counted
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_forward_single_sample_matches_batch():
