@@ -220,21 +220,45 @@ def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
     return plain if plain is not None else _walk_csv_columns(path, header, columns)
 
 
+#: Characters :func:`_plain_csv_columns` reads and parses at a time.
+READ_CHUNK = 1 << 16
+
+
 def _plain_csv_columns(path, header, columns):
-    """The whole-file pass of :func:`read_csv_columns`: its result for a
+    """The plain-file pass of :func:`read_csv_columns`: its result for a
     plain file, or None, and the row walk then reads the file.
 
     A file is plain when it is UTF-8, its first line is exactly the header,
     every line ends in LF or CRLF, every other line has exactly one comma
     fewer than the header has fields (so none is blank), and it holds no
     quote, NUL, lone CR or line longer than ``csv.field_size_limit()``: the
-    csv module then splits each line at its commas and nothing else.
+    csv module then splits each line at its commas and nothing else.  The
+    file is checked and parsed one block of whole lines at a time, so the
+    text in memory is bounded by :data:`READ_CHUNK` and the longest line.
     """
+    parts = [[] for _ in columns]  # per column, its array from each block
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            for text in _line_blocks(fh, READ_CHUNK):
+                arrays = _plain_block(text, header, columns, first=not parts[0])
+                if arrays is None:
+                    return None
+                for part, array in zip(parts, arrays):
+                    part.append(array)
     except (OSError, UnicodeDecodeError):
         return None
+    if not parts[0]:  # an empty file
+        return None
+    n = sum(map(len, parts[0]))
+    # each column's blocks are dropped once joined
+    arrays = [np.concatenate(parts.pop(0)) for _ in columns]
+    return np.arange(2, n + 2, dtype=np.int64), arrays
+
+
+def _plain_block(text, header, columns, first):
+    """The column arrays of one block of whole lines (the header line
+    first, if ``first``), or None if the block breaks a plain-file rule or
+    holds a token a column's cast rejects."""
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -243,18 +267,18 @@ def _plain_csv_columns(path, header, columns):
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     del text
-    if lines[-1] == "":  # the last line's terminator
+    if lines[-1] == "":  # the block's last line terminator
         lines.pop()
-    if not lines or lines[0] != ",".join(header):
-        return None
-    del lines[0]
+    if first:
+        if lines[0] != ",".join(header):
+            return None
+        del lines[0]
     width = len(header)
     if set(map(str.count, lines, repeat(","))) - {width - 1}:
         return None
-    n = len(lines)
-    if n and max(map(len, lines)) > csv.field_size_limit():
+    if lines and max(map(len, lines)) > csv.field_size_limit():
         return None
-    tokens = ",".join(lines).split(",") if n else []
+    tokens = ",".join(lines).split(",") if lines else []
     del lines
     arrays = []
     for k, column in enumerate(columns):
@@ -266,7 +290,34 @@ def _plain_csv_columns(path, header, columns):
                 arrays.append(column.cast(chunk))
         except _PARSE_ERRORS:
             return None
-    return np.arange(2, n + 2, dtype=np.int64), arrays
+    return arrays
+
+
+def _line_blocks(fh, size: int):
+    """Yield the text of ``fh``, read ``size`` characters at a time, in
+    non-empty blocks that each end at an LF (the file's last block
+    excepted), so that no line and no CRLF is split between blocks.
+
+    A line longer than ``csv.field_size_limit() + 1`` characters may be
+    yielded in parts, to bound the text held; any part of it fails the
+    plain-file checks, as the whole line would.
+    """
+    longest = csv.field_size_limit() + 1
+    carry, carried = [], 0
+    while chunk := fh.read(size):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            carry.append(chunk[:cut])
+            yield "".join(carry)
+            chunk = chunk[cut:]
+            carry, carried = [], 0
+        carry.append(chunk)
+        carried += len(chunk)
+        if carried > longest:
+            yield "".join(carry)
+            carry, carried = [], 0
+    if carried:
+        yield "".join(carry)
 
 
 def _walk_csv_columns(path, header, columns):
@@ -322,19 +373,37 @@ def load_counts_csv(path: str | Path) -> CountSeries:
 
 def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     """Write a series in the counts CSV format (round-trips with the loader)."""
-    buy, sell = series.counts.T.tolist()
-    timestamps = range(series.t0, series.t0 + len(buy))
-    write_csv_columns(path, COUNTS_HEADER, [map(str, c) for c in (timestamps, buy, sell)])
+    timestamps = range(series.t0, series.t0 + len(series))
+    buy, sell = series.counts.T
+    write_csv_columns(path, COUNTS_HEADER, [(timestamps, str), (buy, str), (sell, str)])
+
+
+#: Rows :func:`write_csv_columns` formats and writes at a time.
+WRITE_BLOCK = 1 << 14
 
 
 def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> None:
-    """Write a CSV file: ``header``, then row i of the str ``columns`` (each
-    an iterable, one field per row) for every i.  The fields must need no
-    quoting (no comma, quote or line break); the bytes are then those of
-    ``csv.writer``: fields joined by commas, every line ended by CRLF."""
-    rows = map(",".join, zip(*columns))
-    text = "\r\n".join(chain([",".join(header)], rows, [""]))
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    """Write a CSV file: ``header``, then one row per entry of the columns.
+
+    Each column is a ``(values, format)`` pair: ``values`` an array or range
+    with one entry per row, and ``format`` maps an entry (as a Python
+    object) to its field, or is None when the entries are str fields
+    already.  A field must need no quoting (no comma, quote or line break);
+    the bytes are then those of ``csv.writer``: fields joined by commas,
+    every line ended by CRLF.  Rows are formatted and written
+    :data:`WRITE_BLOCK` at a time.
+    """
+    n = len(columns[0][0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, WRITE_BLOCK):
+            fields = []
+            for values, fmt in columns:
+                block = values[lo : lo + WRITE_BLOCK]
+                if isinstance(block, np.ndarray):
+                    block = block.tolist()
+                fields.append(block if fmt is None else map(fmt, block))
+            fh.write("\r\n".join(chain(map(",".join, zip(*fields)), [""])))
 
 
 def load_trades_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

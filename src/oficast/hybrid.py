@@ -316,8 +316,8 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    train_cfg = TrainConfig(**data["train"])
-    ofi_cfg = OfiParams(**data["ofi"])
+    train_cfg = _from_fields(TrainConfig, data["train"])
+    ofi_cfg = _from_fields(OfiParams, data["ofi"])
     return PipelineConfig(
         var_lag=data["var_lag"],
         fnn_input_lags=data["fnn_input_lags"],
@@ -326,6 +326,18 @@ def config_from_dict(data: dict) -> PipelineConfig:
         train=train_cfg,
         ofi=ofi_cfg,
     )
+
+
+def _from_fields(cls, data):
+    """``cls(**data)``, with an unexpected key quoted by ``_quote``."""
+    if isinstance(data, dict):
+        names = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in names:
+                raise TypeError(
+                    f"{cls.__name__}.__init__() got an unexpected keyword argument {_quote(key)}"
+                )
+    return cls(**data)
 
 
 def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
@@ -426,12 +438,14 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
         if topo.hidden_layers != config.hidden_layers:
             raise BundleFormatError(
                 "hidden_layers",
-                f"manifest says {config.hidden_layers} but {FNN_FILE} has {topo.hidden_layers}",
+                f"manifest says {_quote(str(config.hidden_layers))} "
+                f"but {FNN_FILE} has {_quote(str(topo.hidden_layers))}",
             )
         if topo.activation != config.activation:
             raise BundleFormatError(
                 "activation",
-                f"manifest says {config.activation!r} but {FNN_FILE} has {topo.activation!r}",
+                f"manifest says {_quote(str(config.activation))} "
+                f"but {FNN_FILE} has {_quote(topo.activation)}",
             )
         expected_out = 2 if kind == "hybrid" else 1
         if topo.output_dim != expected_out:
@@ -462,13 +476,14 @@ def write_predictions_csv(records: Predictions, path: str | Path) -> None:
     write_csv_columns(
         path,
         PREDICTIONS_HEADER,
-        (
-            map(str, records.index.tolist()),
-            map(repr, records.actual_ofi.tolist()),
-            map(repr, records.predicted_ofi.tolist()),
-            records.actual_signal,  # Signal members are str: they join as their values
-            records.predicted_signal,
-        ),
+        [
+            (records.index, str),
+            (records.actual_ofi, repr),
+            (records.predicted_ofi, repr),
+            # Signal members are str: they join as their values
+            (records.actual_signal, None),
+            (records.predicted_signal, None),
+        ],
     )
 
 

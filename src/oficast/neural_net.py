@@ -148,7 +148,9 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+            raise ValueError(
+                f"optimizer must be 'adam' or 'sgd', got {_quote(str(self.optimizer))}"
+            )
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.early_stopping and not 0.0 < self.validation_fraction < 1.0:
@@ -235,9 +237,20 @@ def _forward_scaled(model: FnnModel, xs: np.ndarray):
     return [xs, *_layers(model, xs)]
 
 
+#: Rows :func:`forward` runs through the network at a time.
+FORWARD_BLOCK = 1 << 14
+
+
 def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
     """Predict in raw units: scale inputs, run the network, invert the
-    target scaler.  Accepts a single sample (d,) or a batch (n, d)."""
+    target scaler.  Accepts a single sample (d,) or a batch (n, d).
+
+    Rows run :data:`FORWARD_BLOCK` at a time into one output array, so the
+    memory held is that of the inputs, the output and one block's layers.
+    A batch of at most one block gives the bits of one pass over all rows;
+    a longer one may differ from that in the last bits, where the BLAS
+    picks a kernel by matrix height.
+    """
     x = np.asarray(inputs, dtype=float)
     single = x.ndim == 1
     if single:
@@ -246,9 +259,11 @@ def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected inputs of width {model.topology.input_dim}, got {x.shape[1]}"
         )
-    for out in _layers(model, model.input_scaler.transform(x)):
-        pass  # only the latest layer is kept; the scaled input goes after the first
-    out = model.target_scaler.inverse(out)
+    out = np.empty((len(x), model.topology.output_dim))
+    for lo in range(0, len(x), FORWARD_BLOCK):
+        for a in _layers(model, model.input_scaler.transform(x[lo : lo + FORWARD_BLOCK])):
+            pass  # only the latest layer is kept; the scaled block goes after the first
+        out[lo : lo + FORWARD_BLOCK] = model.target_scaler.inverse(a)
     return out[0] if single else out
 
 

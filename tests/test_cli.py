@@ -721,6 +721,12 @@ def _set_kind(path, kind):
     path.write_text(json.dumps(manifest))
 
 
+def _set_config(path, update):
+    manifest = json.loads(path.read_text())
+    update(manifest["config"])
+    path.write_text(json.dumps(manifest))
+
+
 _LONG = "x" * 100_000
 
 #: bundle file -> how one line or field of it is made 100,000 characters long
@@ -743,6 +749,14 @@ _OVERLONG_BUNDLE = {
         "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("layer 0 bias"), _LONG)),
     "manifest-kind": ("manifest.json", lambda p: _set_kind(p, _LONG)),
     "manifest-kind-list": ("manifest.json", lambda p: _set_kind(p, [0] * 33_333)),
+    "manifest-activation": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(activation=_LONG))),
+    "manifest-hidden-layers": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(hidden_layers=[1] * 50_000))),
+    "manifest-optimizer": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update(optimizer=_LONG))),
+    "manifest-train-key": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update({_LONG: 1}))),
 }
 
 

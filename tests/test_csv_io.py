@@ -1,17 +1,22 @@
 """The CSV readers' two paths and the CSV writers' bytes.
 
-``read_csv_columns`` reads a plain file in one whole-file pass and any
-other file with the csv-module row walk.  The differential tests here
-damage valid files and check that the two paths agree: the same line
-numbers and bit-identical arrays, or the same DataFormatError text.
+``read_csv_columns`` reads a plain file in a pass over blocks of whole
+lines and any other file with the csv-module row walk.  The differential
+tests here damage valid files and check that the two paths agree: the same
+line numbers and bit-identical arrays, or the same DataFormatError text.
+They run at the reader's own chunk size and at a few characters, so that
+damage and line ends fall on chunk boundaries.
 """
 import csv
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oficast import data_io
 from oficast.data_io import (
     COUNTS_COLUMNS,
     COUNTS_HEADER,
@@ -29,9 +34,10 @@ from oficast.hybrid import (
     PREDICTIONS_COLUMNS,
     PREDICTIONS_HEADER,
     Predictions,
+    read_predictions_csv,
     write_predictions_csv,
 )
-from oficast.ofi_signal import SIGNAL_ORDER
+from oficast.ofi_signal import SIGNAL_ORDER, signal
 
 FIELD_LIMIT = csv.field_size_limit()
 INT64 = np.iinfo(np.int64)
@@ -168,38 +174,38 @@ def damaged(draw, data: bytes) -> bytes:
     return data[:start] + field + data[at:]
 
 
-def _check_paths_agree(reader, data, tmp_path_factory) -> bool:
-    """Assert that both paths read ``data`` alike; True if the bulk pass took it."""
+def _check_paths_agree(reader, data, tmp_path_factory, chunk) -> bool:
+    """Assert that both paths read ``data`` alike, the plain pass reading
+    ``chunk`` characters at a time; True if the plain pass took it."""
     path = tmp_path_factory.mktemp("d") / "in.csv"
     path.write_bytes(data)
     walked = _outcome(_walk_csv_columns, path, reader)
     header, columns = READERS[reader]
-    plain = _plain_csv_columns(path, header, columns)
+    with mock.patch.object(data_io, "READ_CHUNK", chunk):
+        plain = _plain_csv_columns(path, header, columns)
+        got = _outcome(read_csv_columns, path, reader)
     if plain is not None:
         _assert_same(plain, walked)
-    _assert_same(_outcome(read_csv_columns, path, reader), walked)
+    _assert_same(got, walked)
     return plain is not None
 
 
-@pytest.mark.parametrize(
+#: each reader with the strategy for the valid files its writer makes
+reader_files = pytest.mark.parametrize(
     "reader, files",
     [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
 )
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader, files, data):
+#: a chunk of a few characters, so that damage and line ends fall on boundaries
+tiny_chunks = st.integers(1, 8)
+
+
+def _agree_on_damaged_file(tmp_path_factory, reader, files, data, chunk):
     clean = data.draw(files(tmp_path_factory))
-    assert _check_paths_agree(reader, clean, tmp_path_factory)  # a writer's file is plain
-    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory)
+    assert _check_paths_agree(reader, clean, tmp_path_factory, chunk)  # a writer's file is plain
+    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, chunk)
 
 
-@pytest.mark.parametrize(
-    "reader, files",
-    [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
-)
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, files, data):
+def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk):
     lines = data.draw(files(tmp_path_factory)).split(b"\r\n")
     if len(lines) < 3:  # header, a row and the final line end
         return
@@ -208,7 +214,67 @@ def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, fi
     token = data.draw(st.sampled_from(ODD_TOKENS) | st.text("0123456789.-+e_ ", max_size=6))
     fields[data.draw(st.integers(0, len(fields) - 1))] = token.encode()
     lines[row] = b",".join(fields)
-    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory)
+    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, chunk)
+
+
+@reader_files
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader, files, data):
+    _agree_on_damaged_file(tmp_path_factory, reader, files, data, data_io.READ_CHUNK)
+
+
+@reader_files
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_damaged_files_in_tiny_chunks(
+    tmp_path_factory, reader, files, data
+):
+    _agree_on_damaged_file(tmp_path_factory, reader, files, data, data.draw(tiny_chunks))
+
+
+@reader_files
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, files, data):
+    _agree_on_odd_token(tmp_path_factory, reader, files, data, data_io.READ_CHUNK)
+
+
+@reader_files
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bulk_pass_and_row_walk_agree_on_odd_tokens_in_tiny_chunks(
+    tmp_path_factory, reader, files, data
+):
+    _agree_on_odd_token(tmp_path_factory, reader, files, data, data.draw(tiny_chunks))
+
+
+_COUNTS_HEAD = b"timestamp,buy_orders,sell_orders"
+
+#: counts file -> (its bytes, whether the plain pass takes it)
+EDGE_FILES = {
+    "crlf": (_COUNTS_HEAD + b"\r\n5,1,2\r\n6,0,0\r\n", True),
+    "lone-cr": (_COUNTS_HEAD + b"\r\n5,1,2\r6,0,0\r\n", False),
+    "cr-at-end": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0\r", False),
+    "utf8-digits": (_COUNTS_HEAD + "\n5,\u0662,2\n6,0,\u0663\u0664\n".encode(), True),
+    "utf8-bad-token": (_COUNTS_HEAD + "\n5,1,2\n6,\U0001f600,0\n".encode(), False),
+    "utf8-cut-at-end": (_COUNTS_HEAD + b"\n5,1,2\n\xe2\x82", False),
+    "long-line": (_COUNTS_HEAD + b"\n5," + b"0" * 100 + b"1,2\n6,0,0\n", True),
+    "no-final-newline": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0", True),
+    "header-only": (_COUNTS_HEAD + b"\n", True),
+    "header-only-no-newline": (_COUNTS_HEAD, True),
+    "empty": (b"", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_every_chunk_size_agrees_with_the_row_walk(tmp_path_factory, name):
+    """Every chunk size from 1 character to the whole file, so that each
+    line end, CRLF and multi-byte character falls on a boundary once, and
+    the header and the long line each span many chunks."""
+    data, plain = EDGE_FILES[name]
+    for chunk in range(1, len(data) + 2):
+        assert _check_paths_agree("counts", data, tmp_path_factory, chunk) == plain, chunk
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
@@ -257,24 +323,31 @@ def _csv_writer_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+#: write block sizes: a few rows, so that files span many blocks, and the writers' own
+write_blocks = st.sampled_from([1, 2, 3, 7, data_io.WRITE_BLOCK])
+
+
 @given(
     t0=st.integers(INT64.min, INT64.max - 30),
     pairs=st.lists(st.tuples(st.integers(0, INT64.max), st.integers(0, INT64.max)), max_size=30),
+    block=write_blocks,
 )
 @settings(max_examples=80, deadline=None)
-def test_counts_writer_bytes_equal_csv_writer(tmp_path_factory, t0, pairs):
+def test_counts_writer_bytes_equal_csv_writer(tmp_path_factory, t0, pairs, block):
     series = CountSeries(np.array(pairs, dtype=np.int64).reshape(-1, 2), t0)
     path = tmp_path_factory.mktemp("w") / "counts.csv"
-    write_counts_csv(path, series)
+    with mock.patch.object(data_io, "WRITE_BLOCK", block):
+        write_counts_csv(path, series)
     rows = [(t0 + i, buy, sell) for i, (buy, sell) in enumerate(pairs)]
     assert path.read_bytes() == _csv_writer_bytes(COUNTS_HEADER, rows)
 
 
-@given(records=predictions_strategy(max_size=30))
+@given(records=predictions_strategy(max_size=30), block=write_blocks)
 @settings(max_examples=80, deadline=None)
-def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records):
+def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records, block):
     path = tmp_path_factory.mktemp("w") / "preds.csv"
-    write_predictions_csv(records, path)
+    with mock.patch.object(data_io, "WRITE_BLOCK", block):
+        write_predictions_csv(records, path)
     rows = zip(
         records.index.tolist(),
         map(repr, records.actual_ofi.tolist()),
@@ -283,3 +356,25 @@ def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records):
         (s.value for s in records.predicted_signal),
     )
     assert path.read_bytes() == _csv_writer_bytes(PREDICTIONS_HEADER, rows)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predictions_io_memory_is_bounded_by_blocks(tmp_path):
+    """200,000 rows: the file is about 10 MB and its tokens as str objects
+    far more, so joining the text, or splitting all of it at once, goes
+    past the limits; the reader's 200,000-row result alone is 8 MB."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    actual, predicted = np.clip(rng.normal(scale=0.3, size=(2, n)), -1.0, 1.0)
+    records = Predictions(np.arange(n), actual, predicted, signal(actual), signal(predicted))
+    path = tmp_path / "preds.csv"
+    assert _traced_peak(lambda: write_predictions_csv(records, path)) <= 8 * 2**20
+    assert _traced_peak(lambda: read_predictions_csv(path)) <= 16 * 2**20

@@ -16,6 +16,7 @@ from oficast.neural_net import (
     FnnTopology,
     TrainConfig,
     DIVERGED_LOSS,
+    FORWARD_BLOCK,
     TrainingDivergedError,
     _Adam,
     _Sgd,
@@ -171,6 +172,33 @@ def test_forward_keeps_one_layer_alive(activation, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+def test_forward_memory_is_one_block_of_layers():
+    """200,000 rows through 4 -> (128, 64) -> 2: the 128-wide layer over all
+    rows is 204,800,000 bytes; one block of rows through every layer is
+    about 26 MB."""
+    model = init_model(FnnTopology(4, (128, 64), 2), seed=1)
+    x = np.random.default_rng(0).normal(size=(200_000, 4))
+    forward(model, x[:10])  # set-up done on the first call is not counted
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
+def test_forward_in_blocks_equals_forward_of_each_block():
+    model = init_model(FnnTopology(4, (32, 16), 2, "tanh"), seed=3)
+    x = np.random.default_rng(2).normal(size=(2 * FORWARD_BLOCK + FORWARD_BLOCK // 2, 4))
+    parts = [
+        forward(model, x[lo : lo + FORWARD_BLOCK]) for lo in range(0, len(x), FORWARD_BLOCK)
+    ]
+    np.testing.assert_array_equal(
+        forward(model, x).view(np.uint64), np.concatenate(parts).view(np.uint64)
+    )
 
 
 def test_forward_single_sample_matches_batch():
