@@ -10,16 +10,18 @@ File formats:
 
 * counts CSV: header ``timestamp,buy_orders,sell_orders``, integer fields.
 * trade tape CSV: header ``timestamp,side`` with side ``BUY`` or ``SELL``.
+
+:class:`ParamLines` reads the bundle's parameter files.
 """
 from __future__ import annotations
 
 import csv
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -132,42 +134,7 @@ def counts_to_array(series) -> np.ndarray:
     return arr
 
 
-def read_csv_rows(path: str | Path, header: tuple[str, ...]):
-    """Yield (1-based line number, fields) for each non-blank row of a CSV
-    file whose first line is ``header``.
-
-    Raises:
-        FileNotFoundError: missing file.
-        DataFormatError: missing or different header, text that is not
-            UTF-8, or a row the csv module cannot tokenize, naming the file.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = next(reader, None)
-            if found is None or tuple(f.strip() for f in found) != header:
-                got = "nothing" if found is None else _quote(",".join(found))
-                raise DataFormatError(f"expected header {','.join(header)}, got {got}", 1, path)
-            for rec in reader:
-                if rec:
-                    yield reader.line_num, rec
-        except csv.Error as exc:
-            raise DataFormatError(str(exc), reader.line_num, path) from None
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(token)
-    return value
-
-
-def _finite_floats(tokens: list[str]) -> np.ndarray:
+def _finite_floats(tokens: Sequence[str]) -> np.ndarray:
     values = np.array(tokens, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
@@ -184,113 +151,144 @@ def _quote(token: str) -> str:
 
 
 class Column(NamedTuple):
-    """How :func:`read_csv_columns` parses one column: ``parse`` takes one
-    token, ``dtype`` is the array's, ``expected`` names a good token in
-    errors, and ``cast`` (None: map ``parse``) turns the column's whole token
-    list into the array ``parse`` would give, or raises."""
+    """How :func:`read_csv_columns` parses one column: ``cast`` turns a
+    sequence of its tokens into an array, or raises one of
+    :data:`_PARSE_ERRORS` if a token is bad; ``expected`` names a good
+    token in errors."""
 
-    parse: Callable[[str], object]
-    dtype: type
+    cast: Callable[[Sequence[str]], np.ndarray]
     expected: str
-    cast: Callable[[list[str]], np.ndarray] | None = None
 
 
-# numpy parses each str element with Python's own int() and float(), so
-# these casts accept the same tokens as ``parse`` and give the same values.
-INT_COLUMN = Column(int, np.int64, "an integer", partial(np.array, dtype=np.int64))
+def object_column(parse: Callable[[str], object], expected: str) -> Column:
+    """A column of the objects ``parse`` makes of its tokens, as an object array."""
+    return Column(lambda tokens: np.array(list(map(parse, tokens)), dtype=object), expected)
+
+
+# numpy parses each str element with Python's own int() and float()
+INT_COLUMN = Column(partial(np.array, dtype=np.int64), "an integer")
 #: A float column that must hold finite values.
-FINITE_COLUMN = Column(_finite_float, float, "a finite number", _finite_floats)
-_SIDE_COLUMN = Column(lambda tok: Side(tok.strip()), object, "BUY or SELL")
+FINITE_COLUMN = Column(_finite_floats, "a finite number")
 
 COUNTS_COLUMNS = (INT_COLUMN,) * 3
-TRADES_COLUMNS = (FINITE_COLUMN, _SIDE_COLUMN)
+TRADES_COLUMNS = (FINITE_COLUMN, object_column(lambda tok: Side(tok.strip()), "BUY or SELL"))
 
 
 def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
-    """Return the 1-based line number of every row of a CSV file read by
-    :func:`read_csv_rows`, and one array per ``header`` column, parsed by its
-    :class:`Column` in ``columns``.
+    """Return the 1-based line number of every non-blank row of a CSV file
+    whose first line is ``header``, and one array per ``header`` column,
+    cast by its :class:`Column` in ``columns``.
 
-    A plain file is read in one whole-file pass.  Any other file, and any
-    file with a bad row, is read row by row; a wrong field count or a token
-    its parser rejects raises :class:`DataFormatError` naming the file and
-    the first bad line.
+    One block at a time, a plain file (see :func:`_plain_blocks`) is split
+    at its commas and any other file by the csv module.  A bad header, a
+    csv-module error or text that is not UTF-8 raises
+    :class:`DataFormatError` where it is met; else the first row with the
+    wrong field count does, else the first bad token of the leftmost
+    column that has one.  A missing file raises FileNotFoundError.
     """
-    plain = _plain_csv_columns(path, header, columns)
-    return plain if plain is not None else _walk_csv_columns(path, header, columns)
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        return _cast_blocks(_plain_blocks(path, header), path, header, columns)
+    except _NotPlain:
+        pass  # outside this handler, so that the plain pass's arrays are freed
+    return _cast_blocks(_csv_blocks(path, header), path, header, columns)
 
 
-#: Characters :func:`_plain_csv_columns` reads and parses at a time.
+def _cast_blocks(blocks, path, header, columns):
+    """:func:`read_csv_columns` on the (line numbers, token columns) blocks
+    of one tokenizer.  A bad token is held until the file is read, so that
+    the tokenizer's errors come first."""
+    parts = [[column.cast([])] for column in columns]  # per column: [no rows, *its blocks]
+    line_parts = []
+    bad = [None] * len(columns)  # per column, the error and line of its first bad token
+    for lines, tokens in blocks:
+        # a range if they are one (no blank line and no line break in quotes)
+        contiguous = lines[-1] - lines[0] == len(lines) - 1
+        line_parts.append(range(lines[0], lines[-1] + 1) if contiguous else np.array(lines))
+        for k, (name, column) in enumerate(zip(header, columns)):
+            if bad[k] is None:
+                try:
+                    parts[k].append(column.cast(tokens[k]))
+                except _PARSE_ERRORS:
+                    n, t = next((n, t) for n, t in zip(lines, tokens[k]) if not _casts(column, t))
+                    bad[k] = f"column {name}: expected {column.expected}, got {_quote(t)}", int(n)
+        del tokens  # before the tokenizer reads the next block
+    for message, line in filter(None, bad):  # the leftmost column's
+        raise DataFormatError(message, line, path)
+    # each column's blocks are dropped once joined
+    arrays = [np.concatenate(parts.pop(0)) for _ in columns]
+    numbers = np.empty(sum(map(len, line_parts)), dtype=np.int64)
+    at = 0
+    for lines in line_parts:  # numpy reads a range one by one, an arange at once
+        lines = np.arange(lines.start, lines.stop) if isinstance(lines, range) else lines
+        numbers[at : at + len(lines)] = lines
+        at += len(lines)
+    return numbers, arrays
+
+
+def _casts(column: Column, token: str) -> bool:
+    try:
+        column.cast([token])
+    except _PARSE_ERRORS:
+        return False
+    return True
+
+
+class _NotPlain(Exception):
+    """The file :func:`_plain_blocks` reads is not plain."""
+
+
+#: Characters :func:`_plain_blocks` reads and splits at a time.
 READ_CHUNK = 1 << 16
 
 
-def _plain_csv_columns(path, header, columns):
-    """The plain-file pass of :func:`read_csv_columns`: its result for a
-    plain file, or None, and the row walk then reads the file.
+def _plain_blocks(path, header):
+    """Yield a plain file's rows in blocks of whole lines, as (line number
+    range, token columns), split at the commas; raise :class:`_NotPlain`
+    on finding that the file is not plain.
 
     A file is plain when it is UTF-8, its first line is exactly the header,
     every line ends in LF or CRLF, every other line has exactly one comma
     fewer than the header has fields (so none is blank), and it holds no
     quote, NUL, lone CR or line longer than ``csv.field_size_limit()``: the
-    csv module then splits each line at its commas and nothing else.  The
-    file is checked and parsed one block of whole lines at a time, so the
-    text in memory is bounded by :data:`READ_CHUNK` and the longest line.
+    csv module then splits each line at its commas and nothing else.
     """
-    parts = [[] for _ in columns]  # per column, its array from each block
+    width = len(header)
+    start = None  # the line number of the block's first row, once the header is read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for text in _line_blocks(fh, READ_CHUNK):
-                arrays = _plain_block(text, header, columns, first=not parts[0])
-                if arrays is None:
-                    return None
-                for part, array in zip(parts, arrays):
-                    part.append(array)
-    except (OSError, UnicodeDecodeError):
-        return None
-    if not parts[0]:  # an empty file
-        return None
-    n = sum(map(len, parts[0]))
-    # each column's blocks are dropped once joined
-    arrays = [np.concatenate(parts.pop(0)) for _ in columns]
-    return np.arange(2, n + 2, dtype=np.int64), arrays
-
-
-def _plain_block(text, header, columns, first):
-    """The column arrays of one block of whole lines (the header line
-    first, if ``first``), or None if the block breaks a plain-file rule or
-    holds a token a column's cast rejects."""
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":  # the block's last line terminator
-        lines.pop()
-    if first:
-        if lines[0] != ",".join(header):
-            return None
-        del lines[0]
-    width = len(header)
-    if set(map(str.count, lines, repeat(","))) - {width - 1}:
-        return None
-    if lines and max(map(len, lines)) > csv.field_size_limit():
-        return None
-    tokens = ",".join(lines).split(",") if lines else []
-    del lines
-    arrays = []
-    for k, column in enumerate(columns):
-        chunk = tokens[k::width]
-        try:
-            if column.cast is None:
-                arrays.append(np.array(list(map(column.parse, chunk)), dtype=column.dtype))
-            else:
-                arrays.append(column.cast(chunk))
-        except _PARSE_ERRORS:
-            return None
-    return arrays
+                if '"' in text or "\0" in text:
+                    raise _NotPlain
+                if "\r" in text:
+                    if text.count("\r") != text.count("\r\n"):
+                        raise _NotPlain
+                    text = text.replace("\r\n", "\n")
+                lines = text.split("\n")
+                del text
+                if lines[-1] == "":  # the block's last line terminator
+                    lines.pop()
+                if start is None:
+                    if lines.pop(0) != ",".join(header):
+                        raise _NotPlain
+                    start = 2
+                if not lines:
+                    continue
+                commas = set(map(str.count, lines, repeat(",")))
+                if commas != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
+                    raise _NotPlain
+                rows = range(start, start + len(lines))
+                start = rows.stop
+                tokens = ",".join(lines).split(",")
+                del lines
+                yield rows, [tokens[k::width] for k in range(width)]
+                del tokens  # before the next block is read
+    except UnicodeDecodeError:
+        raise _NotPlain from None
+    if start is None:  # an empty file
+        raise _NotPlain
 
 
 def _line_blocks(fh, size: int):
@@ -298,49 +296,91 @@ def _line_blocks(fh, size: int):
     non-empty blocks that each end at an LF (the file's last block
     excepted), so that no line and no CRLF is split between blocks.
 
-    A line longer than ``csv.field_size_limit() + 1`` characters may be
-    yielded in parts, to bound the text held; any part of it fails the
-    plain-file checks, as the whole line would.
+    Raises :class:`_NotPlain` once a line is longer than
+    ``csv.field_size_limit() + 1`` characters, which no plain line is.
     """
     longest = csv.field_size_limit() + 1
-    carry, carried = [], 0
+    carry = ""
     while chunk := fh.read(size):
         cut = chunk.rfind("\n") + 1
         if cut:
-            carry.append(chunk[:cut])
-            yield "".join(carry)
-            chunk = chunk[cut:]
-            carry, carried = [], 0
-        carry.append(chunk)
-        carried += len(chunk)
-        if carried > longest:
-            yield "".join(carry)
-            carry, carried = [], 0
-    if carried:
-        yield "".join(carry)
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+        if len(carry) > longest:
+            raise _NotPlain
+    if carry:
+        yield carry
 
 
-def _walk_csv_columns(path, header, columns):
-    """The row walk of :func:`read_csv_columns`, which reads any file the
-    csv module reads and raises every error the readers report."""
+#: Rows :func:`_csv_blocks` tokenizes at a time.
+CSV_BLOCK = 1 << 10
+
+
+def _csv_blocks(path, header):
+    """Yield a file's non-blank rows, tokenized by the csv module (which
+    reads any CSV file), as (line numbers, token columns) blocks of
+    :data:`CSV_BLOCK` rows.  A bad header, a csv-module error or text that
+    is not UTF-8 raises :class:`DataFormatError` at once, and the first
+    row with the wrong field count once the file is read."""
     width = len(header)
-    rows = list(read_csv_rows(path, header))
-    for line, rec in rows:
-        if len(rec) != width:
-            raise DataFormatError(f"expected {width} fields, got {len(rec)}", line, path)
-    arrays = []
-    for k, (name, (parse, dtype, expected, _)) in enumerate(zip(header, columns)):
+    wrong = None  # the line and field count of the first row of the wrong width
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            arrays.append(np.array([parse(rec[k]) for _, rec in rows], dtype=dtype))
-        except _PARSE_ERRORS:
-            for line, rec in rows:  # name the first bad line
-                try:
-                    np.array([parse(rec[k])], dtype=dtype)
-                except _PARSE_ERRORS:
-                    raise DataFormatError(
-                        f"column {name}: expected {expected}, got {_quote(rec[k])}", line, path
-                    ) from None
-    return np.array([line for line, _ in rows], dtype=np.int64), arrays
+            found = next(reader, None)
+            if found is None or tuple(f.strip() for f in found) != header:
+                got = "nothing" if found is None else _quote(",".join(found))
+                raise DataFormatError(f"expected header {','.join(header)}, got {got}", 1, path)
+            numbered = ((reader.line_num, rec) for rec in reader if rec)
+            while block := list(islice(numbered, CSV_BLOCK)):
+                wrong = wrong or next(((n, len(r)) for n, r in block if len(r) != width), None)
+                if wrong is None:
+                    lines, rows = zip(*block)
+                    yield lines, list(zip(*rows))
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), reader.line_num, path) from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    if wrong:
+        raise DataFormatError(f"expected {width} fields, got {wrong[1]}", wrong[0], path)
+
+
+class ParamLines:
+    """The lines of a bundle's parameter file (``var.txt``, ``fnn.txt``),
+    read with errors that name the file and the 1-based line."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.lines = self.path.read_text(encoding="utf-8").splitlines()
+
+    def line(self, idx: int) -> str:  # idx is 0-based, as in every method
+        if idx >= len(self.lines):
+            raise ValueError(f"{self.path}: truncated, line {idx + 1} is missing")
+        return self.lines[idx]
+
+    def bad(self, idx: int, what: str) -> ValueError:
+        return ValueError(f"{self.path}: line {idx + 1}: {what}")
+
+    def expect(self, idx: int, key: str) -> str:
+        """The text after ``key: `` on line ``idx``."""
+        prefix = key + ": "
+        if not self.line(idx).startswith(prefix):
+            raise self.bad(idx, f"expected '{key}:', got {_quote(self.lines[idx])}")
+        return self.lines[idx][len(prefix) :]
+
+    def numbers(self, idx: int, text: str, kind=float, sep=None, count=None) -> list:
+        """The ``kind`` values of ``text``, line ``idx``'s, split at ``sep``;
+        there must be ``count`` of them unless it is None."""
+        tokens = text.split(sep) if text else []
+        try:
+            values = [kind(tok) for tok in tokens]
+        except ValueError:
+            raise self.bad(idx, f"non-numeric token in {_quote(text)}") from None
+        if count is not None and len(values) != count:
+            raise self.bad(idx, f"expected {count} values, got {len(values)}")
+        return values
 
 
 def load_counts_csv(path: str | Path) -> CountSeries:

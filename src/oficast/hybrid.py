@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ import numpy as np
 from .data_io import (
     FINITE_COLUMN,
     INT_COLUMN,
-    Column,
     _quote,
     counts_to_array,
+    object_column,
     read_csv_columns,
     write_csv_columns,
 )
@@ -68,10 +69,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if self.var_lag < 1:
-            raise ValueError(f"var_lag must be >= 1, got {self.var_lag}")
+            raise ValueError(f"var_lag must be >= 1, got {_quote(str(self.var_lag))}")
         if self.fnn_input_lags is not None and self.fnn_input_lags < 1:
             raise ValueError(
-                f"fnn_input_lags must be >= 1, got {self.fnn_input_lags}"
+                f"fnn_input_lags must be >= 1, got {_quote(str(self.fnn_input_lags))}"
             )
 
     @property
@@ -316,28 +317,31 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    train_cfg = _from_fields(TrainConfig, data["train"])
-    ofi_cfg = _from_fields(OfiParams, data["ofi"])
-    return PipelineConfig(
-        var_lag=data["var_lag"],
-        fnn_input_lags=data["fnn_input_lags"],
-        hidden_layers=tuple(data["hidden_layers"]),
-        activation=data["activation"],
-        train=train_cfg,
-        ofi=ofi_cfg,
+    """Inverse of :func:`config_to_dict`."""
+    return _from_fields(
+        PipelineConfig,
+        data,
+        hidden_layers=tuple,
+        train=partial(_from_fields, TrainConfig),
+        ofi=partial(_from_fields, OfiParams),
     )
 
 
-def _from_fields(cls, data):
-    """``cls(**data)``, with an unexpected key quoted by ``_quote``."""
-    if isinstance(data, dict):
-        names = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in names:
-                raise TypeError(
-                    f"{cls.__name__}.__init__() got an unexpected keyword argument {_quote(key)}"
-                )
-    return cls(**data)
+def _from_fields(cls, data, **convert):
+    """``cls(**data)``, each value passed through its function in ``convert``,
+    if any.  A missing or unexpected key raises TypeError naming it."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__}: expected an object, got {_quote(repr(data))}")
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise TypeError(
+                f"{cls.__name__}.__init__() got an unexpected keyword argument {_quote(key)}"
+            )
+    for name in names:
+        if name not in data:
+            raise TypeError(f"{cls.__name__}.__init__() missing keyword argument {_quote(name)}")
+    return cls(**{key: convert[key](v) if key in convert else v for key, v in data.items()})
 
 
 def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
@@ -487,7 +491,7 @@ def write_predictions_csv(records: Predictions, path: str | Path) -> None:
     )
 
 
-_SIGNAL_COLUMN = Column({s.value: s for s in Signal}.__getitem__, object, "BUY, SELL or HOLD")
+_SIGNAL_COLUMN = object_column({s.value: s for s in Signal}.__getitem__, "BUY, SELL or HOLD")
 PREDICTIONS_COLUMNS = (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import _quote
+from .data_io import ParamLines, _quote
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
@@ -72,11 +72,13 @@ class FnnTopology:
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+            raise ValueError(f"input_dim must be >= 1, got {_quote(str(self.input_dim))}")
         if self.output_dim < 1:
-            raise ValueError(f"output_dim must be >= 1, got {self.output_dim}")
+            raise ValueError(f"output_dim must be >= 1, got {_quote(str(self.output_dim))}")
         if any(w < 1 for w in self.hidden_layers):
-            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
+            raise ValueError(
+                f"hidden layer widths must be >= 1, got {_quote(str(self.hidden_layers))}"
+            )
         if self.activation not in _ACTIVATION_FUNCS:
             raise ValueError(
                 f"activation must be one of {ACTIVATIONS}, got {_quote(str(self.activation))}"
@@ -142,20 +144,23 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValueError(f"epochs must be >= 1, got {_quote(str(self.epochs))}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {_quote(str(self.batch_size))}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ValueError(
+                f"learning_rate must be positive, got {_quote(str(self.learning_rate))}"
+            )
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be 'adam' or 'sgd', got {_quote(str(self.optimizer))}"
             )
         if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+            raise ValueError(f"patience must be >= 1, got {_quote(str(self.patience))}")
         if self.early_stopping and not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
-                f"validation_fraction must lie in (0, 1), got {self.validation_fraction}"
+                "validation_fraction must lie in (0, 1), "
+                f"got {_quote(str(self.validation_fraction))}"
             )
 
 
@@ -580,33 +585,8 @@ def save_fnn(model: FnnModel, path: str | Path) -> None:
 def load_fnn(path: str | Path) -> FnnModel:
     """Inverse of :func:`save_fnn`.  A truncated file, a malformed line or a
     non-numeric token raises ValueError naming the file and the line."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-
-    def line(idx: int) -> str:
-        if idx >= len(lines):
-            raise ValueError(f"{path}: truncated, line {idx + 1} is missing")
-        return lines[idx]
-
-    def bad(idx: int, what: str) -> ValueError:
-        return ValueError(f"{path}: line {idx + 1}: {what}")
-
-    def expect(idx: int, key: str) -> str:
-        prefix = key + ": "
-        if not line(idx).startswith(prefix):
-            raise bad(idx, f"expected '{key}:', got {_quote(lines[idx])}")
-        return lines[idx][len(prefix) :]
-
-    def numbers(idx: int, text: str, kind=float, sep=None, count=None) -> list:
-        tokens = text.split(sep) if text else []
-        try:
-            values = [kind(tok) for tok in tokens]
-        except ValueError:
-            raise bad(idx, f"non-numeric token in {_quote(text)}") from None
-        if count is not None and len(values) != count:
-            raise bad(idx, f"expected {count} values, got {len(values)}")
-        return values
-
+    lines = ParamLines(path)
+    line, bad, expect, numbers = lines.line, lines.bad, lines.expect, lines.numbers
     if line(0) != FNN_FORMAT_TAG:
         raise bad(0, f"not a {FNN_FORMAT_TAG} file")
     (input_dim,) = numbers(1, expect(1, "input_dim"), int, count=1)
@@ -620,7 +600,7 @@ def load_fnn(path: str | Path) -> FnnModel:
             activation=expect(4, "activation"),
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: lines 2-5: {exc}") from None
+        raise ValueError(f"{lines.path}: lines 2-5: {exc}") from None
     scalers = {}
     row = 5
     for name, dim in (("input_scaler", input_dim), ("target_scaler", output_dim)):
@@ -632,12 +612,12 @@ def load_fnn(path: str | Path) -> FnnModel:
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         if line(row) != f"layer {i} weight {fan_in} {fan_out}":
-            raise bad(row, f"bad layer header {_quote(lines[row])}")
+            raise bad(row, f"bad layer header {_quote(line(row))}")
         rows = [numbers(row + 1 + r, line(row + 1 + r), count=fan_out) for r in range(fan_in)]
         weights.append(np.array(rows))
         row += 1 + fan_in
         if line(row) != f"layer {i} bias {fan_out}":
-            raise bad(row, f"bad bias header {_quote(lines[row])}")
+            raise bad(row, f"bad bias header {_quote(line(row))}")
         biases.append(np.array(numbers(row + 1, line(row + 1), count=fan_out)))
         row += 2
     return FnnModel(

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import _quote
+
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
 
@@ -30,9 +32,9 @@ class OfiParams:
 
     def __post_init__(self) -> None:
         if self.window_h < 1:
-            raise ValueError(f"window_h must be >= 1, got {self.window_h}")
+            raise ValueError(f"window_h must be >= 1, got {_quote(str(self.window_h))}")
         if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
+            raise ValueError(f"threshold must lie in [0, 1), got {_quote(str(self.threshold))}")
 
 
 def ofi(buy, sell):

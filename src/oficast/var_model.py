@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import _quote, counts_to_array
+from .data_io import ParamLines, _quote, counts_to_array
 
 VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
@@ -255,56 +255,28 @@ def save_var(model: VarModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_floats(line: str, key: str, path) -> np.ndarray:
-    prefix = key + ": "
-    if not line.startswith(prefix):
-        raise ValueError(f"{path}: expected '{key}:' line, got {_quote(line)}")
-    values = []
-    for tok in line[len(prefix) :].split():
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ValueError(
-                f"{path}: '{key}:' line: expected a number, got {_quote(tok)}"
-            ) from None
-    return np.array(values)
-
-
 def load_var(path: str | Path) -> VarModel:
-    """Inverse of :func:`save_var`; validates the format tag and shapes."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != VAR_FORMAT_TAG:
-        raise ValueError(f"{path}: not a {VAR_FORMAT_TAG} file")
-    fields = {}
-    for key in ("p", "k", "n_obs"):
-        idx = 1 + len(fields)
-        if idx >= len(lines):
-            raise ValueError(f"{path}: truncated file, missing '{key}:' line")
-        line = lines[idx]
-        prefix = key + ": "
-        if not line.startswith(prefix):
-            raise ValueError(f"{path}: expected '{key}:' line, got {_quote(line)}")
-        fields[key] = int(line[len(prefix) :])
-    p, k, n_obs = fields["p"], fields["k"], fields["n_obs"]
-    if len(lines) < 6 + p:
-        raise ValueError(
-            f"{path}: truncated file, expected {6 + p} lines for p={p}"
-        )
+    """Inverse of :func:`save_var`.  A truncated file, a malformed line or a
+    value count that does not fit p and k raises ValueError naming the file
+    and the line."""
+    lines = ParamLines(path)
+    if lines.line(0) != VAR_FORMAT_TAG:
+        raise lines.bad(0, f"not a {VAR_FORMAT_TAG} file")
+    p, k, n_obs = (
+        lines.numbers(idx, lines.expect(idx, key), int, count=1)[0]
+        for idx, key in enumerate(("p", "k", "n_obs"), 1)
+    )
+    if p < 1:
+        raise lines.bad(1, f"expected p >= 1, got {_quote(str(p))}")
     if k != K:
-        raise ValueError(f"{path}: expected k={K}, got {k}")
-    c = _parse_floats(lines[4], "c", path)
-    if c.shape != (k,):
-        raise ValueError(f"{path}: intercept has wrong length")
-    lag_coefs = np.empty((p, k, k))
-    for lag in range(p):
-        flat = _parse_floats(lines[5 + lag], f"A{lag + 1}", path)
-        if flat.shape != (k * k,):
-            raise ValueError(f"{path}: lag matrix A{lag + 1} has wrong size")
-        lag_coefs[lag] = flat.reshape(k, k)
-    flat = _parse_floats(lines[5 + p], "sigma", path)
-    if flat.shape != (k * k,):
-        raise ValueError(f"{path}: sigma has wrong size")
+        raise lines.bad(2, f"expected k={K}, got {_quote(str(k))}")
+
+    def values(idx: int, key: str, count: int) -> np.ndarray:
+        return np.array(lines.numbers(idx, lines.expect(idx, key), count=count))
+
+    c = values(4, "c", k)
+    lag_coefs = np.array([values(5 + lag, f"A{lag + 1}", k * k) for lag in range(p)])
+    sigma = values(5 + p, "sigma", k * k)
     return VarModel(
-        p=p, c=c, lag_coefs=lag_coefs, sigma=flat.reshape(k, k), n_obs=n_obs
+        p=p, c=c, lag_coefs=lag_coefs.reshape(p, k, k), sigma=sigma.reshape(k, k), n_obs=n_obs
     )

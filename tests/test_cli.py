@@ -728,6 +728,8 @@ def _set_config(path, update):
 
 
 _LONG = "x" * 100_000
+#: an int of 4,000 digits, within what JSON reads
+_NINES = -int("9" * 4000)
 
 #: bundle file -> how one line or field of it is made 100,000 characters long
 _OVERLONG_BUNDLE = {
@@ -747,6 +749,12 @@ _OVERLONG_BUNDLE = {
         "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("layer 0 weight"), _LONG)),
     "fnn-bias-header": (
         "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("layer 0 bias"), _LONG)),
+    "fnn-dim": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("input_dim:"),
+                                        f"input_dim: {_NINES}")),
+    "fnn-hidden-widths": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("hidden:"),
+                                        "hidden: " + "1," * 50_000 + "0")),
     "manifest-kind": ("manifest.json", lambda p: _set_kind(p, _LONG)),
     "manifest-kind-list": ("manifest.json", lambda p: _set_kind(p, [0] * 33_333)),
     "manifest-activation": (
@@ -757,6 +765,14 @@ _OVERLONG_BUNDLE = {
         "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update(optimizer=_LONG))),
     "manifest-train-key": (
         "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update({_LONG: 1}))),
+    "manifest-var-lag": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(var_lag=_NINES))),
+    "manifest-fnn-input-lags": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(fnn_input_lags=_NINES))),
+    "manifest-window-h": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c["ofi"].update(window_h=_NINES))),
+    "manifest-epochs": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update(epochs=_NINES))),
 }
 
 
@@ -773,6 +789,20 @@ def test_overlong_bundle_line_is_quoted_short(tmp_path, capsys, site):
     # the temporary directory's name, which the message repeats, does not count
     assert " characters)" in err, err[:300]
     assert len(err.replace(str(tmp_path), "").encode()) < 300, err[:300]
+    assert not out.exists()
+
+
+def test_predict_refuses_manifest_missing_a_config_key(tmp_path, capsys):
+    """A missing key is not filled with its default: that would change the
+    signals of a bundle fitted with another threshold."""
+    data = synth(tmp_path, length=200, seed=1)
+    bundle = fit_small(tmp_path, data, extra=["--threshold", "0.3"])
+    _set_config(bundle / "manifest.json", lambda c: c["ofi"].pop("threshold"))
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: bundle field 'config': "
+                   "OfiParams.__init__() missing keyword argument 'threshold'\n")
     assert not out.exists()
 
 

@@ -1,11 +1,13 @@
-"""The CSV readers' two paths and the CSV writers' bytes.
+"""The CSV reader's two tokenizers and the CSV writers' bytes.
 
-``read_csv_columns`` reads a plain file in a pass over blocks of whole
-lines and any other file with the csv-module row walk.  The differential
-tests here damage valid files and check that the two paths agree: the same
-line numbers and bit-identical arrays, or the same DataFormatError text.
-They run at the reader's own chunk size and at a few characters, so that
-damage and line ends fall on chunk boundaries.
+``read_csv_columns`` runs one block loop over either tokenizer: the bulk
+pass splits a plain file's blocks of whole lines at their commas, and the
+row walk tokenizes any file with the csv module, a block of rows at a
+time.  The differential tests here damage valid files and check that the
+two agree: the same line numbers and bit-identical arrays, or the same
+DataFormatError text.  They run at the reader's own block sizes and at a
+few characters or rows, so that damage and line ends fall on block
+boundaries.
 """
 import csv
 import io
@@ -25,8 +27,11 @@ from oficast.data_io import (
     CountSeries,
     DataFormatError,
     Side,
-    _plain_csv_columns,
-    _walk_csv_columns,
+    _NotPlain,
+    _cast_blocks,
+    _csv_blocks,
+    _plain_blocks,
+    load_counts_csv,
     read_csv_columns,
     write_counts_csv,
 )
@@ -60,11 +65,24 @@ ODD_TOKENS = [
 ]
 
 
-def _outcome(read, path, reader):
-    """(line numbers, arrays) from ``read``, or the DataFormatError text."""
+def _outcome(path, reader):
+    """(line numbers, arrays) from ``read_csv_columns``, or the DataFormatError text."""
     header, columns = READERS[reader]
     try:
-        return read(path, header, columns)
+        return read_csv_columns(path, header, columns)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _tokenized_by(tokenizer, path, reader):
+    """The reader's block loop over ``tokenizer`` (:func:`_plain_blocks`
+    or :func:`_csv_blocks`) alone: (line numbers, arrays), the
+    DataFormatError text, or None if the file is not plain."""
+    header, columns = READERS[reader]
+    try:
+        return _cast_blocks(tokenizer(path, header), path, header, columns)
+    except _NotPlain:
+        return None
     except DataFormatError as exc:
         return str(exc)
 
@@ -174,16 +192,17 @@ def damaged(draw, data: bytes) -> bytes:
     return data[:start] + field + data[at:]
 
 
-def _check_paths_agree(reader, data, tmp_path_factory, chunk) -> bool:
-    """Assert that both paths read ``data`` alike, the plain pass reading
-    ``chunk`` characters at a time; True if the plain pass took it."""
+def _check_paths_agree(reader, data, tmp_path_factory, chunk, block=data_io.CSV_BLOCK) -> bool:
+    """Assert that both tokenizers read ``data`` alike, the bulk pass
+    reading ``chunk`` characters and the row walk ``block`` rows at a time;
+    True if the bulk pass took it."""
     path = tmp_path_factory.mktemp("d") / "in.csv"
     path.write_bytes(data)
-    walked = _outcome(_walk_csv_columns, path, reader)
-    header, columns = READERS[reader]
-    with mock.patch.object(data_io, "READ_CHUNK", chunk):
-        plain = _plain_csv_columns(path, header, columns)
-        got = _outcome(read_csv_columns, path, reader)
+    with mock.patch.object(data_io, "READ_CHUNK", chunk), \
+            mock.patch.object(data_io, "CSV_BLOCK", block):
+        walked = _tokenized_by(_csv_blocks, path, reader)
+        plain = _tokenized_by(_plain_blocks, path, reader)
+        got = _outcome(path, reader)
     if plain is not None:
         _assert_same(plain, walked)
     _assert_same(got, walked)
@@ -197,15 +216,18 @@ reader_files = pytest.mark.parametrize(
 )
 #: a chunk of a few characters, so that damage and line ends fall on boundaries
 tiny_chunks = st.integers(1, 8)
+#: a row walk block of a few rows, so that a file spans several
+tiny_blocks = st.integers(1, 3)
 
 
-def _agree_on_damaged_file(tmp_path_factory, reader, files, data, chunk):
+def _agree_on_damaged_file(tmp_path_factory, reader, files, data, chunk, block=data_io.CSV_BLOCK):
     clean = data.draw(files(tmp_path_factory))
-    assert _check_paths_agree(reader, clean, tmp_path_factory, chunk)  # a writer's file is plain
-    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, chunk)
+    # a writer's file is plain
+    assert _check_paths_agree(reader, clean, tmp_path_factory, chunk, block)
+    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, chunk, block)
 
 
-def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk):
+def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk, block=data_io.CSV_BLOCK):
     lines = data.draw(files(tmp_path_factory)).split(b"\r\n")
     if len(lines) < 3:  # header, a row and the final line end
         return
@@ -214,7 +236,7 @@ def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk):
     token = data.draw(st.sampled_from(ODD_TOKENS) | st.text("0123456789.-+e_ ", max_size=6))
     fields[data.draw(st.integers(0, len(fields) - 1))] = token.encode()
     lines[row] = b",".join(fields)
-    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, chunk)
+    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, chunk, block)
 
 
 @reader_files
@@ -230,7 +252,9 @@ def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader,
 def test_bulk_pass_and_row_walk_agree_on_damaged_files_in_tiny_chunks(
     tmp_path_factory, reader, files, data
 ):
-    _agree_on_damaged_file(tmp_path_factory, reader, files, data, data.draw(tiny_chunks))
+    _agree_on_damaged_file(
+        tmp_path_factory, reader, files, data, data.draw(tiny_chunks), data.draw(tiny_blocks)
+    )
 
 
 @reader_files
@@ -246,18 +270,20 @@ def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, fi
 def test_bulk_pass_and_row_walk_agree_on_odd_tokens_in_tiny_chunks(
     tmp_path_factory, reader, files, data
 ):
-    _agree_on_odd_token(tmp_path_factory, reader, files, data, data.draw(tiny_chunks))
+    _agree_on_odd_token(
+        tmp_path_factory, reader, files, data, data.draw(tiny_chunks), data.draw(tiny_blocks)
+    )
 
 
 _COUNTS_HEAD = b"timestamp,buy_orders,sell_orders"
 
-#: counts file -> (its bytes, whether the plain pass takes it)
+#: counts file -> (its bytes, whether the bulk pass takes it)
 EDGE_FILES = {
     "crlf": (_COUNTS_HEAD + b"\r\n5,1,2\r\n6,0,0\r\n", True),
     "lone-cr": (_COUNTS_HEAD + b"\r\n5,1,2\r6,0,0\r\n", False),
     "cr-at-end": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0\r", False),
     "utf8-digits": (_COUNTS_HEAD + "\n5,\u0662,2\n6,0,\u0663\u0664\n".encode(), True),
-    "utf8-bad-token": (_COUNTS_HEAD + "\n5,1,2\n6,\U0001f600,0\n".encode(), False),
+    "utf8-bad-token": (_COUNTS_HEAD + "\n5,1,2\n6,\U0001f600,0\n".encode(), True),
     "utf8-cut-at-end": (_COUNTS_HEAD + b"\n5,1,2\n\xe2\x82", False),
     "long-line": (_COUNTS_HEAD + b"\n5," + b"0" * 100 + b"1,2\n6,0,0\n", True),
     "no-final-newline": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0", True),
@@ -271,10 +297,11 @@ EDGE_FILES = {
 def test_every_chunk_size_agrees_with_the_row_walk(tmp_path_factory, name):
     """Every chunk size from 1 character to the whole file, so that each
     line end, CRLF and multi-byte character falls on a boundary once, and
-    the header and the long line each span many chunks."""
+    the header and the long line each span many chunks; the row walk
+    reads one row at a time."""
     data, plain = EDGE_FILES[name]
     for chunk in range(1, len(data) + 2):
-        assert _check_paths_agree("counts", data, tmp_path_factory, chunk) == plain, chunk
+        assert _check_paths_agree("counts", data, tmp_path_factory, chunk, 1) == plain, chunk
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
@@ -285,16 +312,16 @@ def test_writer_output_takes_the_bulk_pass(tmp_path, reader):
             "predictions": ["3,-0.0,0.5,BUY,HOLD", "4,1.0,-1.0,SELL,SELL"]}[reader]
     for end in ("\r\n", "\n"):
         path.write_text(end.join([",".join(header), *rows]) + end, newline="")
-        plain = _plain_csv_columns(path, header, columns)
+        plain = _tokenized_by(_plain_blocks, path, reader)
         assert plain is not None
-        _assert_same(plain, _walk_csv_columns(path, header, columns))
+        _assert_same(plain, _tokenized_by(_csv_blocks, path, reader))
         assert plain[0].tolist() == [2, 3]
 
 
 def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text('timestamp,buy_orders,sell_orders\n1,"5",2\n\n2,3,"4"\n')
-    assert _plain_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS) is None
+    assert _tokenized_by(_plain_blocks, path, "counts") is None
     lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
     assert lines.tolist() == [2, 4]
     assert (ts.tolist(), buy.tolist(), sell.tolist()) == ([1, 2], [5, 3], [2, 4])
@@ -304,13 +331,73 @@ def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
 def test_field_at_and_over_the_limit(tmp_path, length, ok):
     path = tmp_path / "in.csv"
     path.write_text(f"timestamp,buy_orders,sell_orders\n1,{' ' * (length - 1)}1,2\n")
-    assert _plain_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS) is None
+    assert _tokenized_by(_plain_blocks, path, "counts") is None
     if ok:
         _, (_, buy, _) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
         assert buy.tolist() == [1]
     else:
         with pytest.raises(DataFormatError, match="line 2: field larger than field limit"):
             read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
+
+
+#: rows of the multi-fault files: several blocks of either tokenizer
+FAULT_ROWS = 30_000
+EARLY, LATE = 100, 29_000
+
+
+def _with_faults(faults: dict) -> list:
+    """The lines of a counts file of :data:`FAULT_ROWS` good rows, with row
+    ``i`` (0-based, on line ``i + 2``) replaced by ``faults[i]``."""
+    rows = [f"{t},1,2" for t in range(FAULT_ROWS)]
+    for i, row in faults.items():
+        rows[i] = row
+    return [",".join(COUNTS_HEADER), *rows]
+
+
+#: multi-fault counts file -> (its lines, the error after "{path}: ");
+#: each holds an early fault that a later one outranks
+MULTI_FAULT_FILES = {
+    "late-field-count": (
+        _with_faults({EARLY: f"{EARLY},x,2", LATE: f"{LATE},1,2,3"}),
+        f"line {LATE + 2}: expected 3 fields, got 4",
+    ),
+    "late-timestamp": (
+        _with_faults({EARLY: f"{EARLY},1,y", LATE: "z,1,2"}),
+        f"line {LATE + 2}: column timestamp: expected an integer, got 'z'",
+    ),
+    "late-field-limit": (
+        _with_faults({EARLY: f"{EARLY},x,2", EARLY + 1: "1,2",
+                      LATE: f"{LATE},{'1' * (FIELD_LIMIT + 1)},2"}),
+        f"line {LATE + 2}: field larger than field limit ({FIELD_LIMIT})",
+    ),
+    "non-utf8-end": (  # a lone surrogate, written as the byte 0xff
+        _with_faults({EARLY: f"{EARLY},x,2", EARLY + 1: "1,2", LATE: f"{LATE},1,2,3"})
+        + ["\udcff"],
+        "not UTF-8 text (invalid start byte)",
+    ),
+}
+
+#: where one field is quoted, sending the file to the row walk
+QUOTED_AT = {"plain": None, "quoted-early": 10, "quoted-late": FAULT_ROWS - 10}
+
+
+@pytest.mark.parametrize("quoting", sorted(QUOTED_AT))
+@pytest.mark.parametrize("name", sorted(MULTI_FAULT_FILES))
+def test_multi_fault_file_names_the_fault_that_ranks_first(tmp_path, name, quoting):
+    """A csv-module or UTF-8 error anywhere comes first, then the first row
+    of the wrong field count, then the first bad token of the leftmost
+    column that has one, wherever the faults fall in the blocks."""
+    lines, message = MULTI_FAULT_FILES[name]
+    lines = list(lines)
+    if QUOTED_AT[quoting] is not None:
+        row = QUOTED_AT[quoting] + 1
+        ts, buy, sell = lines[row].split(",")
+        lines[row] = f'{ts},"{buy}",{sell}'
+    path = tmp_path / "in.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataFormatError) as exc:
+        read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------- writers
@@ -378,3 +465,23 @@ def test_predictions_io_memory_is_bounded_by_blocks(tmp_path):
     path = tmp_path / "preds.csv"
     assert _traced_peak(lambda: write_predictions_csv(records, path)) <= 8 * 2**20
     assert _traced_peak(lambda: read_predictions_csv(path)) <= 16 * 2**20
+
+
+def test_quoted_counts_memory_is_bounded_by_blocks(tmp_path):
+    """One quoted field in the middle of a 10^5-row counts file sends it to
+    the row walk, which holds a block of rows, not the whole file: its
+    peak stays within 1 MB of the bulk pass's on the file unquoted."""
+    n = 100_000
+    series = CountSeries(np.random.default_rng(0).poisson(4, size=(n, 2)), 1_700_000_000)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_counts_csv(plain, series)
+    lines = plain.read_bytes().split(b"\r\n")
+    ts, buy, sell = lines[n // 2].split(b",")
+    lines[n // 2] = b",".join([ts, b'"' + buy + b'"', sell])
+    quoted.write_bytes(b"\r\n".join(lines))
+    assert load_counts_csv(quoted) == series
+    peaks = {
+        path: _traced_peak(lambda: read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS))
+        for path in (plain, quoted)
+    }
+    assert peaks[quoted] <= peaks[plain] + 2**20, peaks

@@ -416,6 +416,33 @@ def test_tampered_format_tag_names_field(tmp_path):
     assert err.field == "format"
 
 
+#: manifest config table (None: the top level) and a key in it
+_CONFIG_KEYS = [(None, "var_lag"), (None, "fnn_input_lags"), ("train", "epochs"),
+                ("train", "seed"), ("ofi", "threshold"), ("ofi", "window_h")]
+
+
+def _config_table(manifest, table):
+    return manifest["config"] if table is None else manifest["config"][table]
+
+
+def _drop_key(manifest, table, key):
+    del _config_table(manifest, table)[key]
+
+
+@pytest.mark.parametrize("table, key", _CONFIG_KEYS)
+def test_missing_config_key_is_named(tmp_path, table, key):
+    err = _tamper(tmp_path, lambda m: _drop_key(m, table, key))
+    assert err.field == "config"
+    assert str(err).endswith(f"missing keyword argument {key!r}")
+
+
+@pytest.mark.parametrize("table, key", _CONFIG_KEYS)
+def test_unexpected_config_key_is_named(tmp_path, table, key):
+    err = _tamper(tmp_path, lambda m: _config_table(m, table).update({key + "_x": 1}))
+    assert err.field == "config"
+    assert str(err).endswith(f"unexpected keyword argument {key + '_x'!r}")
+
+
 def test_manifest_that_is_not_an_object_names_format(tmp_path):
     err = _tamper(tmp_path, lambda m: list(m))
     assert err.field == "format"

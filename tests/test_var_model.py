@@ -287,6 +287,42 @@ def test_load_rejects_wrong_tag(tmp_path):
         load_var(path)
 
 
+def test_load_names_file_and_line_for_every_truncation(tmp_path):
+    model, _ = fit_var(noisy_ar1_counts(60, seed=13), 2)
+    path = tmp_path / "var.txt"
+    save_var(model, path)
+    lines = path.read_text().splitlines()
+    for keep in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:keep]))
+        with pytest.raises(ValueError, match=r"var\.txt.*line %d\b" % (keep + 1)):
+            load_var(path)
+
+
+#: var.txt line, by its key -> (the text put in its place, the error after "{path}: ")
+_BAD_VAR_LINES = {
+    "p": ("p: 0", "line 2: expected p >= 1, got '0'"),
+    "k": ("k: 3", "line 3: expected k=2, got '3'"),
+    "n_obs": ("n_obs: 5 6", "line 4: expected 1 values, got 2"),
+    "c": ("c: 1.0 x", "line 5: non-numeric token in '1.0 x'"),
+    "A2": ("A2: 1.0 2.0 3.0", "line 7: expected 4 values, got 3"),
+    "sigma": ("A3: 1 2 3 4", "line 8: expected 'sigma:', got 'A3: 1 2 3 4'"),
+}
+
+
+@pytest.mark.parametrize("key", list(_BAD_VAR_LINES))
+def test_load_names_file_and_line_of_bad_line(tmp_path, key):
+    text, message = _BAD_VAR_LINES[key]
+    model, _ = fit_var(noisy_ar1_counts(60, seed=13), 2)
+    path = tmp_path / "var.txt"
+    save_var(model, path)
+    lines = path.read_text().splitlines()
+    lines[next(i for i, line in enumerate(lines) if line.startswith(key + ":"))] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_var(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_load_rejects_truncated_file(tmp_path):
     series = noisy_ar1_counts(60, seed=13)
     model, _ = fit_var(series, 2)
