@@ -302,17 +302,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     bundle = load_bundle(args.bundle)
     series = load_counts_csv(args.data).counts
-    records = predict(bundle, series)
     start = resolved["eval_start"]
-    if start is not None:
+    warmup = required_warmup(bundle)
+    first = 0  # the first row predict sees: the kept rows' warmup context
+    if start is not None and len(series) > warmup:  # else predict names the short series
         if not 0.0 <= start < 1.0:
             raise ValueError(f"eval-start must lie in [0, 1), got {start}")
-        records = records.take(records.index >= int(start * len(series)))
-        if not len(records):
-            raise ValueError(
-                f"eval-start {start} leaves no predictable rows "
-                f"(warmup is {required_warmup(bundle)})"
-            )
+        first = max(int(start * len(series)) - warmup, 0)
+    records = predict(bundle, series[first:])
+    records.index[:] += first  # back to rows of the series, in place
     write_predictions_csv(records, args.out)
     resolved["bundle"] = str(args.bundle)
     resolved["data"] = str(args.data)
@@ -333,21 +331,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"got {len(labels)} labels for {len(args.predictions)} prediction files"
         )
+    out = Path(args.out)
+    conf_paths = {}  # confusion file -> the label that names it
     reports = []
     for i, pred_path in enumerate(args.predictions):
         label = labels[i] if labels else Path(pred_path).stem
         dataset, slash, model = label.partition("/")
         model = model if slash else "model"
+        conf_path = out.with_name(
+            f"{out.stem}.confusion.{_safe_label(dataset)}.{_safe_label(model)}.csv"
+        )
+        if conf_path in conf_paths:
+            raise ValueError(
+                f"labels {conf_paths[conf_path]!r} and {label!r} "
+                f"both name the confusion file {conf_path}"
+            )
+        conf_paths[conf_path] = label
         records = read_predictions_csv(pred_path)
         reports.append(evaluate_records(records, dataset, model))
     table = render_comparison(reports)
     print(table)
     write_comparison_csv(reports, args.out)
-    out = Path(args.out)
-    for report in reports:
-        conf_path = out.with_name(
-            f"{out.stem}.confusion.{_safe_label(report.dataset)}.{_safe_label(report.model)}.csv"
-        )
+    for report, conf_path in zip(reports, conf_paths):
         write_confusion_csv(report.confusion, conf_path)
     _write_sidecar(
         args.out,

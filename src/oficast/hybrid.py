@@ -29,6 +29,7 @@ from .data_io import (
     read_csv_columns,
     write_csv_columns,
 )
+from . import neural_net
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -208,6 +209,33 @@ def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
     )
 
 
+def _checked_warmup(bundle: ModelBundle, n: int) -> int:
+    """:func:`required_warmup`, once a series of ``n`` rows is known to exceed it."""
+    warmup = required_warmup(bundle)
+    if n <= warmup:
+        raise ValueError(
+            f"series supplies {n} rows but the pipeline needs more than {warmup}"
+        )
+    return warmup
+
+
+def _combined(bundle: ModelBundle, arr: np.ndarray, warmup: int):
+    """(var_pred, resid_pred, combined) for rows warmup .. n-1 of a count
+    array longer than ``warmup``; see :func:`hybrid_components`."""
+    p = bundle.config.var_lag
+    preds = vm.one_step_predictions(bundle.var_part, arr)  # row i targets p + i
+    var_pred = preds[warmup - p :]  # rows warmup .. n-1, a view
+    if bundle.kind == "hybrid":
+        resid = arr[p:] - preds  # causal: residual at u uses rows <= u
+        feats = lag_features(resid, bundle.config.residual_lags, warmup - p)
+        resid_pred = forward(bundle.fnn_part, feats)
+    else:
+        resid_pred = np.zeros_like(var_pred)
+    combined = var_pred + resid_pred
+    np.maximum(combined, 0.0, out=combined)
+    return var_pred, resid_pred, combined
+
+
 def hybrid_components(bundle: ModelBundle, series):
     """Per evaluated row: VAR forecast, residual prediction, floored combination.
 
@@ -218,25 +246,8 @@ def hybrid_components(bundle: ModelBundle, series):
     if bundle.kind == "fnn_only":
         raise ValueError("fnn_only pipelines have no count-space decomposition")
     arr = counts_to_array(series)
-    cfg = bundle.config
-    p = cfg.var_lag
-    warmup = required_warmup(bundle)
-    n = arr.shape[0]
-    if n <= warmup:
-        raise ValueError(
-            f"series supplies {n} rows but the pipeline needs more than {warmup}"
-        )
-    preds = vm.one_step_predictions(bundle.var_part, arr)  # row i targets p + i
-    var_pred = preds[warmup - p :]  # rows warmup .. n-1, a view
-    if bundle.kind == "hybrid":
-        resid = arr[p:] - preds  # causal: residual at u uses rows <= u
-        feats = lag_features(resid, cfg.residual_lags, warmup - p)
-        resid_pred = forward(bundle.fnn_part, feats)
-    else:
-        resid_pred = np.zeros_like(var_pred)
-    combined = var_pred + resid_pred
-    np.maximum(combined, 0.0, out=combined)
-    return np.arange(warmup, n), var_pred, resid_pred, combined
+    warmup = _checked_warmup(bundle, arr.shape[0])
+    return (np.arange(warmup, arr.shape[0]), *_combined(bundle, arr, warmup))
 
 
 def predict(bundle: ModelBundle, series) -> Predictions:
@@ -247,35 +258,37 @@ def predict(bundle: ModelBundle, series) -> Predictions:
     [-1, 1].  With window_h > 1 the predicted window combines the trailing
     h-1 actual rows (known at prediction time) with the predicted row,
     keeping the evaluation causal.
+
+    Rows run :data:`~oficast.neural_net.FORWARD_BLOCK` at a time, each
+    block with its ``warmup`` rows of context through every stage, into
+    the preallocated output columns.  So the memory held is that of the
+    series, the output and one block's working set, and the output is
+    that of :func:`predict` on each block's context, concatenated.
     """
     arr = counts_to_array(series)
+    n = arr.shape[0]
+    warmup = _checked_warmup(bundle, n)
     cfg = bundle.config
     h = cfg.ofi.window_h
     threshold = cfg.ofi.threshold
-    warmup = required_warmup(bundle)
-    n = arr.shape[0]
-    if n <= warmup:
-        raise ValueError(
-            f"series supplies {n} rows but the pipeline needs more than {warmup}"
-        )
-    sums = window_sums(arr, h)[warmup - h + 1 :]  # windows ending at rows warmup ..
-    actual = ofi(sums[:, 0], sums[:, 1])
-
-    if bundle.kind == "fnn_only":
-        feats = lag_features(arr, cfg.residual_lags, warmup)
-        predicted = clamp_ofi(forward(bundle.fnn_part, feats)[:, 0])
-    else:
-        _, _, _, combined = hybrid_components(bundle, arr)
-        window = sums - arr[warmup:] + combined  # trailing h-1 actual rows + forecast
-        predicted = clamp_ofi(ofi(window[:, 0], window[:, 1]))
-
-    return Predictions(
-        index=np.arange(warmup, n),
-        actual_ofi=actual,
-        predicted_ofi=predicted,
-        actual_signal=signal(actual, threshold),
-        predicted_signal=signal(predicted, threshold),
-    )
+    size = neural_net.FORWARD_BLOCK
+    # actual and predicted OFI, actual and predicted signal
+    columns = [np.empty(n - warmup, dtype=dtype) for dtype in (float, float, object, object)]
+    for lo in range(warmup, n, size):
+        block = arr[lo - warmup : lo + size]  # the block's rows after their context
+        sums = window_sums(block, h)[warmup - h + 1 :]  # windows ending at the block's rows
+        actual = ofi(sums[:, 0], sums[:, 1])
+        if bundle.kind == "fnn_only":
+            feats = lag_features(block, cfg.residual_lags, warmup)
+            predicted = clamp_ofi(forward(bundle.fnn_part, feats)[:, 0])
+        else:
+            _, _, combined = _combined(bundle, block, warmup)
+            window = sums - block[warmup:] + combined  # trailing h-1 actual rows + forecast
+            predicted = clamp_ofi(ofi(window[:, 0], window[:, 1]))
+        values = (actual, predicted, signal(actual, threshold), signal(predicted, threshold))
+        for column, value in zip(columns, values):
+            column[lo - warmup : lo - warmup + size] = value
+    return Predictions(np.arange(warmup, n), *columns)
 
 
 def evaluate_on_holdout(bundle: ModelBundle, train_series, holdout_series) -> Predictions:

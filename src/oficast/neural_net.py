@@ -242,8 +242,9 @@ def _forward_scaled(model: FnnModel, xs: np.ndarray):
     return [xs, *_layers(model, xs)]
 
 
-#: Rows :func:`forward` runs through the network at a time.
-FORWARD_BLOCK = 1 << 14
+#: Rows :func:`forward` runs through the network at a time, and rows
+#: :func:`oficast.hybrid.predict` runs through every stage at a time.
+FORWARD_BLOCK = 1 << 12
 
 
 def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:

@@ -174,6 +174,55 @@ def test_predict_eval_start_trims_prefix(tmp_path):
     assert 0 < len(tail_rows) < len(all_rows)
 
 
+@pytest.fixture(scope="module")
+def one_block_run(tmp_path_factory):
+    """A 600-row series (one forward block), a bundle fitted on it, and the
+    CSV rows of a full predict."""
+    tmp_path = tmp_path_factory.mktemp("one_block")
+    data = synth(tmp_path, length=600, seed=2)
+    bundle = fit_small(tmp_path, data, extra=["--window", 2])
+    full = tmp_path / "full.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", full]) == 0
+    with open(full) as fh:
+        return tmp_path, data, bundle, list(csv.reader(fh))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(start=st.one_of(st.sampled_from([0.0, 0.001, 0.5, 0.998]), st.floats(0.0, 1.0, exclude_max=True)))
+def test_predict_eval_start_writes_the_tail_of_a_full_predict(one_block_run, start):
+    tmp_path, data, bundle, (header, *full_rows) = one_block_run
+    tail = tmp_path / "tail.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data,
+                "--out", tail, "--eval-start", start]) == 0
+    with open(tail) as fh:
+        tail_header, *tail_rows = csv.reader(fh)
+    assert tail_header == header
+    assert tail_rows == [r for r in full_rows if int(r[0]) >= int(start * 600)]
+
+
+_SHORT = "series supplies 4 rows but the pipeline needs more than 4"
+
+
+@pytest.mark.parametrize(
+    "rows, start, message",
+    [(4, 1.5, _SHORT), (4, -0.1, _SHORT), (4, 0.5, _SHORT),
+     (200, 1.0, "eval-start must lie in [0, 1), got 1.0")],
+)
+def test_predict_names_a_short_series_before_a_bad_eval_start(
+    tmp_path, capsys, rows, start, message
+):
+    data = synth(tmp_path, length=200, seed=1)
+    bundle = fit_small(tmp_path, data)  # hybrid, lags 2 and 2: warmup 4
+    head = tmp_path / "head.csv"
+    head.write_text("".join(data.read_text().splitlines(keepends=True)[: rows + 1]))
+    out = tmp_path / "p.csv"
+    code = run(["predict", "--bundle", bundle, "--data", head, "--out", out,
+                "--eval-start", start])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_predict_tampered_bundle_names_field(tmp_path, capsys):
     data = synth(tmp_path, length=200, seed=1)
     bundle = fit_small(tmp_path, data)
@@ -297,6 +346,34 @@ def test_evaluate_bad_predictions_row_names_file_and_line(tmp_path, capsys, bad_
     err = capsys.readouterr().err
     assert err == f"error: {p}: line 4: {complaint}\n"
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "names, labels, conf",
+    [
+        (("p.csv", "p2.csv"), ("a b/m", "a_b/m"), "a_b.m"),
+        (("p.csv", "p2.csv"), ("s/hybrid", "s/hybrid"), "s.hybrid"),
+        (("x/run.csv", "y/run.csv"), (), "run.model"),
+    ],
+    ids=["same-after-escaping", "duplicate", "same-file-stem"],
+)
+def test_evaluate_refuses_labels_that_share_a_confusion_file(
+    tmp_path, capsys, names, labels, conf
+):
+    paths = [tmp_path / name for name in names]
+    for i, p in enumerate(paths):
+        p.parent.mkdir(exist_ok=True)
+        _fake_predictions(p, shift=i)
+    first, second = labels or [p.stem for p in paths]
+    out = tmp_path / "cc.csv"
+    argv = ["evaluate", *paths, "--out", out]
+    code = run(argv + (["--labels", *labels] if labels else []))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: labels {first!r} and {second!r} both name the confusion file "
+        f"{tmp_path / f'cc.confusion.{conf}.csv'}\n"
+    )
+    assert sorted(tmp_path.glob("cc*")) == []  # nothing written
 
 
 def test_evaluate_label_count_mismatch(tmp_path, capsys):

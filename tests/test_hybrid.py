@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -29,7 +32,8 @@ from oficast.hybrid import (
     write_predictions_csv,
     zero_residual_head,
 )
-from oficast.neural_net import TrainConfig, forward
+from oficast import neural_net
+from oficast.neural_net import FnnTopology, TrainConfig, forward
 from oficast.ofi_signal import OfiParams, clamp_ofi, ofi, signal, window_sums
 from oficast.evaluation import r_squared
 
@@ -115,6 +119,68 @@ def test_predict_matches_per_row_reference_bit_for_bit(fitter, window_h):
     assert all(g is w for g, w in zip(got.actual_signal, actual_sig))
     assert all(g is w for g, w in zip(got.predicted_signal, predicted_sig))
     assert len(set(predicted_sig)) > 1  # the comparison covers more than one signal
+
+
+_BLOCK_CASES = [(fitter, h) for fitter in (fit_var_only, fit_fnn_only, fit_hybrid) for h in (1, 3)]
+
+
+@pytest.fixture(scope="module")
+def block_bundles():
+    """A 400-row series and one bundle per (fitter, window_h), fitted on it."""
+    series = synthetic(400, seed=17)
+    return series, {
+        (fitter, h): fitter(series, PipelineConfig(train=quick_train(), ofi=OfiParams(window_h=h)))
+        for fitter, h in _BLOCK_CASES
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(_BLOCK_CASES),
+    block=st.sampled_from([1, 2, 7]),
+    rows=st.integers(1, 40),
+)
+def test_predict_in_blocks_is_predict_of_each_block_context(block_bundles, case, block, rows):
+    """With FORWARD_BLOCK patched small, predict runs many blocks: its output
+    is the concatenation of predict on each block's rows plus their warmup
+    context, bit for bit, and matches one pass over all rows."""
+    series, bundles = block_bundles
+    bundle = bundles[case]
+    warmup = required_warmup(bundle)
+    arr = series[: warmup + rows]
+    starts = range(warmup, len(arr), block)
+    whole = predict(bundle, arr)
+    with mock.patch.object(neural_net, "FORWARD_BLOCK", block):
+        blocked = predict(bundle, arr)
+        parts = [predict(bundle, arr[lo - warmup : lo + block]) for lo in starts]
+    assert blocked.index.tolist() == [i + lo - warmup for p, lo in zip(parts, starts) for i in p.index]
+    for name in ("actual_ofi", "predicted_ofi"):
+        assert getattr(blocked, name).tobytes() == b"".join(getattr(p, name).tobytes() for p in parts)
+    for name in ("actual_signal", "predicted_signal"):
+        assert getattr(blocked, name).tolist() == [s for p in parts for s in getattr(p, name)]
+    assert blocked.index.tolist() == whole.index.tolist()
+    assert blocked.actual_ofi.tobytes() == whole.actual_ofi.tobytes()
+    assert blocked.actual_signal.tolist() == whole.actual_signal.tolist()
+    assert blocked.predicted_signal.tolist() == whole.predicted_signal.tolist()
+    np.testing.assert_allclose(blocked.predicted_ofi, whole.predicted_ofi, rtol=0, atol=4e-16)
+
+
+def test_predict_memory_is_the_output_and_one_block():
+    """10^5 rows through a hybrid 4 -> (32, 16) -> 2: the five output
+    columns take 3.8 MiB and one block's working set about 1.5 MiB.  Any
+    stage held over the whole series goes past the limit: the VAR design
+    matrix alone would be 3.8 MiB more, the lag features 3 MiB."""
+    bundle = fit_hybrid(synthetic(400, seed=3), PipelineConfig(train=quick_train(epochs=1)))
+    assert bundle.fnn_part.topology == FnnTopology(4, (32, 16), 2, "relu")
+    series = np.random.default_rng(3).poisson(30, size=(100_000, 2)).astype(float)
+    predict(bundle, series[:50])  # set-up done on the first call is not counted
+    tracemalloc.start()
+    try:
+        predict(bundle, series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ----------------------------------------------------------- lag features
