@@ -34,6 +34,11 @@ TRADES_HEADER = ("timestamp", "side")
 MAX_SUPPORTED_LAG = 10
 MIN_SYNTHETIC_LENGTH = 2 * MAX_SUPPORTED_LAG + 1
 
+#: Rows every blocked stage takes at a time: both CSV tokenizers, the CSV
+#: writer, :func:`oficast.neural_net.forward` and
+#: :func:`oficast.hybrid.predict`.  Each reads it at call time.
+BLOCK_ROWS = 1 << 12
+
 
 class DataFormatError(ValueError):
     """Malformed input file; the message names ``line`` (1-based) and ``path`` when known."""
@@ -117,6 +122,10 @@ class SyntheticSpec:
                 f"length must be >= {MIN_SYNTHETIC_LENGTH} "
                 f"(2 * max supported lag + 1), got {self.length}"
             )
+        for name in ("base_intensity", "nonlinear_strength"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.base_intensity <= 0:
             raise ValueError("base_intensity must be positive")
         if not 0.0 <= self.linear_strength < 1.0:
@@ -240,14 +249,10 @@ class _NotPlain(Exception):
     """The file :func:`_plain_blocks` reads is not plain."""
 
 
-#: Characters :func:`_plain_blocks` reads and splits at a time.
-READ_CHUNK = 1 << 16
-
-
 def _plain_blocks(path, header):
-    """Yield a plain file's rows in blocks of whole lines, as (line number
-    range, token columns), split at the commas; raise :class:`_NotPlain`
-    on finding that the file is not plain.
+    """Yield a plain file's rows, :data:`BLOCK_ROWS` whole lines at a time,
+    as (line number range, token columns), split at the commas; raise
+    :class:`_NotPlain` on finding that the file is not plain.
 
     A file is plain when it is UTF-8, its first line is exactly the header,
     every line ends in LF or CRLF, every other line has exactly one comma
@@ -256,10 +261,13 @@ def _plain_blocks(path, header):
     csv module then splits each line at its commas and nothing else.
     """
     width = len(header)
-    start = None  # the line number of the block's first row, once the header is read
+    head = ",".join(header)
+    start = 2  # the line number of the block's first row
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for text in _line_blocks(fh, READ_CHUNK):
+        with open(path, newline="\n", encoding="utf-8") as fh:  # lines end at LF only
+            if fh.readline() not in (head, head + "\n", head + "\r\n"):
+                raise _NotPlain
+            while text := "".join(islice(fh, BLOCK_ROWS)):
                 if '"' in text or "\0" in text:
                     raise _NotPlain
                 if "\r" in text:
@@ -270,12 +278,6 @@ def _plain_blocks(path, header):
                 del text
                 if lines[-1] == "":  # the block's last line terminator
                     lines.pop()
-                if start is None:
-                    if lines.pop(0) != ",".join(header):
-                        raise _NotPlain
-                    start = 2
-                if not lines:
-                    continue
                 commas = set(map(str.count, lines, repeat(",")))
                 if commas != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
                     raise _NotPlain
@@ -287,41 +289,12 @@ def _plain_blocks(path, header):
                 del tokens  # before the next block is read
     except UnicodeDecodeError:
         raise _NotPlain from None
-    if start is None:  # an empty file
-        raise _NotPlain
-
-
-def _line_blocks(fh, size: int):
-    """Yield the text of ``fh``, read ``size`` characters at a time, in
-    non-empty blocks that each end at an LF (the file's last block
-    excepted), so that no line and no CRLF is split between blocks.
-
-    Raises :class:`_NotPlain` once a line is longer than
-    ``csv.field_size_limit() + 1`` characters, which no plain line is.
-    """
-    longest = csv.field_size_limit() + 1
-    carry = ""
-    while chunk := fh.read(size):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield carry + chunk[:cut]
-            carry = chunk[cut:]
-        else:
-            carry += chunk
-        if len(carry) > longest:
-            raise _NotPlain
-    if carry:
-        yield carry
-
-
-#: Rows :func:`_csv_blocks` tokenizes at a time.
-CSV_BLOCK = 1 << 10
 
 
 def _csv_blocks(path, header):
     """Yield a file's non-blank rows, tokenized by the csv module (which
     reads any CSV file), as (line numbers, token columns) blocks of
-    :data:`CSV_BLOCK` rows.  A bad header, a csv-module error or text that
+    :data:`BLOCK_ROWS` rows.  A bad header, a csv-module error or text that
     is not UTF-8 raises :class:`DataFormatError` at once, and the first
     row with the wrong field count once the file is read."""
     width = len(header)
@@ -333,12 +306,20 @@ def _csv_blocks(path, header):
             if found is None or tuple(f.strip() for f in found) != header:
                 got = "nothing" if found is None else _quote(",".join(found))
                 raise DataFormatError(f"expected header {','.join(header)}, got {got}", 1, path)
-            numbered = ((reader.line_num, rec) for rec in reader if rec)
-            while block := list(islice(numbered, CSV_BLOCK)):
-                wrong = wrong or next(((n, len(r)) for n, r in block if len(r) != width), None)
+            nonblank = filter(None, reader)
+            while True:
+                # each row list is freed once its fields are in one flat list:
+                # a block of live row lists would keep the cyclic GC busy
+                lines, fields = [], []
+                for row in islice(nonblank, BLOCK_ROWS):
+                    lines.append(reader.line_num)
+                    if len(row) != width and wrong is None:
+                        wrong = reader.line_num, len(row)
+                    fields += row
+                if not lines:
+                    break
                 if wrong is None:
-                    lines, rows = zip(*block)
-                    yield lines, list(zip(*rows))
+                    yield lines, [fields[k::width] for k in range(width)]
         except csv.Error as exc:
             raise DataFormatError(str(exc), reader.line_num, path) from None
         except UnicodeDecodeError as exc:
@@ -418,10 +399,6 @@ def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     write_csv_columns(path, COUNTS_HEADER, [(timestamps, str), (buy, str), (sell, str)])
 
 
-#: Rows :func:`write_csv_columns` formats and writes at a time.
-WRITE_BLOCK = 1 << 14
-
-
 def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> None:
     """Write a CSV file: ``header``, then one row per entry of the columns.
 
@@ -431,15 +408,15 @@ def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> Non
     already.  A field must need no quoting (no comma, quote or line break);
     the bytes are then those of ``csv.writer``: fields joined by commas,
     every line ended by CRLF.  Rows are formatted and written
-    :data:`WRITE_BLOCK` at a time.
+    :data:`BLOCK_ROWS` at a time.
     """
     n = len(columns[0][0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, WRITE_BLOCK):
+        for lo in range(0, n, BLOCK_ROWS):
             fields = []
             for values, fmt in columns:
-                block = values[lo : lo + WRITE_BLOCK]
+                block = values[lo : lo + BLOCK_ROWS]
                 if isinstance(block, np.ndarray):
                     block = block.tolist()
                 fields.append(block if fmt is None else map(fmt, block))
@@ -495,24 +472,33 @@ def generate_synthetic(spec: SyntheticSpec) -> CountSeries:
     """Generate a seeded synthetic series per :class:`SyntheticSpec`, with t0 = 0.
 
     Uses numpy's ``default_rng`` (PCG64); identical specs replay
-    bit-identically on any platform.
+    bit-identically on any platform.  An intensity past numpy's Poisson
+    limit raises ValueError naming the spec's settings.
     """
-    rng = np.random.default_rng(spec.seed)
+    poisson = np.random.default_rng(spec.seed).poisson
+    tanh = math.tanh
+    base, linear, nonlinear = spec.base_intensity, spec.linear_strength, spec.nonlinear_strength
     z_prev = 0.0
     z_prev2 = 0.0
-    counts = np.empty((spec.length, 2), dtype=np.int64)
-    for t in range(spec.length):
-        drive = spec.linear_strength * z_prev + spec.nonlinear_strength * math.tanh(
-            z_prev * z_prev2
-        )
-        lam_buy = max(spec.base_intensity * (1.0 + drive), 0.0)
-        lam_sell = max(spec.base_intensity * (1.0 - drive), 0.0)
-        buy = int(rng.poisson(lam_buy))
-        sell = int(rng.poisson(lam_sell))
-        counts[t] = buy, sell
-        z_prev2 = z_prev
-        z_prev = (buy - sell) / (buy + sell + 1)
-    return CountSeries(counts)
+    buys, sells = [], []
+    try:
+        for _ in range(spec.length):
+            drive = linear * z_prev + nonlinear * tanh(z_prev * z_prev2)
+            lam_buy = max(base * (1.0 + drive), 0.0)
+            lam_sell = max(base * (1.0 - drive), 0.0)
+            buy = int(poisson(lam_buy))
+            sell = int(poisson(lam_sell))
+            buys.append(buy)
+            sells.append(sell)
+            z_prev2 = z_prev
+            z_prev = (buy - sell) / (buy + sell + 1)
+    except ValueError:  # numpy's "lam value too large"
+        raise ValueError(
+            f"row {len(buys)}: intensity {max(lam_buy, lam_sell):g} is past numpy's Poisson "
+            f"limit; lower base_intensity ({base}), linear_strength ({linear}) "
+            f"or nonlinear_strength ({nonlinear})"
+        ) from None
+    return CountSeries(np.column_stack([buys, sells]))
 
 
 def chronological_split(

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data_io
 from .data_io import (
     FINITE_COLUMN,
     INT_COLUMN,
@@ -29,7 +30,6 @@ from .data_io import (
     read_csv_columns,
     write_csv_columns,
 )
-from . import neural_net
 from .neural_net import (
     AffineScaler,
     FnnModel,
@@ -259,7 +259,7 @@ def predict(bundle: ModelBundle, series) -> Predictions:
     h-1 actual rows (known at prediction time) with the predicted row,
     keeping the evaluation causal.
 
-    Rows run :data:`~oficast.neural_net.FORWARD_BLOCK` at a time, each
+    Rows run :data:`~oficast.data_io.BLOCK_ROWS` at a time, each
     block with its ``warmup`` rows of context through every stage, into
     the preallocated output columns.  So the memory held is that of the
     series, the output and one block's working set, and the output is
@@ -271,7 +271,7 @@ def predict(bundle: ModelBundle, series) -> Predictions:
     cfg = bundle.config
     h = cfg.ofi.window_h
     threshold = cfg.ofi.threshold
-    size = neural_net.FORWARD_BLOCK
+    size = data_io.BLOCK_ROWS
     # actual and predicted OFI, actual and predicted signal
     columns = [np.empty(n - warmup, dtype=dtype) for dtype in (float, float, object, object)]
     for lo in range(warmup, n, size):

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data_io
 from .data_io import ParamLines, _quote
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
@@ -242,17 +243,13 @@ def _forward_scaled(model: FnnModel, xs: np.ndarray):
     return [xs, *_layers(model, xs)]
 
 
-#: Rows :func:`forward` runs through the network at a time, and rows
-#: :func:`oficast.hybrid.predict` runs through every stage at a time.
-FORWARD_BLOCK = 1 << 12
-
-
 def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
     """Predict in raw units: scale inputs, run the network, invert the
     target scaler.  Accepts a single sample (d,) or a batch (n, d).
 
-    Rows run :data:`FORWARD_BLOCK` at a time into one output array, so the
-    memory held is that of the inputs, the output and one block's layers.
+    Rows run :data:`~oficast.data_io.BLOCK_ROWS` at a time into one output
+    array, so the memory held is that of the inputs, the output and one
+    block's layers.
     A batch of at most one block gives the bits of one pass over all rows;
     a longer one may differ from that in the last bits, where the BLAS
     picks a kernel by matrix height.
@@ -266,10 +263,11 @@ def forward(model: FnnModel, inputs: np.ndarray) -> np.ndarray:
             f"expected inputs of width {model.topology.input_dim}, got {x.shape[1]}"
         )
     out = np.empty((len(x), model.topology.output_dim))
-    for lo in range(0, len(x), FORWARD_BLOCK):
-        for a in _layers(model, model.input_scaler.transform(x[lo : lo + FORWARD_BLOCK])):
+    size = data_io.BLOCK_ROWS
+    for lo in range(0, len(x), size):
+        for a in _layers(model, model.input_scaler.transform(x[lo : lo + size])):
             pass  # only the latest layer is kept; the scaled block goes after the first
-        out[lo : lo + FORWARD_BLOCK] = model.target_scaler.inverse(a)
+        out[lo : lo + size] = model.target_scaler.inverse(a)
     return out[0] if single else out
 
 

@@ -84,13 +84,9 @@ def regressor_names(p: int) -> list[str]:
     return names
 
 
-def build_lag_matrix(series, p: int):
-    """Stack the regression pair (Z, Y) for a VAR(p).
-
-    Z has shape (n - p, 1 + k p): constant column then lags 1..p of both
-    variables; Y holds the current rows p .. n-1.
-    """
-    arr = counts_to_array(series)
+def _design_matrix(arr: np.ndarray, p: int) -> np.ndarray:
+    """Z for rows p .. n-1 of an ``(n, 2)`` count array, shape (n - p, 1 + k p):
+    constant column then lags 1..p of both variables."""
     n = arr.shape[0]
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
@@ -99,8 +95,14 @@ def build_lag_matrix(series, p: int):
     Z = np.ones((n - p, 1 + K * p))
     for lag in range(1, p + 1):
         Z[:, 1 + K * (lag - 1) : 1 + K * lag] = arr[p - lag : n - lag]
-    Y = arr[p:].copy()
-    return Z, Y
+    return Z
+
+
+def build_lag_matrix(series, p: int):
+    """Stack the regression pair (Z, Y) for a VAR(p): Z as in
+    :func:`_design_matrix`, and Y the current rows p .. n-1."""
+    arr = counts_to_array(series)
+    return _design_matrix(arr, p), arr[p:].copy()
 
 
 def _dependent_columns(Z: np.ndarray, names: list[str], rtol: float = 1e-10):
@@ -202,10 +204,10 @@ def _diagnostics(Z, Y, B, E, sigma, names) -> FitDiagnostics:
     )
 
 
-def one_step_predictions(model: VarModel, series) -> np.ndarray:
-    """In-sample one-step-ahead predictions; row i targets series row p + i."""
-    Z, _ = build_lag_matrix(series, model.p)
-    return Z @ _stacked_coef(model)
+def one_step_predictions(model: VarModel, series: np.ndarray) -> np.ndarray:
+    """In-sample one-step-ahead predictions over an ``(n, 2)`` count array;
+    row i targets row p + i."""
+    return _design_matrix(series, model.p) @ _stacked_coef(model)
 
 
 def residuals(model: VarModel, series) -> np.ndarray:

@@ -73,6 +73,29 @@ def test_synth_rejects_degenerate_length(tmp_path, capsys):
     assert "length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, value, named",
+    [
+        ("base_intensity", "nan", ["base_intensity must be finite"]),
+        ("base_intensity", "inf", ["base_intensity must be finite"]),
+        ("nonlinear_strength", "inf", ["nonlinear_strength must be finite"]),
+        ("nonlinear_strength", "nan", ["nonlinear_strength must be finite"]),
+        # finite, but an intensity past numpy's Poisson limit
+        ("base_intensity", "1e19", ["Poisson limit", "base_intensity (1e+19)"]),
+        ("nonlinear_strength", "1e300", ["Poisson limit", "nonlinear_strength (1e+300)"]),
+    ],
+)
+def test_synth_names_the_setting_of_a_bad_intensity(tmp_path, capsys, setting, value, named):
+    out = tmp_path / "bad.csv"
+    assert run(["synth", "--out", out, f"--{setting.replace('_', '-')}", value]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "bad.csv.config.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for text in named:
+        assert text in err
+
+
 # ---------------------------------------------------------------------- fit
 
 def test_fit_hybrid_writes_bundle_and_run_config(tmp_path):

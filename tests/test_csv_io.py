@@ -5,8 +5,8 @@ pass splits a plain file's blocks of whole lines at their commas, and the
 row walk tokenizes any file with the csv module, a block of rows at a
 time.  The differential tests here damage valid files and check that the
 two agree: the same line numbers and bit-identical arrays, or the same
-DataFormatError text.  They run at the reader's own block sizes and at a
-few characters or rows, so that damage and line ends fall on block
+DataFormatError text.  They run at the reader's own block size and at a
+few rows (``data_io.BLOCK_ROWS`` patched), so that damage falls on block
 boundaries.
 """
 import csv
@@ -192,14 +192,12 @@ def damaged(draw, data: bytes) -> bytes:
     return data[:start] + field + data[at:]
 
 
-def _check_paths_agree(reader, data, tmp_path_factory, chunk, block=data_io.CSV_BLOCK) -> bool:
-    """Assert that both tokenizers read ``data`` alike, the bulk pass
-    reading ``chunk`` characters and the row walk ``block`` rows at a time;
-    True if the bulk pass took it."""
+def _check_paths_agree(reader, data, tmp_path_factory, block=data_io.BLOCK_ROWS) -> bool:
+    """Assert that both tokenizers read ``data`` alike, each ``block`` rows
+    at a time; True if the bulk pass took it."""
     path = tmp_path_factory.mktemp("d") / "in.csv"
     path.write_bytes(data)
-    with mock.patch.object(data_io, "READ_CHUNK", chunk), \
-            mock.patch.object(data_io, "CSV_BLOCK", block):
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
         walked = _tokenized_by(_csv_blocks, path, reader)
         plain = _tokenized_by(_plain_blocks, path, reader)
         got = _outcome(path, reader)
@@ -214,20 +212,18 @@ reader_files = pytest.mark.parametrize(
     "reader, files",
     [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
 )
-#: a chunk of a few characters, so that damage and line ends fall on boundaries
-tiny_chunks = st.integers(1, 8)
-#: a row walk block of a few rows, so that a file spans several
-tiny_blocks = st.integers(1, 3)
+#: a block of a few rows, so that a file spans several and damage falls on boundaries
+tiny_blocks = st.integers(1, 8)
 
 
-def _agree_on_damaged_file(tmp_path_factory, reader, files, data, chunk, block=data_io.CSV_BLOCK):
+def _agree_on_damaged_file(tmp_path_factory, reader, files, data, block=data_io.BLOCK_ROWS):
     clean = data.draw(files(tmp_path_factory))
     # a writer's file is plain
-    assert _check_paths_agree(reader, clean, tmp_path_factory, chunk, block)
-    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, chunk, block)
+    assert _check_paths_agree(reader, clean, tmp_path_factory, block)
+    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, block)
 
 
-def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk, block=data_io.CSV_BLOCK):
+def _agree_on_odd_token(tmp_path_factory, reader, files, data, block=data_io.BLOCK_ROWS):
     lines = data.draw(files(tmp_path_factory)).split(b"\r\n")
     if len(lines) < 3:  # header, a row and the final line end
         return
@@ -236,14 +232,14 @@ def _agree_on_odd_token(tmp_path_factory, reader, files, data, chunk, block=data
     token = data.draw(st.sampled_from(ODD_TOKENS) | st.text("0123456789.-+e_ ", max_size=6))
     fields[data.draw(st.integers(0, len(fields) - 1))] = token.encode()
     lines[row] = b",".join(fields)
-    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, chunk, block)
+    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, block)
 
 
 @reader_files
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader, files, data):
-    _agree_on_damaged_file(tmp_path_factory, reader, files, data, data_io.READ_CHUNK)
+    _agree_on_damaged_file(tmp_path_factory, reader, files, data)
 
 
 @reader_files
@@ -252,16 +248,14 @@ def test_bulk_pass_and_row_walk_agree_on_damaged_files(tmp_path_factory, reader,
 def test_bulk_pass_and_row_walk_agree_on_damaged_files_in_tiny_chunks(
     tmp_path_factory, reader, files, data
 ):
-    _agree_on_damaged_file(
-        tmp_path_factory, reader, files, data, data.draw(tiny_chunks), data.draw(tiny_blocks)
-    )
+    _agree_on_damaged_file(tmp_path_factory, reader, files, data, data.draw(tiny_blocks))
 
 
 @reader_files
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, files, data):
-    _agree_on_odd_token(tmp_path_factory, reader, files, data, data_io.READ_CHUNK)
+    _agree_on_odd_token(tmp_path_factory, reader, files, data)
 
 
 @reader_files
@@ -270,9 +264,7 @@ def test_bulk_pass_and_row_walk_agree_on_odd_tokens(tmp_path_factory, reader, fi
 def test_bulk_pass_and_row_walk_agree_on_odd_tokens_in_tiny_chunks(
     tmp_path_factory, reader, files, data
 ):
-    _agree_on_odd_token(
-        tmp_path_factory, reader, files, data, data.draw(tiny_chunks), data.draw(tiny_blocks)
-    )
+    _agree_on_odd_token(tmp_path_factory, reader, files, data, data.draw(tiny_blocks))
 
 
 _COUNTS_HEAD = b"timestamp,buy_orders,sell_orders"
@@ -295,13 +287,11 @@ EDGE_FILES = {
 
 @pytest.mark.parametrize("name", sorted(EDGE_FILES))
 def test_every_chunk_size_agrees_with_the_row_walk(tmp_path_factory, name):
-    """Every chunk size from 1 character to the whole file, so that each
-    line end, CRLF and multi-byte character falls on a boundary once, and
-    the header and the long line each span many chunks; the row walk
-    reads one row at a time."""
+    """Every block size from 1 row to all rows, so that each line falls
+    first and last in a block once; both tokenizers read whole lines."""
     data, plain = EDGE_FILES[name]
-    for chunk in range(1, len(data) + 2):
-        assert _check_paths_agree("counts", data, tmp_path_factory, chunk, 1) == plain, chunk
+    for block in range(1, data.count(b"\n") + 2):
+        assert _check_paths_agree("counts", data, tmp_path_factory, block) == plain, block
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
@@ -316,6 +306,16 @@ def test_writer_output_takes_the_bulk_pass(tmp_path, reader):
         assert plain is not None
         _assert_same(plain, _tokenized_by(_csv_blocks, path, reader))
         assert plain[0].tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("tokenizer", [_plain_blocks, _csv_blocks])
+@pytest.mark.parametrize("block, sizes", [(1, [1] * 10), (3, [3, 3, 3, 1]), (10, [10]), (11, [10])])
+def test_tokenizers_take_block_rows_rows_at_a_time(tmp_path, tokenizer, block, sizes):
+    path = tmp_path / "in.csv"
+    write_counts_csv(path, CountSeries(np.ones((10, 2), dtype=np.int64), 5))
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
+        got = [len(lines) for lines, _ in tokenizer(path, COUNTS_HEADER)]
+    assert got == sizes
 
 
 def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
@@ -411,7 +411,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
 
 
 #: write block sizes: a few rows, so that files span many blocks, and the writers' own
-write_blocks = st.sampled_from([1, 2, 3, 7, data_io.WRITE_BLOCK])
+write_blocks = st.sampled_from([1, 2, 3, 7, data_io.BLOCK_ROWS])
 
 
 @given(
@@ -423,7 +423,7 @@ write_blocks = st.sampled_from([1, 2, 3, 7, data_io.WRITE_BLOCK])
 def test_counts_writer_bytes_equal_csv_writer(tmp_path_factory, t0, pairs, block):
     series = CountSeries(np.array(pairs, dtype=np.int64).reshape(-1, 2), t0)
     path = tmp_path_factory.mktemp("w") / "counts.csv"
-    with mock.patch.object(data_io, "WRITE_BLOCK", block):
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
         write_counts_csv(path, series)
     rows = [(t0 + i, buy, sell) for i, (buy, sell) in enumerate(pairs)]
     assert path.read_bytes() == _csv_writer_bytes(COUNTS_HEADER, rows)
@@ -433,7 +433,7 @@ def test_counts_writer_bytes_equal_csv_writer(tmp_path_factory, t0, pairs, block
 @settings(max_examples=80, deadline=None)
 def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records, block):
     path = tmp_path_factory.mktemp("w") / "preds.csv"
-    with mock.patch.object(data_io, "WRITE_BLOCK", block):
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
         write_predictions_csv(records, path)
     rows = zip(
         records.index.tolist(),
@@ -443,6 +443,29 @@ def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records, bl
         (s.value for s in records.predicted_signal),
     )
     assert path.read_bytes() == _csv_writer_bytes(PREDICTIONS_HEADER, rows)
+
+
+class _WriteRecorder(io.StringIO):
+    """A text file in memory that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("block, lines", [(1, [1] * 10), (3, [3, 3, 3, 1]), (16, [10])])
+def test_writer_writes_block_rows_rows_at_a_time(block, lines):
+    fh = _WriteRecorder()
+    with mock.patch.object(data_io, "open", lambda *args, **kwargs: fh, create=True), \
+            mock.patch.object(data_io, "BLOCK_ROWS", block):
+        write_counts_csv("unused.csv", CountSeries(np.ones((10, 2), dtype=np.int64), 5))
+    header, *rows = fh.writes
+    assert header == ",".join(COUNTS_HEADER) + "\r\n"
+    assert [text.count("\r\n") for text in rows] == lines
 
 
 def _traced_peak(call) -> int:

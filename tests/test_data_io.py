@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +301,57 @@ def test_synthetic_spec_parameter_validation():
         SyntheticSpec(length=100, seed=0, linear_strength=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec(length=100, seed=0, nonlinear_strength=-0.1)
+
+
+@pytest.mark.parametrize("name", ["base_intensity", "nonlinear_strength"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_synthetic_spec_refuses_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SyntheticSpec(length=100, seed=0, **{name: value})
+
+
+def _straight_loop_synthetic(spec):
+    """The generator as a straight loop over a preallocated array, and how
+    many intensities it floored at zero."""
+    rng = np.random.default_rng(spec.seed)
+    z_prev = 0.0
+    z_prev2 = 0.0
+    counts = np.empty((spec.length, 2), dtype=np.int64)
+    floored = 0
+    for t in range(spec.length):
+        drive = spec.linear_strength * z_prev + spec.nonlinear_strength * math.tanh(
+            z_prev * z_prev2
+        )
+        lam_buy = max(spec.base_intensity * (1.0 + drive), 0.0)
+        lam_sell = max(spec.base_intensity * (1.0 - drive), 0.0)
+        floored += (lam_buy == 0.0) + (lam_sell == 0.0)
+        buy = int(rng.poisson(lam_buy))
+        sell = int(rng.poisson(lam_sell))
+        counts[t] = buy, sell
+        z_prev2 = z_prev
+        z_prev = (buy - sell) / (buy + sell + 1)
+    return counts, floored
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"nonlinear_strength": 3.0},  # saturates: intensities floored at zero
+        {"base_intensity": 20.0},  # lambda >= 10, numpy's other Poisson branch
+        {"base_intensity": 0.5, "linear_strength": 0.9},
+    ],
+)
+def test_generator_matches_straight_loop_bit_for_bit(seed, fields):
+    spec = SyntheticSpec(length=3000, seed=seed, **fields)
+    want, floored = _straight_loop_synthetic(spec)
+    got = generate_synthetic(spec)
+    assert got.t0 == 0
+    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
+    assert got.counts.tobytes() == want.tobytes()
+    if fields.get("nonlinear_strength") == 3.0:
+        assert floored > 0
 
 
 def test_generator_default_regime_does_not_saturate():

@@ -32,7 +32,7 @@ from oficast.hybrid import (
     write_predictions_csv,
     zero_residual_head,
 )
-from oficast import neural_net
+from oficast import data_io
 from oficast.neural_net import FnnTopology, TrainConfig, forward
 from oficast.ofi_signal import OfiParams, clamp_ofi, ofi, signal, window_sums
 from oficast.evaluation import r_squared
@@ -141,7 +141,7 @@ def block_bundles():
     rows=st.integers(1, 40),
 )
 def test_predict_in_blocks_is_predict_of_each_block_context(block_bundles, case, block, rows):
-    """With FORWARD_BLOCK patched small, predict runs many blocks: its output
+    """With data_io.BLOCK_ROWS patched small, predict runs many blocks: its output
     is the concatenation of predict on each block's rows plus their warmup
     context, bit for bit, and matches one pass over all rows."""
     series, bundles = block_bundles
@@ -150,7 +150,7 @@ def test_predict_in_blocks_is_predict_of_each_block_context(block_bundles, case,
     arr = series[: warmup + rows]
     starts = range(warmup, len(arr), block)
     whole = predict(bundle, arr)
-    with mock.patch.object(neural_net, "FORWARD_BLOCK", block):
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
         blocked = predict(bundle, arr)
         parts = [predict(bundle, arr[lo - warmup : lo + block]) for lo in starts]
     assert blocked.index.tolist() == [i + lo - warmup for p, lo in zip(parts, starts) for i in p.index]

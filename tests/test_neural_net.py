@@ -3,12 +3,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oficast import data_io
 from oficast.neural_net import (
     ACTIVATIONS,
     AffineScaler,
@@ -16,7 +18,6 @@ from oficast.neural_net import (
     FnnTopology,
     TrainConfig,
     DIVERGED_LOSS,
-    FORWARD_BLOCK,
     TrainingDivergedError,
     _Adam,
     _Sgd,
@@ -190,15 +191,16 @@ def test_forward_memory_is_one_block_of_layers():
     assert peak <= 40 * 2**20
 
 
-def test_forward_in_blocks_equals_forward_of_each_block():
+@pytest.mark.parametrize("block", [1, 7, data_io.BLOCK_ROWS])
+def test_forward_in_blocks_equals_forward_of_each_block(block):
+    """With ``data_io.BLOCK_ROWS`` at ``block``, forward over 2.5 blocks is
+    forward on each block, concatenated, bit for bit."""
     model = init_model(FnnTopology(4, (32, 16), 2, "tanh"), seed=3)
-    x = np.random.default_rng(2).normal(size=(2 * FORWARD_BLOCK + FORWARD_BLOCK // 2, 4))
-    parts = [
-        forward(model, x[lo : lo + FORWARD_BLOCK]) for lo in range(0, len(x), FORWARD_BLOCK)
-    ]
-    np.testing.assert_array_equal(
-        forward(model, x).view(np.uint64), np.concatenate(parts).view(np.uint64)
-    )
+    x = np.random.default_rng(2).normal(size=(2 * block + block // 2 + 1, 4))
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
+        blocked = forward(model, x)
+    parts = [forward(model, x[lo : lo + block]) for lo in range(0, len(x), block)]
+    np.testing.assert_array_equal(blocked.view(np.uint64), np.concatenate(parts).view(np.uint64))
 
 
 def test_forward_single_sample_matches_batch():

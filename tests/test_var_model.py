@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from oficast import var_model
 from oficast.var_model import (
     FitDiagnostics,
     K,
@@ -234,6 +236,17 @@ def test_forecast_matches_in_sample_fitted_values():
     for t in range(p, 60):
         direct = model.c + sum(model.lag_coefs[lag - 1] @ arr[t - lag] for lag in range(1, p + 1))
         np.testing.assert_allclose(preds[t - p], direct, atol=1e-10)
+
+
+def test_forecast_builds_only_the_design_matrix_of_the_array_given():
+    """No conversion and no target copy: ``predict`` calls this once per row
+    block on an array it has converted already."""
+    series = noisy_ar1_counts(60, seed=9).astype(float)
+    model, _ = fit_var(series, 2)
+    Z, _ = build_lag_matrix(series, 2)
+    with mock.patch.object(var_model, "counts_to_array", side_effect=AssertionError):
+        preds = one_step_predictions(model, series)
+    assert preds.tobytes() == (Z @ var_model._stacked_coef(model)).tobytes()
 
 
 def test_forecast_insufficient_history():
