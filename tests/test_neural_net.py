@@ -191,8 +191,7 @@ def test_forward_memory_is_one_block_of_layers():
     assert peak <= 40 * 2**20
 
 
-@pytest.mark.parametrize("block", [1, 7, data_io.BLOCK_ROWS])
-def test_forward_in_blocks_equals_forward_of_each_block(block):
+def _assert_forward_in_blocks_equals_forward_of_each_block(block):
     """With ``data_io.BLOCK_ROWS`` at ``block``, forward over 2.5 blocks is
     forward on each block, concatenated, bit for bit."""
     model = init_model(FnnTopology(4, (32, 16), 2, "tanh"), seed=3)
@@ -201,6 +200,15 @@ def test_forward_in_blocks_equals_forward_of_each_block(block):
         blocked = forward(model, x)
     parts = [forward(model, x[lo : lo + block]) for lo in range(0, len(x), block)]
     np.testing.assert_array_equal(blocked.view(np.uint64), np.concatenate(parts).view(np.uint64))
+
+
+def test_forward_in_blocks_equals_forward_of_each_block():
+    _assert_forward_in_blocks_equals_forward_of_each_block(data_io.BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_forward_in_small_blocks_equals_forward_of_each_block(block):
+    _assert_forward_in_blocks_equals_forward_of_each_block(block)
 
 
 def test_forward_single_sample_matches_batch():
