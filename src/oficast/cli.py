@@ -257,9 +257,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     kind = _model_kind(resolved)
-    series = load_counts_csv(args.data).counts
     fraction = resolved["train_fraction"]
-    if fraction >= 1.0:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"train_fraction must lie in (0, 1], got {fraction}")
+    series = load_counts_csv(args.data).counts
+    if fraction == 1.0:
         train_rows = series
     else:
         train_rows, _ = chronological_split(series, fraction)

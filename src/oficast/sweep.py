@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -282,6 +281,16 @@ def _run_cell(cell) -> SweepResult:
     )
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool of ``max_workers`` workers.  Its modules,
+    ``concurrent.futures.process`` and ``multiprocessing``, load on the
+    first call, so a process that starts no pool never holds them.  A
+    test may put a fake pool in this name's place."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def run_sweep(
     configs: list[SweepConfig],
     datasets: list[tuple[str, np.ndarray]],
@@ -299,7 +308,9 @@ def run_sweep(
     ``train_template`` supplies the non-swept optimization settings (its
     optimizer and seed fields are overridden per cell).  ``workers`` > 1
     fans cells out to a process pool of at most one process per
-    cell; the result order and content are identical either way.
+    cell; the result order and content are identical either way, and
+    only that pool loads ``multiprocessing``.  ``train_fraction`` must lie
+    in (0, 1); it is checked before any cell runs.
 
     Every worker runs as many BLAS threads as numpy loaded with, one per
     core by default.  The cells' matmuls are too small to gain from them,
@@ -315,6 +326,8 @@ def run_sweep(
         raise ValueError("no datasets supplied")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if not 0.0 < train_fraction < 1.0:  # else every cell fails alike
+        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     if train_template is None:
         train_template = TrainConfig()
     if ofi_params is None:

@@ -146,6 +146,45 @@ def test_fit_var_only_skips_fnn_artifacts(tmp_path):
     assert not (out / "trace.csv").exists()
 
 
+def test_fit_train_fraction_of_one_trains_on_all_rows(tmp_path):
+    data = synth(tmp_path, length=120, seed=1)
+    out = tmp_path / "bundle"
+    assert run(["fit", "--data", data, "--out", out, "--model", "var",
+                "--train-fraction", "1.0"]) == 0
+    cfg = json.loads((out / "run_config.json").read_text())
+    assert (cfg["train_fraction"], cfg["train_rows"]) == (1.0, 120)
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "nan", "inf"])
+def test_fit_refuses_a_train_fraction_outside_zero_one(tmp_path, capsys, value):
+    data = synth(tmp_path, length=120, seed=1)
+    out = tmp_path / "bundle"
+    capsys.readouterr()
+    assert run(["fit", "--data", data, "--out", out, "--model", "var",
+                "--train-fraction", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: train_fraction must lie in (0, 1], got {float(value)}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_non_finite_learning_rate_is_refused_by_name(tmp_path, capsys, command, value):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    if command == "fit":
+        argv = ["fit", "--data", data, "--hidden", "4"]
+    else:
+        argv = ["sweep", "--datasets", data, "--lags", "1", "--architectures", "4"]
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "out", "--epochs", 1,
+                f"--learning-rate={value}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: learning_rate must be finite, got {float(value)}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
 # ------------------------------------------------------------------ predict
 
 def fit_small(tmp_path, data, name="bundle", extra=()):
@@ -768,6 +807,21 @@ def test_sweep_lag_or_width_below_one_fails_before_training(
                 "--architectures", "4", "--activations", "relu", "--optimizers", "adam",
                 "--epochs", 1, flag, value]) == 1
     assert capsys.readouterr().err == f"error: {complaint}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
+@pytest.mark.parametrize("value", ["1.0", "1.5", "0", "nan"])
+def test_sweep_train_fraction_outside_zero_one_fails_before_training(
+    tmp_path, capsys, value
+):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", data, "--out", out, "--lags", "1",
+                "--architectures", "4", "--epochs", 1, "--train-fraction", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: train_fraction must lie in (0, 1), got {float(value)}\n"
+    )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
 
 

@@ -589,6 +589,12 @@ def test_fit_divergence_prints_one_error_line_and_no_warnings(
     assert lines[0].startswith("error: training diverged at epoch ")
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_train_config_refuses_a_non_finite_learning_rate(rate):
+    with pytest.raises(ValueError, match=f"^learning_rate must be finite, got {rate}$"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -1,4 +1,5 @@
-"""The package's lazy exports and the CLI's BLAS thread defaults."""
+"""The package's lazy exports, the lazily loaded sweep pool and the CLI's
+BLAS thread defaults."""
 import importlib
 import json
 import subprocess
@@ -103,3 +104,37 @@ def test_cli_sets_one_blas_thread_before_numpy_loads(oficast_env, preset, expect
     assert seen == {
         "OPENBLAS_NUM_THREADS": expected, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"
     }
+
+
+#: Prints the process-pool modules loaded after importing the CLI, after a
+#: one-worker sweep and after a two-worker sweep, then whether the two
+#: sweeps' results (runtimes aside) are equal.
+_POOL_MODULES_LOADED = """
+import dataclasses, sys
+import oficast.cli
+from oficast.data_io import SyntheticSpec, generate_synthetic
+from oficast.neural_net import TrainConfig
+from oficast.sweep import SweepConfig, run_sweep
+
+def loaded():
+    print(sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+                 if m in sys.modules))
+
+def sweep(workers):
+    results = run_sweep(
+        [SweepConfig(1, (4,), "relu", "adam"), SweepConfig(2, (3,), "tanh", "sgd")],
+        [("syn", generate_synthetic(SyntheticSpec(length=90, seed=100)).counts)],
+        master_seed=5, train_template=TrainConfig(epochs=2), workers=workers,
+    )
+    loaded()
+    return [repr(dataclasses.replace(r, runtime_s=0.0)) for r in results]
+
+loaded()
+print(sweep(1) == sweep(2))
+"""
+
+
+def test_only_a_pool_sweep_loads_multiprocessing(oficast_env):
+    assert _child(_POOL_MODULES_LOADED, oficast_env) == (
+        "[]\n[]\n['concurrent.futures.process', 'multiprocessing']\nTrue\n"
+    )

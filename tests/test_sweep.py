@@ -241,6 +241,17 @@ def test_run_sweep_rejects_workers_below_one(workers):
         run_sweep(configs, tiny_datasets(count=1), kind="var_only", workers=workers)
 
 
+@pytest.mark.parametrize("fraction", [1.0, 0.0, 1.5, math.nan])
+def test_run_sweep_rejects_a_train_fraction_outside_zero_one(monkeypatch, fraction):
+    monkeypatch.setattr(sweep_module, "_run_cell", None)  # no cell may run
+    configs = enumerate_grid(small_space())[:1]
+    with pytest.raises(
+        ValueError, match=rf"^train_fraction must lie in \(0, 1\), got {fraction}$"
+    ):
+        run_sweep(configs, tiny_datasets(count=1), kind="var_only",
+                  train_fraction=fraction)
+
+
 def test_failed_cell_is_isolated():
     # lag 10 cannot be fitted on a short series; the cell must fail alone
     configs = [
