@@ -382,6 +382,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sample = resolved["sample"]
     if sample is None:
         configs = enumerate_grid(space)
+    elif not 1 <= sample <= space.size:
+        raise ValueError(f"sample must lie in [1, {space.size}], got {sample}")
     else:
         configs = lhs_sample(space, sample, derive_seed(master, 2))
     datasets = []
@@ -397,9 +399,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ofi_params=_ofi_params(resolved),
         workers=resolved["workers"],
     )
+    best = best_configurations(results)  # raises, before any write, if no cell is ok
     write_sweep_csv(results, args.out)
     write_heatmap_csv(results, str(args.out) + ".heatmap.csv")
-    best = best_configurations(results)
     write_json(str(args.out) + ".best.json", best)
     resolved["datasets"] = [str(p) for p in args.datasets]
     resolved["out"] = str(args.out)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,18 +132,18 @@ def render_comparison(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-COMPARISON_HEADER = ("dataset", "model", "mse", "mae", "r2", "accuracy", "precision")
+#: Every EvalReport field but the confusion matrix, which has its own file.
+COMPARISON_HEADER = tuple(f.name for f in fields(EvalReport) if f.name != "confusion")
 
 
 def write_comparison_csv(reports: list[EvalReport], path: str | Path) -> None:
+    """One row per report; csv writes a float as its repr, so it reads back
+    exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(COMPARISON_HEADER)
         for r in sorted(reports, key=lambda r: (r.dataset, r.model)):
-            writer.writerow(
-                [r.dataset, r.model, repr(r.mse), repr(r.mae), repr(r.r2),
-                 repr(r.accuracy), repr(r.precision)]
-            )
+            writer.writerow(getattr(r, name) for name in COMPARISON_HEADER)
 
 
 def write_confusion_csv(confusion, path: str | Path) -> None:

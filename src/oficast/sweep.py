@@ -10,11 +10,11 @@ column instead of aborting the sweep.
 from __future__ import annotations
 
 import csv
-import time
-from dataclasses import dataclass, replace
-from pathlib import Path
-
+import itertools
 import math
+import time
+from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -38,22 +38,6 @@ DEFAULT_OPTIMIZERS = ("adam", "sgd")
 
 _MASK64 = (1 << 64) - 1
 
-SWEEP_CSV_HEADER = (
-    "lag",
-    "architecture",
-    "activation",
-    "optimizer",
-    "dataset",
-    "mse",
-    "mae",
-    "r2",
-    "accuracy",
-    "precision",
-    "runtime_s",
-    "status",
-    "seed",
-)
-
 HEATMAP_CSV_HEADER = ("dataset", "metric", "lag", "architecture", "value")
 
 _METRIC_DIRECTION = {
@@ -73,9 +57,9 @@ class SweepSpace:
     optimizers: tuple[str, ...] = DEFAULT_OPTIMIZERS
 
     def __post_init__(self) -> None:
-        for name in ("lags", "architectures", "activations", "optimizers"):
-            if not getattr(self, name):
-                raise ValueError(f"sweep axis {name} is empty")
+        for axis in fields(self):
+            if not getattr(self, axis.name):
+                raise ValueError(f"sweep axis {axis.name} is empty")
         for name, known in (("activations", ACTIVATIONS), ("optimizers", OPTIMIZERS)):
             unknown = [value for value in getattr(self, name) if value not in known]
             if unknown:
@@ -91,12 +75,7 @@ class SweepSpace:
 
     @property
     def size(self) -> int:
-        return (
-            len(self.lags)
-            * len(self.architectures)
-            * len(self.activations)
-            * len(self.optimizers)
-        )
+        return math.prod(map(len, _axes(self)))
 
 
 @dataclass(frozen=True)
@@ -124,16 +103,24 @@ class SweepResult:
     seed: int
 
 
+SWEEP_CSV_HEADER = tuple(f.name for f in fields(SweepResult))
+_CONFIG_FIELDS = tuple(f.name for f in fields(SweepConfig))
+
+
+def _axes(space: SweepSpace) -> list[tuple]:
+    """The space's values on each axis, in SweepConfig's field order."""
+    return [
+        space.lags,
+        tuple(map(tuple, space.architectures)),
+        space.activations,
+        space.optimizers,
+    ]
+
+
 def enumerate_grid(space: SweepSpace) -> list[SweepConfig]:
     """Deterministic lexicographic order over (lag, architecture,
     activation, optimizer) as listed in the space."""
-    out = []
-    for lag in space.lags:
-        for arch in space.architectures:
-            for act in space.activations:
-                for opt in space.optimizers:
-                    out.append(SweepConfig(lag, tuple(arch), act, opt))
-    return out
+    return [SweepConfig(*row) for row in itertools.product(*_axes(space))]
 
 
 def _replace_axis(row: tuple, axis: int, value) -> tuple:
@@ -157,12 +144,7 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     if k == len(grid):
         return [grid[i] for i in rng.permutation(len(grid))]
 
-    axes = [
-        list(space.lags),
-        [tuple(a) for a in space.architectures],
-        list(space.activations),
-        list(space.optimizers),
-    ]
+    axes = _axes(space)
     cols: list[list] = []
     for values in axes:
         m = len(values)
@@ -174,7 +156,7 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
         for value, count in zip(values, counts):
             col.extend([value] * count)
         cols.append([col[i] for i in rng.permutation(k)])
-    rows = [tuple(cols[a][i] for a in range(4)) for i in range(k)]
+    rows = list(zip(*cols))
 
     # Repair duplicates by swapping one axis value between two rows, which
     # preserves every per-axis multiset; each applied swap strictly lowers
@@ -190,7 +172,7 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
         if dup_index < 0:
             return [SweepConfig(*row) for row in rows]
         repaired = False
-        for axis in rng.permutation(4):
+        for axis in rng.permutation(len(axes)):
             for j in rng.permutation(k):
                 j = int(j)
                 if j == dup_index or rows[j][axis] == rows[dup_index][axis]:
@@ -269,10 +251,7 @@ def _run_cell(cell) -> SweepResult:
         metrics = dict.fromkeys(_METRIC_DIRECTION, math.nan)
         status = f"error: {type(exc).__name__}: {exc}"
     return SweepResult(
-        lag=config.lag,
-        architecture=config.architecture,
-        activation=config.activation,
-        optimizer=config.optimizer,
+        **asdict(config),
         dataset=dataset_name,
         runtime_s=time.perf_counter() - start,
         status=status,
@@ -359,6 +338,11 @@ def format_architecture(architecture: tuple[int, ...]) -> str:
     return "-".join(str(w) for w in architecture)
 
 
+#: The sweep CSV columns not written as ``str`` of the field, which for a
+#: float is its repr, so the metrics read back exactly.
+_SWEEP_CSV_FORMAT = {"architecture": format_architecture, "runtime_s": "{:.6f}".format}
+
+
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
     """Results CSV in enumeration order.  All model fields are
     deterministic for a fixed master seed; runtime_s is wall clock."""
@@ -367,35 +351,24 @@ def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
         writer.writerow(SWEEP_CSV_HEADER)
         for r in results:
             writer.writerow(
-                [
-                    r.lag,
-                    format_architecture(r.architecture),
-                    r.activation,
-                    r.optimizer,
-                    r.dataset,
-                    repr(r.mse),
-                    repr(r.mae),
-                    repr(r.r2),
-                    repr(r.accuracy),
-                    repr(r.precision),
-                    f"{r.runtime_s:.6f}",
-                    r.status,
-                    r.seed,
-                ]
+                _SWEEP_CSV_FORMAT.get(name, str)(getattr(r, name))
+                for name in SWEEP_CSV_HEADER
             )
 
 
 def best_configurations(results: list[SweepResult]) -> dict[str, dict]:
     """Best configuration per metric, averaging each configuration's ok
-    cells across datasets first."""
+    cells across datasets first.  Without any ok cell it raises
+    ValueError naming the first cell's status."""
     grouped: dict[tuple, list[SweepResult]] = {}
     for r in results:
         if r.status != "ok":
             continue
-        key = (r.lag, r.architecture, r.activation, r.optimizer)
+        key = tuple(getattr(r, name) for name in _CONFIG_FIELDS)
         grouped.setdefault(key, []).append(r)
     if not grouped:
-        raise ValueError("no successful sweep cells")
+        first = f"; the first cell ended in {results[0].status}" if results else ""
+        raise ValueError(f"no successful sweep cells{first}")
     best: dict[str, dict] = {}
     for metric, pick in _METRIC_DIRECTION.items():
         scored = {
@@ -405,13 +378,9 @@ def best_configurations(results: list[SweepResult]) -> dict[str, dict]:
         target = pick(scored.values())
         # ties resolve to the earliest key in axis order, independent of dict order
         key = min(k for k, v in scored.items() if v == target)
-        best[metric] = {
-            "lag": key[0],
-            "architecture": format_architecture(key[1]),
-            "activation": key[2],
-            "optimizer": key[3],
-            "value": scored[key],
-        }
+        entry = dict(zip(_CONFIG_FIELDS, key), value=scored[key])
+        entry["architecture"] = format_architecture(entry["architecture"])
+        best[metric] = entry
     return best
 
 

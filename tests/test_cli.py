@@ -502,6 +502,33 @@ def test_sweep_sample_flag_shrinks_run(tmp_path):
     assert len(_read_masked(out)) == 2
 
 
+@pytest.mark.parametrize("sample", [0, 121])
+def test_sweep_sample_outside_the_grid_is_refused_before_reading_data(
+    tmp_path, capsys, sample
+):
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", tmp_path / "missing.csv", "--out", out,
+                "--sample", sample]) == 1
+    assert capsys.readouterr().err == f"error: sample must lie in [1, 120], got {sample}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_without_a_successful_cell_names_the_first_and_writes_nothing(
+    tmp_path, capsys
+):
+    data = synth(tmp_path, "d.csv", length=300, seed=1)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", data, "--out", out, "--lags", "1",
+                "--architectures", "4", "--window", 500]) == 1
+    assert capsys.readouterr().err == (
+        "error: no successful sweep cells; the first cell ended in "
+        "error: ValueError: train series supplies 240 rows but warmup needs 499\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
 @pytest.mark.parametrize("workers, via_config", [(0, False), (-2, False), (0, True)])
 def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers, via_config):
     d1 = synth(tmp_path, "d.csv", length=150, seed=1)

@@ -220,6 +220,7 @@ def test_comparison_csv_header(tmp_path):
     path = tmp_path / "cmp.csv"
     write_comparison_csv(_sample_reports(), path)
     assert path.read_text().splitlines()[0] == ",".join(COMPARISON_HEADER)
+    assert ",".join(COMPARISON_HEADER) == "dataset,model,mse,mae,r2,accuracy,precision"
 
 
 def test_confusion_csv_layout(tmp_path):

@@ -76,6 +76,18 @@ def test_grid_is_lexicographic_in_axis_order():
     assert enumerate_grid(space) == expected
 
 
+def test_grid_order_equals_nested_loops():
+    space = SweepSpace(lags=(2, 1), architectures=((4,), (3, 2)),
+                       activations=("tanh", "relu"), optimizers=("sgd", "adam"))
+    expected = []
+    for lag in space.lags:
+        for arch in space.architectures:
+            for act in space.activations:
+                for opt in space.optimizers:
+                    expected.append(SweepConfig(lag, arch, act, opt))
+    assert enumerate_grid(space) == expected
+
+
 def test_single_point_space():
     space = SweepSpace(lags=(2,), architectures=((32, 16),),
                        activations=("relu",), optimizers=("adam",))
@@ -337,6 +349,17 @@ def test_best_configurations_skips_failed_cells():
     ]
     best = best_configurations(results)
     assert best["mse"]["value"] == pytest.approx(0.25)
+
+
+def test_best_configurations_without_an_ok_cell_names_the_first():
+    nan = float("nan")
+    results = [
+        _result(1, (4,), "relu", "adam", "a", nan, nan, status="error: first"),
+        _result(1, (4,), "relu", "adam", "b", nan, nan, status="error: second"),
+    ]
+    with pytest.raises(ValueError, match="^no successful sweep cells; "
+                       "the first cell ended in error: first$"):
+        best_configurations(results)
 
 
 def test_heatmap_csv_averages_over_activation_and_optimizer(tmp_path):
