@@ -350,7 +350,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         conf_paths[conf_path] = label
         records = read_predictions_csv(pred_path)
-        reports.append(evaluate_records(records, dataset, model))
+        try:
+            reports.append(evaluate_records(records, dataset, model))
+        except ValueError as exc:  # an empty file, or constant actual OFI
+            raise ValueError(f"{pred_path}: {exc}") from None
     table = render_comparison(reports)
     print(table)
     write_comparison_csv(reports, args.out)

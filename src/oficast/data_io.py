@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ TRADES_HEADER = ("timestamp", "side")
 MAX_SUPPORTED_LAG = 10
 MIN_SYNTHETIC_LENGTH = 2 * MAX_SUPPORTED_LAG + 1
 
-#: Rows every blocked stage takes at a time: both CSV tokenizers, the CSV
+#: Rows every blocked stage takes at a time: the CSV reader, the CSV
 #: writer, :func:`oficast.neural_net.forward` and
 #: :func:`oficast.hybrid.predict`.  Each reads it at call time.
 BLOCK_ROWS = 1 << 12
@@ -188,8 +188,8 @@ def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
     whose first line is ``header``, and one array per ``header`` column,
     cast by its :class:`Column` in ``columns``.
 
-    One block at a time, a plain file (see :func:`_plain_blocks`) is split
-    at its commas and any other file by the csv module.  A bad header, a
+    The csv module tokenizes the file (see :func:`_csv_blocks`), and each
+    column casts one block of its tokens at a time.  A bad header, a
     csv-module error or text that is not UTF-8 raises
     :class:`DataFormatError` where it is met; else the first row with the
     wrong field count does, else the first bad token of the leftmost
@@ -198,43 +198,24 @@ def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    try:
-        return _cast_blocks(_plain_blocks(path, header), path, header, columns)
-    except _NotPlain:
-        pass  # outside this handler, so that the plain pass's arrays are freed
-    return _cast_blocks(_csv_blocks(path, header), path, header, columns)
-
-
-def _cast_blocks(blocks, path, header, columns):
-    """:func:`read_csv_columns` on the (line numbers, token columns) blocks
-    of one tokenizer.  A bad token is held until the file is read, so that
-    the tokenizer's errors come first."""
     parts = [[column.cast([])] for column in columns]  # per column: [no rows, *its blocks]
-    line_parts = []
+    line_parts = [np.empty(0, dtype=np.int64)]
     bad = [None] * len(columns)  # per column, the error and line of its first bad token
-    for lines, tokens in blocks:
-        # a range if they are one (no blank line and no line break in quotes)
-        contiguous = lines[-1] - lines[0] == len(lines) - 1
-        line_parts.append(range(lines[0], lines[-1] + 1) if contiguous else np.array(lines))
+    for lines, tokens in _csv_blocks(path, header):
+        line_parts.append(np.array(lines, dtype=np.int64))
         for k, (name, column) in enumerate(zip(header, columns)):
             if bad[k] is None:
                 try:
                     parts[k].append(column.cast(tokens[k]))
-                except _PARSE_ERRORS:
+                except _PARSE_ERRORS:  # raised after any tokenizer error
                     n, t = next((n, t) for n, t in zip(lines, tokens[k]) if not _casts(column, t))
-                    bad[k] = f"column {name}: expected {column.expected}, got {_quote(t)}", int(n)
+                    bad[k] = f"column {name}: expected {column.expected}, got {_quote(t)}", n
         del tokens  # before the tokenizer reads the next block
     for message, line in filter(None, bad):  # the leftmost column's
         raise DataFormatError(message, line, path)
     # each column's blocks are dropped once joined
     arrays = [np.concatenate(parts.pop(0)) for _ in columns]
-    numbers = np.empty(sum(map(len, line_parts)), dtype=np.int64)
-    at = 0
-    for lines in line_parts:  # numpy reads a range one by one, an arange at once
-        lines = np.arange(lines.start, lines.stop) if isinstance(lines, range) else lines
-        numbers[at : at + len(lines)] = lines
-        at += len(lines)
-    return numbers, arrays
+    return np.concatenate(line_parts), arrays
 
 
 def _casts(column: Column, token: str) -> bool:
@@ -243,52 +224,6 @@ def _casts(column: Column, token: str) -> bool:
     except _PARSE_ERRORS:
         return False
     return True
-
-
-class _NotPlain(Exception):
-    """The file :func:`_plain_blocks` reads is not plain."""
-
-
-def _plain_blocks(path, header):
-    """Yield a plain file's rows, :data:`BLOCK_ROWS` whole lines at a time,
-    as (line number range, token columns), split at the commas; raise
-    :class:`_NotPlain` on finding that the file is not plain.
-
-    A file is plain when it is UTF-8, its first line is exactly the header,
-    every line ends in LF or CRLF, every other line has exactly one comma
-    fewer than the header has fields (so none is blank), and it holds no
-    quote, NUL, lone CR or line longer than ``csv.field_size_limit()``: the
-    csv module then splits each line at its commas and nothing else.
-    """
-    width = len(header)
-    head = ",".join(header)
-    start = 2  # the line number of the block's first row
-    try:
-        with open(path, newline="\n", encoding="utf-8") as fh:  # lines end at LF only
-            if fh.readline() not in (head, head + "\n", head + "\r\n"):
-                raise _NotPlain
-            while text := "".join(islice(fh, BLOCK_ROWS)):
-                if '"' in text or "\0" in text:
-                    raise _NotPlain
-                if "\r" in text:
-                    if text.count("\r") != text.count("\r\n"):
-                        raise _NotPlain
-                    text = text.replace("\r\n", "\n")
-                lines = text.split("\n")
-                del text
-                if lines[-1] == "":  # the block's last line terminator
-                    lines.pop()
-                commas = set(map(str.count, lines, repeat(",")))
-                if commas != {width - 1} or max(map(len, lines)) > csv.field_size_limit():
-                    raise _NotPlain
-                rows = range(start, start + len(lines))
-                start = rows.stop
-                tokens = ",".join(lines).split(",")
-                del lines
-                yield rows, [tokens[k::width] for k in range(width)]
-                del tokens  # before the next block is read
-    except UnicodeDecodeError:
-        raise _NotPlain from None
 
 
 def _csv_blocks(path, header):

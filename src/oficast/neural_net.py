@@ -48,7 +48,9 @@ def _sigmoid(x, out=None):
     np.negative(e, out=e)
     np.exp(e, out=e)
     den = np.add(1.0, e)
-    np.copyto(e, 1.0, where=nonneg)  # the numerator: 1 where x >= 0, else e
+    # the numerator, 1 where x >= 0, else e: e <= 1 where x >= 0 and e >= 0
+    # elsewhere, so max(e, nonneg) is it, NaN included
+    np.maximum(e, nonneg, out=e)
     return np.divide(e, den, out=e)
 
 

@@ -387,6 +387,35 @@ def test_evaluate_empty_predictions_fails(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_evaluate_header_only_predictions_names_the_file(tmp_path, capsys):
+    p = tmp_path / "empty.csv"
+    _fake_predictions(p, n=0)
+    out = tmp_path / "cmp.csv"
+    assert run(["evaluate", p, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {p}: empty inputs\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.glob("cmp*")) == []
+
+
+def test_evaluate_constant_actual_ofi_names_the_file(tmp_path, capsys):
+    p = tmp_path / "flat.csv"
+    sigs = np.array(SIGNAL_ORDER, dtype=object)
+    write_predictions_csv(
+        Predictions(np.arange(4), np.full(4, 0.2), np.linspace(-0.5, 0.5, 4),
+                    sigs[[0, 0, 0, 0]], sigs[[0, 1, 2, 0]]),
+        p,
+    )
+    out = tmp_path / "cmp.csv"
+    assert run(["evaluate", p, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {p}: R^2 is undefined: actual values have zero variance\n"
+    )
+    assert captured.out == ""
+    assert sorted(tmp_path.glob("cmp*")) == []
+
+
 @pytest.mark.parametrize(
     "bad_row, complaint",
     [

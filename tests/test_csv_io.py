@@ -1,13 +1,16 @@
-"""The CSV reader's two tokenizers and the CSV writers' bytes.
+"""The CSV reader against a straight reference, and the CSV writers' bytes.
 
-``read_csv_columns`` runs one block loop over either tokenizer: the bulk
-pass splits a plain file's blocks of whole lines at their commas, and the
-row walk tokenizes any file with the csv module, a block of rows at a
-time.  The differential tests here damage valid files and check that the
-two agree: the same line numbers and bit-identical arrays, or the same
-DataFormatError text.  They run at the reader's own block size and at a
-few rows (``data_io.BLOCK_ROWS`` patched), so that damage falls on block
-boundaries.
+``read_csv_columns`` tokenizes a file with the csv module a block of rows
+at a time (the row walk) and casts each column a block at a time.  The
+differential tests here damage valid files and check that it agrees with
+:func:`_reference`, a plain ``csv.reader`` walk over the whole file with
+the same column casts and the documented error ranking: the same line
+numbers and bit-identical arrays, or the same DataFormatError text.  They
+run at the reader's own block size and at a few rows
+(``data_io.BLOCK_ROWS`` patched), so that damage falls on block
+boundaries.  Some test names still say "bulk pass", after a second
+tokenizer that split plain files at their commas and was checked against
+the row walk here.
 """
 import csv
 import io
@@ -27,10 +30,9 @@ from oficast.data_io import (
     CountSeries,
     DataFormatError,
     Side,
-    _NotPlain,
-    _cast_blocks,
+    _PARSE_ERRORS,
     _csv_blocks,
-    _plain_blocks,
+    _quote,
     load_counts_csv,
     read_csv_columns,
     write_counts_csv,
@@ -74,17 +76,52 @@ def _outcome(path, reader):
         return str(exc)
 
 
-def _tokenized_by(tokenizer, path, reader):
-    """The reader's block loop over ``tokenizer`` (:func:`_plain_blocks`
-    or :func:`_csv_blocks`) alone: (line numbers, arrays), the
-    DataFormatError text, or None if the file is not plain."""
+def _reference(path, reader):
+    """What ``read_csv_columns`` documents, read straight: every row of
+    the file by one ``csv.reader``, then each column cast whole.  Returns
+    (line numbers, arrays) or the DataFormatError text, ranking a bad
+    header, a csv-module error or text that is not UTF-8 first (where it is
+    met), then the first row of the wrong field count, then the first bad
+    token of the leftmost column that has one."""
     header, columns = READERS[reader]
+    lines, rows = [], []
     try:
-        return _cast_blocks(tokenizer(path, header), path, header, columns)
-    except _NotPlain:
-        return None
+        with open(path, newline="", encoding="utf-8") as fh:
+            walk = csv.reader(fh)
+            try:
+                found = next(walk, None)
+                if found is None or tuple(f.strip() for f in found) != header:
+                    got = "nothing" if found is None else _quote(",".join(found))
+                    raise DataFormatError(
+                        f"expected header {','.join(header)}, got {got}", 1, path
+                    )
+                for row in walk:
+                    if row:
+                        lines.append(walk.line_num)
+                        rows.append(row)
+            except csv.Error as exc:
+                raise DataFormatError(str(exc), walk.line_num, path) from None
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
+        for line, row in zip(lines, rows):
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"expected {len(header)} fields, got {len(row)}", line, path
+                )
+        tokens = list(zip(*rows)) or [()] * len(header)
+        for name, column, column_tokens in zip(header, columns, tokens):
+            for line, token in zip(lines, column_tokens):
+                try:
+                    column.cast([token])
+                except _PARSE_ERRORS:
+                    raise DataFormatError(
+                        f"column {name}: expected {column.expected}, got {_quote(token)}",
+                        line, path,
+                    ) from None
     except DataFormatError as exc:
         return str(exc)
+    arrays = [column.cast(list(t)) for column, t in zip(columns, tokens)]
+    return np.array(lines, dtype=np.int64), arrays
 
 
 def _assert_same(got, want):
@@ -192,19 +229,15 @@ def damaged(draw, data: bytes) -> bytes:
     return data[:start] + field + data[at:]
 
 
-def _check_paths_agree(reader, data, tmp_path_factory, block=data_io.BLOCK_ROWS) -> bool:
-    """Assert that both tokenizers read ``data`` alike, each ``block`` rows
-    at a time; True if the bulk pass took it."""
+def _check_agrees_with_reference(reader, data, tmp_path_factory, block=data_io.BLOCK_ROWS):
+    """Assert that the reader, ``block`` rows at a time, reads ``data`` as
+    :func:`_reference` does; return the reference's outcome."""
     path = tmp_path_factory.mktemp("d") / "in.csv"
     path.write_bytes(data)
+    want = _reference(path, reader)
     with mock.patch.object(data_io, "BLOCK_ROWS", block):
-        walked = _tokenized_by(_csv_blocks, path, reader)
-        plain = _tokenized_by(_plain_blocks, path, reader)
-        got = _outcome(path, reader)
-    if plain is not None:
-        _assert_same(plain, walked)
-    _assert_same(got, walked)
-    return plain is not None
+        _assert_same(_outcome(path, reader), want)
+    return want
 
 
 #: each reader with the strategy for the valid files its writer makes
@@ -218,9 +251,9 @@ tiny_blocks = st.integers(1, 8)
 
 def _agree_on_damaged_file(tmp_path_factory, reader, files, data, block=data_io.BLOCK_ROWS):
     clean = data.draw(files(tmp_path_factory))
-    # a writer's file is plain
-    assert _check_paths_agree(reader, clean, tmp_path_factory, block)
-    _check_paths_agree(reader, data.draw(damaged(clean)), tmp_path_factory, block)
+    outcome = _check_agrees_with_reference(reader, clean, tmp_path_factory, block)
+    assert not isinstance(outcome, str)  # a writer's file is read without error
+    _check_agrees_with_reference(reader, data.draw(damaged(clean)), tmp_path_factory, block)
 
 
 def _agree_on_odd_token(tmp_path_factory, reader, files, data, block=data_io.BLOCK_ROWS):
@@ -232,7 +265,7 @@ def _agree_on_odd_token(tmp_path_factory, reader, files, data, block=data_io.BLO
     token = data.draw(st.sampled_from(ODD_TOKENS) | st.text("0123456789.-+e_ ", max_size=6))
     fields[data.draw(st.integers(0, len(fields) - 1))] = token.encode()
     lines[row] = b",".join(fields)
-    _check_paths_agree(reader, b"\r\n".join(lines), tmp_path_factory, block)
+    _check_agrees_with_reference(reader, b"\r\n".join(lines), tmp_path_factory, block)
 
 
 @reader_files
@@ -267,48 +300,62 @@ def test_bulk_pass_and_row_walk_agree_on_odd_tokens_in_tiny_chunks(
     _agree_on_odd_token(tmp_path_factory, reader, files, data, data.draw(tiny_blocks))
 
 
+@reader_files
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_reader_agrees_with_reference_on_twice_damaged_files(
+    tmp_path_factory, reader, files, data
+):
+    """Two faults in one file, so that the error ranking decides which is named."""
+    once = data.draw(damaged(data.draw(files(tmp_path_factory))))
+    if b"," in once or b"\n" in once:  # damaged() needs a separator
+        once = data.draw(damaged(once))
+    _check_agrees_with_reference(reader, once, tmp_path_factory, data.draw(tiny_blocks))
+
+
 _COUNTS_HEAD = b"timestamp,buy_orders,sell_orders"
 
-#: counts file -> (its bytes, whether the bulk pass takes it)
+#: counts file -> its bytes
 EDGE_FILES = {
-    "crlf": (_COUNTS_HEAD + b"\r\n5,1,2\r\n6,0,0\r\n", True),
-    "lone-cr": (_COUNTS_HEAD + b"\r\n5,1,2\r6,0,0\r\n", False),
-    "cr-at-end": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0\r", False),
-    "utf8-digits": (_COUNTS_HEAD + "\n5,\u0662,2\n6,0,\u0663\u0664\n".encode(), True),
-    "utf8-bad-token": (_COUNTS_HEAD + "\n5,1,2\n6,\U0001f600,0\n".encode(), True),
-    "utf8-cut-at-end": (_COUNTS_HEAD + b"\n5,1,2\n\xe2\x82", False),
-    "long-line": (_COUNTS_HEAD + b"\n5," + b"0" * 100 + b"1,2\n6,0,0\n", True),
-    "no-final-newline": (_COUNTS_HEAD + b"\n5,1,2\n6,0,0", True),
-    "header-only": (_COUNTS_HEAD + b"\n", True),
-    "header-only-no-newline": (_COUNTS_HEAD, True),
-    "empty": (b"", False),
+    "crlf": _COUNTS_HEAD + b"\r\n5,1,2\r\n6,0,0\r\n",
+    "lone-cr": _COUNTS_HEAD + b"\r\n5,1,2\r6,0,0\r\n",
+    "cr-at-end": _COUNTS_HEAD + b"\n5,1,2\n6,0,0\r",
+    "utf8-digits": _COUNTS_HEAD + "\n5,\u0662,2\n6,0,\u0663\u0664\n".encode(),
+    "utf8-bad-token": _COUNTS_HEAD + "\n5,1,2\n6,\U0001f600,0\n".encode(),
+    "utf8-cut-at-end": _COUNTS_HEAD + b"\n5,1,2\n\xe2\x82",
+    "long-line": _COUNTS_HEAD + b"\n5," + b"0" * 100 + b"1,2\n6,0,0\n",
+    "no-final-newline": _COUNTS_HEAD + b"\n5,1,2\n6,0,0",
+    "header-only": _COUNTS_HEAD + b"\n",
+    "header-only-no-newline": _COUNTS_HEAD,
+    "empty": b"",
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_FILES))
 def test_every_chunk_size_agrees_with_the_row_walk(tmp_path_factory, name):
     """Every block size from 1 row to all rows, so that each line falls
-    first and last in a block once; both tokenizers read whole lines."""
-    data, plain = EDGE_FILES[name]
+    first and last in a block once; the csv module reads whole lines."""
+    data = EDGE_FILES[name]
     for block in range(1, data.count(b"\n") + 2):
-        assert _check_paths_agree("counts", data, tmp_path_factory, block) == plain, block
+        _check_agrees_with_reference("counts", data, tmp_path_factory, block)
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_writer_output_takes_the_bulk_pass(tmp_path, reader):
-    header, columns = READERS[reader]
+    """Rows as a writer writes them, with CRLF or LF line ends, are read on
+    lines 2 and 3, as the reference reads them."""
+    header, _ = READERS[reader]
     path = tmp_path / "in.csv"
     rows = {"counts": ["5,1,2", "6,0,0"], "trades": ["-0.0,BUY", "1e-300,SELL"],
             "predictions": ["3,-0.0,0.5,BUY,HOLD", "4,1.0,-1.0,SELL,SELL"]}[reader]
     for end in ("\r\n", "\n"):
         path.write_text(end.join([",".join(header), *rows]) + end, newline="")
-        plain = _tokenized_by(_plain_blocks, path, reader)
-        assert plain is not None
-        _assert_same(plain, _tokenized_by(_csv_blocks, path, reader))
-        assert plain[0].tolist() == [2, 3]
+        got = _outcome(path, reader)
+        _assert_same(got, _reference(path, reader))
+        assert got[0].tolist() == [2, 3]
 
 
-@pytest.mark.parametrize("tokenizer", [_plain_blocks, _csv_blocks])
+@pytest.mark.parametrize("tokenizer", [_csv_blocks])
 @pytest.mark.parametrize("block, sizes", [(1, [1] * 10), (3, [3, 3, 3, 1]), (10, [10]), (11, [10])])
 def test_tokenizers_take_block_rows_rows_at_a_time(tmp_path, tokenizer, block, sizes):
     path = tmp_path / "in.csv"
@@ -321,7 +368,6 @@ def test_tokenizers_take_block_rows_rows_at_a_time(tmp_path, tokenizer, block, s
 def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text('timestamp,buy_orders,sell_orders\n1,"5",2\n\n2,3,"4"\n')
-    assert _tokenized_by(_plain_blocks, path, "counts") is None
     lines, (ts, buy, sell) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
     assert lines.tolist() == [2, 4]
     assert (ts.tolist(), buy.tolist(), sell.tolist()) == ([1, 2], [5, 3], [2, 4])
@@ -331,7 +377,6 @@ def test_quoted_fields_and_blank_lines_are_read_by_the_row_walk(tmp_path):
 def test_field_at_and_over_the_limit(tmp_path, length, ok):
     path = tmp_path / "in.csv"
     path.write_text(f"timestamp,buy_orders,sell_orders\n1,{' ' * (length - 1)}1,2\n")
-    assert _tokenized_by(_plain_blocks, path, "counts") is None
     if ok:
         _, (_, buy, _) = read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
         assert buy.tolist() == [1]
@@ -340,7 +385,7 @@ def test_field_at_and_over_the_limit(tmp_path, length, ok):
             read_csv_columns(path, COUNTS_HEADER, COUNTS_COLUMNS)
 
 
-#: rows of the multi-fault files: several blocks of either tokenizer
+#: rows of the multi-fault files: several blocks of the reader
 FAULT_ROWS = 30_000
 EARLY, LATE = 100, 29_000
 
@@ -377,7 +422,7 @@ MULTI_FAULT_FILES = {
     ),
 }
 
-#: where one field is quoted, sending the file to the row walk
+#: where one field is quoted, if anywhere
 QUOTED_AT = {"plain": None, "quoted-early": 10, "quoted-late": FAULT_ROWS - 10}
 
 

@@ -93,6 +93,7 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
     x = np.concatenate([
         [-1000.0, -745.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 30.0, 745.0, 1000.0],
         np.random.default_rng(0).normal(0.0, 10.0, size=200),
+        [np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308],
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow at +-1000
