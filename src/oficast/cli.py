@@ -31,6 +31,7 @@ from .data_io import (
     chronological_split,
     generate_synthetic,
     load_counts_csv,
+    split_row,
     write_counts_csv,
 )
 from .evaluation import (
@@ -40,6 +41,7 @@ from .evaluation import (
     write_confusion_csv,
 )
 from .hybrid import (
+    KINDS,
     PipelineConfig,
     fit_fnn_only,
     fit_hybrid,
@@ -137,13 +139,8 @@ COMMAND_KEYS = {
     ),
 }
 
-_MODEL_KINDS = {
-    "var": "var_only",
-    "var_only": "var_only",
-    "fnn": "fnn_only",
-    "fnn_only": "fnn_only",
-    "hybrid": "hybrid",
-}
+#: ``--model`` names: each kind, and each ``_only`` kind without its suffix.
+_MODEL_KINDS = {name: kind for kind in KINDS for name in (kind, kind.removesuffix("_only"))}
 
 #: The values a setting's flag accepts, where only a few are valid.
 _CHOICES = {
@@ -310,7 +307,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if start is not None and len(series) > warmup:  # else predict names the short series
         if not 0.0 <= start < 1.0:
             raise ValueError(f"eval-start must lie in [0, 1), got {start}")
-        first = max(int(start * len(series)) - warmup, 0)
+        kept = split_row(start, len(series))  # the first row fit would hold out
+        if kept == len(series):
+            raise ValueError(
+                f"eval-start={start} leaves no rows to predict for n={len(series)}"
+            )
+        first = max(kept - warmup, 0)
     records = predict(bundle, series[first:])
     records.index[:] += first  # back to rows of the series, in place
     write_predictions_csv(records, args.out)

@@ -196,8 +196,6 @@ def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
     column that has one.  A missing file raises FileNotFoundError.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     parts = [[column.cast([])] for column in columns]  # per column: [no rows, *its blocks]
     line_parts = [np.empty(0, dtype=np.int64)]
     bad = [None] * len(columns)  # per column, the error and line of its first bad token
@@ -436,11 +434,18 @@ def generate_synthetic(spec: SyntheticSpec) -> CountSeries:
     return CountSeries(np.column_stack([buys, sells]))
 
 
+def split_row(fraction: float, n: int) -> int:
+    """The row at which a fraction of ``n`` rows ends: floor(fraction * n).
+    The training split ends here and ``predict --eval-start`` starts here."""
+    # tiny nudge so decimal fractions like 0.29 * 100 floor to the intended 29
+    return int(math.floor(fraction * n + 1e-9))
+
+
 def chronological_split(
     series: np.ndarray, train_fraction: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split an ``(n, 2)`` count array into (train, holdout), train being the
-    first floor(fraction * n) rows.
+    """Split an ``(n, 2)`` count array into (train, holdout) at
+    :func:`split_row`.
 
     Raises:
         ValueError: fraction outside (0, 1) or a split that leaves either
@@ -449,8 +454,7 @@ def chronological_split(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n = len(series)
-    # tiny nudge so decimal fractions like 0.29 * 100 floor to the intended 29
-    n_train = int(math.floor(train_fraction * n + 1e-9))
+    n_train = split_row(train_fraction, n)
     if n_train == 0 or n_train == n:
         raise ValueError(
             f"train_fraction={train_fraction} leaves an empty partition for n={n}"

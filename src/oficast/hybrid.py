@@ -45,7 +45,9 @@ from .ofi_signal import OfiParams, Signal, clamp_ofi, ofi, signal, window_sums
 from . import var_model as vm
 
 BUNDLE_FORMAT_TAG = "oficast-bundle v1"
-KINDS = ("var_only", "fnn_only", "hybrid")
+#: Each pipeline kind by the stages it holds: (a VAR part, an FNN part) -> kind.
+_KIND_OF_STAGES = {(True, False): "var_only", (False, True): "fnn_only", (True, True): "hybrid"}
+KINDS = tuple(_KIND_OF_STAGES.values())
 
 VAR_FILE = "var.txt"
 FNN_FILE = "fnn.txt"
@@ -108,7 +110,8 @@ class Predictions:
 
 @dataclass
 class ModelBundle:
-    kind: str
+    """A fitted pipeline: its configuration and stages, which name its :attr:`kind`."""
+
     config: PipelineConfig
     var_part: vm.VarModel | None = None
     fnn_part: FnnModel | None = None
@@ -117,25 +120,20 @@ class ModelBundle:
     training_trace: TrainingTrace | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind in ("var_only", "hybrid") and self.var_part is None:
-            raise ValueError(f"{self.kind} bundle needs a VAR part")
-        if self.kind in ("fnn_only", "hybrid") and self.fnn_part is None:
-            raise ValueError(f"{self.kind} bundle needs an FNN part")
+        if self.var_part is None and self.fnn_part is None:
+            raise ValueError("a bundle needs a VAR part, an FNN part or both")
+
+    @property
+    def kind(self) -> str:
+        return _KIND_OF_STAGES[self.var_part is not None, self.fnn_part is not None]
 
 
 def required_warmup(bundle: ModelBundle) -> int:
     """Rows of true history a prediction needs before its target row."""
     cfg = bundle.config
-    q = cfg.residual_lags
-    if bundle.kind == "var_only":
-        model_rows = cfg.var_lag
-    elif bundle.kind == "fnn_only":
-        model_rows = q
-    else:
-        model_rows = cfg.var_lag + q
-    return max(model_rows, cfg.ofi.window_h - 1)
+    var_rows = cfg.var_lag if bundle.var_part is not None else 0
+    fnn_rows = cfg.residual_lags if bundle.fnn_part is not None else 0
+    return max(var_rows + fnn_rows, cfg.ofi.window_h - 1)
 
 
 def lag_features(arr: np.ndarray, q: int, first: int) -> np.ndarray:
@@ -151,9 +149,7 @@ def lag_features(arr: np.ndarray, q: int, first: int) -> np.ndarray:
 def fit_var_only(series, config: PipelineConfig) -> ModelBundle:
     arr = counts_to_array(series)
     model, diagnostics = vm.fit_var(arr, config.var_lag)
-    return ModelBundle(
-        kind="var_only", config=config, var_part=model, var_diagnostics=diagnostics
-    )
+    return ModelBundle(config=config, var_part=model, var_diagnostics=diagnostics)
 
 
 def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
@@ -175,9 +171,7 @@ def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
         activation=config.activation,
     )
     model, trace = train(X, targets, topology, config.train)
-    return ModelBundle(
-        kind="fnn_only", config=config, fnn_part=model, training_trace=trace
-    )
+    return ModelBundle(config=config, fnn_part=model, training_trace=trace)
 
 
 def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
@@ -200,7 +194,6 @@ def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
     )
     model, trace = train(X, Y, topology, config.train)
     return ModelBundle(
-        kind="hybrid",
         config=config,
         var_part=var,
         fnn_part=model,
@@ -225,7 +218,7 @@ def _combined(bundle: ModelBundle, arr: np.ndarray, warmup: int):
     p = bundle.config.var_lag
     preds = vm.one_step_predictions(bundle.var_part, arr)  # row i targets p + i
     var_pred = preds[warmup - p :]  # rows warmup .. n-1, a view
-    if bundle.kind == "hybrid":
+    if bundle.fnn_part is not None:
         resid = arr[p:] - preds  # causal: residual at u uses rows <= u
         feats = lag_features(resid, bundle.config.residual_lags, warmup - p)
         resid_pred = forward(bundle.fnn_part, feats)
@@ -243,7 +236,7 @@ def hybrid_components(bundle: ModelBundle, series):
     identity combined == max(var_pred + resid_pred, 0) holds exactly.
     VAR-only bundles contribute an all-zero residual prediction.
     """
-    if bundle.kind == "fnn_only":
+    if bundle.var_part is None:
         raise ValueError("fnn_only pipelines have no count-space decomposition")
     arr = counts_to_array(series)
     warmup = _checked_warmup(bundle, arr.shape[0])
@@ -278,7 +271,7 @@ def predict(bundle: ModelBundle, series) -> Predictions:
         block = arr[lo - warmup : lo + size]  # the block's rows after their context
         sums = window_sums(block, h)[warmup - h + 1 :]  # windows ending at the block's rows
         actual = ofi(sums[:, 0], sums[:, 1])
-        if bundle.kind == "fnn_only":
+        if bundle.var_part is None:
             feats = lag_features(block, cfg.residual_lags, warmup)
             predicted = clamp_ofi(forward(bundle.fnn_part, feats)[:, 0])
         else:
@@ -320,9 +313,7 @@ def zero_residual_head(bundle: ModelBundle) -> ModelBundle:
         input_scaler=bundle.fnn_part.input_scaler,
         target_scaler=AffineScaler.identity(topo.output_dim),
     )
-    return ModelBundle(
-        kind="hybrid", config=bundle.config, var_part=bundle.var_part, fnn_part=zeroed
-    )
+    return ModelBundle(config=bundle.config, var_part=bundle.var_part, fnn_part=zeroed)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -402,10 +393,7 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
     :class:`BundleFormatError` naming the inconsistent field.
     """
     dirpath = Path(dirpath)
-    manifest_path = dirpath / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(str(manifest_path))
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(dirpath / MANIFEST_FILE, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -420,14 +408,18 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
         config = config_from_dict(manifest["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError("config", str(exc)) from exc
+    # the stage files present are the kind the directory holds
+    has_var, has_fnn = ((dirpath / name).exists() for name in (VAR_FILE, FNN_FILE))
+    if _KIND_OF_STAGES.get((has_var, has_fnn)) != kind:
+        present = [name for name, here in ((VAR_FILE, has_var), (FNN_FILE, has_fnn)) if here]
+        raise BundleFormatError(
+            "kind", f"manifest says {kind}, stage files present: {', '.join(present) or 'none'}"
+        )
 
     var_part = None
-    if kind in ("var_only", "hybrid"):
-        var_file = dirpath / VAR_FILE
-        if not var_file.exists():
-            raise BundleFormatError("kind", f"{kind} bundle is missing {VAR_FILE}")
+    if has_var:
         try:
-            var_part = vm.load_var(var_file)
+            var_part = vm.load_var(dirpath / VAR_FILE)
         except ValueError as exc:
             raise BundleFormatError(VAR_FILE, str(exc)) from exc
         if var_part.p != config.var_lag:
@@ -437,12 +429,9 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
             )
 
     fnn_part = None
-    if kind in ("fnn_only", "hybrid"):
-        fnn_file = dirpath / FNN_FILE
-        if not fnn_file.exists():
-            raise BundleFormatError("kind", f"{kind} bundle is missing {FNN_FILE}")
+    if has_fnn:
         try:
-            fnn_part = load_fnn(fnn_file)
+            fnn_part = load_fnn(dirpath / FNN_FILE)
         except ValueError as exc:
             raise BundleFormatError(FNN_FILE, str(exc)) from exc
         topo = fnn_part.topology
@@ -464,25 +453,14 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
                 f"manifest says {_quote(str(config.activation))} "
                 f"but {FNN_FILE} has {_quote(topo.activation)}",
             )
-        expected_out = 2 if kind == "hybrid" else 1
+        expected_out = 2 if has_var else 1  # a residual pair, or one OFI
         if topo.output_dim != expected_out:
             raise BundleFormatError(
                 "kind",
                 f"{kind} bundle expects an output width of {expected_out}, "
                 f"{FNN_FILE} has {topo.output_dim}",
             )
-
-    # a stage file the declared kind cannot have used means the manifest
-    # does not describe this directory
-    if kind == "var_only" and (dirpath / FNN_FILE).exists():
-        raise BundleFormatError(
-            "kind", f"manifest says var_only but {FNN_FILE} is present"
-        )
-    if kind == "fnn_only" and (dirpath / VAR_FILE).exists():
-        raise BundleFormatError(
-            "kind", f"manifest says fnn_only but {VAR_FILE} is present"
-        )
-    return ModelBundle(kind=kind, config=config, var_part=var_part, fnn_part=fnn_part)
+    return ModelBundle(config=config, var_part=var_part, fnn_part=fnn_part)
 
 
 PREDICTIONS_HEADER = tuple(f.name for f in fields(Predictions))

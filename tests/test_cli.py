@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import shutil
 from itertools import permutations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oficast import cli
 from oficast.cli import DEFAULTS, build_parser, derive_seed, main
 from oficast.hybrid import Predictions, write_predictions_csv
 from oficast.ofi_signal import SIGNAL_ORDER
@@ -254,12 +256,30 @@ def one_block_run(tmp_path_factory):
 def test_predict_eval_start_writes_the_tail_of_a_full_predict(one_block_run, start):
     tmp_path, data, bundle, (header, *full_rows) = one_block_run
     tail = tmp_path / "tail.csv"
-    assert run(["predict", "--bundle", bundle, "--data", data,
-                "--out", tail, "--eval-start", start]) == 0
+    kept = math.floor(start * 600 + 1e-9)  # the first row fit --train-fraction start holds out
+    code = run(["predict", "--bundle", bundle, "--data", data,
+                "--out", tail, "--eval-start", start])
+    assert code == (1 if kept == 600 else 0)  # a fraction this close to 1 keeps no row
+    if code:
+        return
     with open(tail) as fh:
         tail_header, *tail_rows = csv.reader(fh)
     assert tail_header == header
-    assert tail_rows == [r for r in full_rows if int(r[0]) >= int(start * 600)]
+    assert tail_rows == [r for r in full_rows if int(r[0]) >= kept]
+
+
+@pytest.mark.parametrize("fraction", [0.29, 0.57, 0.58])
+def test_predict_eval_start_starts_where_fit_train_fraction_stops(tmp_path, fraction):
+    data = synth(tmp_path, length=100, seed=1)
+    bundle = tmp_path / "bundle"
+    assert run(["fit", "--data", data, "--out", bundle, "--model", "var",
+                "--train-fraction", fraction]) == 0
+    train_rows = json.loads((bundle / "run_config.json").read_text())["train_rows"]
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", out,
+                "--eval-start", fraction]) == 0
+    with open(out) as fh:
+        assert int(next(csv.DictReader(fh))["index"]) == train_rows
 
 
 _SHORT = "series supplies 4 rows but the pipeline needs more than 4"
@@ -268,7 +288,9 @@ _SHORT = "series supplies 4 rows but the pipeline needs more than 4"
 @pytest.mark.parametrize(
     "rows, start, message",
     [(4, 1.5, _SHORT), (4, -0.1, _SHORT), (4, 0.5, _SHORT),
-     (200, 1.0, "eval-start must lie in [0, 1), got 1.0")],
+     (200, 1.0, "eval-start must lie in [0, 1), got 1.0"),
+     (200, 0.9999999999999999,
+      "eval-start=0.9999999999999999 leaves no rows to predict for n=200")],
 )
 def test_predict_names_a_short_series_before_a_bad_eval_start(
     tmp_path, capsys, rows, start, message
@@ -577,6 +599,12 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers, via_config):
 
 
 # ------------------------------------------------------------ flag surface
+
+def test_model_names_are_each_kind_and_its_short_name():
+    assert sorted(cli._MODEL_KINDS) == ["fnn", "fnn_only", "hybrid", "var", "var_only"]
+    assert cli._MODEL_KINDS == {"var": "var_only", "var_only": "var_only", "fnn": "fnn_only",
+                                "fnn_only": "fnn_only", "hybrid": "hybrid"}
+
 
 #: The options fit and sweep share.
 _SHARED_FLAGS = {
@@ -905,6 +933,23 @@ def test_fit_bad_counts_row_names_file_and_line(tmp_path, capsys, bad_row, compl
     assert run(["fit", "--data", data, "--out", out, "--model", "var"]) == 1
     assert capsys.readouterr().err == f"error: {data}: {complaint}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [(["fit", "--data", "nothere.csv", "--out", "bundle"], "nothere.csv"),
+     (["evaluate", "nothere.csv", "--out", "cmp.csv"], "nothere.csv"),
+     (["predict", "--bundle", "nob", "--data", "nothere.csv", "--out", "p.csv"],
+      "nob/manifest.json")],
+    ids=["fit", "evaluate", "predict"],
+)
+def test_missing_input_file_gives_the_reason(tmp_path, monkeypatch, capsys, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_overlong_header_is_quoted_short(tmp_path, capsys):

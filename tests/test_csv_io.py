@@ -536,9 +536,8 @@ def test_predictions_io_memory_is_bounded_by_blocks(tmp_path):
 
 
 def test_quoted_counts_memory_is_bounded_by_blocks(tmp_path):
-    """One quoted field in the middle of a 10^5-row counts file sends it to
-    the row walk, which holds a block of rows, not the whole file: its
-    peak stays within 1 MB of the bulk pass's on the file unquoted."""
+    """One quoted field in the middle of a 10^5-row counts file costs the
+    reader no more than 1 MB of peak memory over the same file unquoted."""
     n = 100_000
     series = CountSeries(np.random.default_rng(0).poisson(4, size=(n, 2)), 1_700_000_000)
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"

@@ -1,3 +1,5 @@
+import json
+import shutil
 import tracemalloc
 from unittest import mock
 
@@ -480,6 +482,75 @@ def test_tampered_kind_names_field(tmp_path):
 def test_tampered_format_tag_names_field(tmp_path):
     err = _tamper(tmp_path, lambda m: m.update(format="something-else"))
     assert err.field == "format"
+
+
+def test_bundle_without_a_stage_is_refused():
+    with pytest.raises(ValueError, match="a bundle needs a VAR part, an FNN part or both"):
+        ModelBundle(PipelineConfig())
+
+
+@pytest.mark.parametrize(
+    "fitter, kind, stage_files",
+    [(fit_var_only, "var_only", ["var.txt"]),
+     (fit_fnn_only, "fnn_only", ["fnn.txt"]),
+     (fit_hybrid, "hybrid", ["fnn.txt", "var.txt"])],
+)
+def test_kind_is_the_stages_held_and_round_trips(tmp_path, fitter, kind, stage_files):
+    bundle = fitter(synthetic(200, seed=13), PipelineConfig(var_lag=2, train=quick_train()))
+    assert bundle.kind == kind
+    save_bundle(bundle, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("*.txt")) == stage_files
+    assert json.loads((tmp_path / "manifest.json").read_text())["kind"] == kind
+    assert load_bundle(tmp_path).kind == kind
+
+
+def _saved(tmp_path, fitter, name="bundle"):
+    path = tmp_path / name
+    save_bundle(fitter(synthetic(200, seed=14), PipelineConfig(var_lag=2, train=quick_train())), path)
+    return path
+
+
+def _without(*stage_files):
+    def make(tmp_path):
+        path = _saved(tmp_path, fit_hybrid)
+        for name in stage_files:
+            (path / name).unlink()
+        return path
+    return make
+
+
+def _with_stray(fitter, stage_file):
+    def make(tmp_path):  # unparseable: the kind check comes before any parse
+        path = _saved(tmp_path, fitter)
+        (path / stage_file).write_text("not a stage file\n")
+        return path
+    return make
+
+
+def _with_one_output_head(tmp_path):
+    path = _saved(tmp_path, fit_hybrid)
+    shutil.copy(_saved(tmp_path, fit_fnn_only, "fnn") / "fnn.txt", path / "fnn.txt")
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(_without("var.txt"), "manifest says hybrid, stage files present: fnn.txt"),
+     (_without("var.txt", "fnn.txt"), "manifest says hybrid, stage files present: none"),
+     (_with_stray(fit_var_only, "fnn.txt"),
+      "manifest says var_only, stage files present: var.txt, fnn.txt"),
+     (_with_stray(fit_fnn_only, "var.txt"),
+      "manifest says fnn_only, stage files present: var.txt, fnn.txt"),
+     (_with_one_output_head, "hybrid bundle expects an output width of 2, fnn.txt has 1")],
+    ids=["hybrid-without-var", "hybrid-without-stages", "var_only-with-fnn",
+         "fnn_only-with-var", "hybrid-with-one-output"],
+)
+def test_stage_files_unlike_the_manifest_kind_name_kind(tmp_path, make, message):
+    path = make(tmp_path)
+    with pytest.raises(BundleFormatError) as exc:
+        load_bundle(path)
+    assert exc.value.field == "kind"
+    assert str(exc.value) == f"bundle field 'kind': {message}"
 
 
 #: manifest config table (None: the top level) and a key in it
