@@ -57,9 +57,16 @@ class SweepSpace:
     optimizers: tuple[str, ...] = DEFAULT_OPTIMIZERS
 
     def __post_init__(self) -> None:
-        for axis in fields(self):
-            if not getattr(self, axis.name):
+        for axis, values in zip(fields(self), _axes(self)):
+            if not values:
                 raise ValueError(f"sweep axis {axis.name} is empty")
+            repeated = _repeated(values)
+            if repeated:  # its cells would train one configuration twice
+                shown = ", ".join(
+                    format_architecture(v) if isinstance(v, tuple) else str(v)
+                    for v in repeated
+                )
+                raise ValueError(f"sweep axis {axis.name}: repeated {shown}")
         for name, known in (("activations", ACTIVATIONS), ("optimizers", OPTIMIZERS)):
             unknown = [value for value in getattr(self, name) if value not in known]
             if unknown:
@@ -117,85 +124,49 @@ def _axes(space: SweepSpace) -> list[tuple]:
     ]
 
 
+def _repeated(values) -> list:
+    """The values listed more than once, each once, in first-listed order."""
+    return list(dict.fromkeys(v for v in values if values.count(v) > 1))
+
+
 def enumerate_grid(space: SweepSpace) -> list[SweepConfig]:
     """Deterministic lexicographic order over (lag, architecture,
     activation, optimizer) as listed in the space."""
     return [SweepConfig(*row) for row in itertools.product(*_axes(space))]
 
 
-def _replace_axis(row: tuple, axis: int, value) -> tuple:
-    items = list(row)
-    items[axis] = value
-    return tuple(items)
-
-
 def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     """k distinct configurations with each axis spread across its values as
     evenly as k permits (Latin-hypercube style over the categorical grid).
 
+    The configurations are the first k positions of a seeded walk over the
+    grid, returned in a seeded order.  With the axes taken in a seeded
+    order, an axis of m values placed after axes whose sizes multiply to
+    ``period`` steps through a seeded permutation of its values and shifts
+    by one every lcm(period, m) positions.  The walk visits every cell of
+    the grid once, and every aligned run of m positions holds each value
+    of that axis once, so the first k positions are k distinct cells in
+    which each value appears floor(k/m) or ceil(k/m) times.
+
     Deterministic for a given (space, k, seed).  k equal to the grid size
-    returns a seeded permutation of the full grid, the only distinct
-    outcome consistent with both requirements.
+    returns a seeded permutation of the full grid.
     """
-    grid = enumerate_grid(space)
-    if not 1 <= k <= len(grid):
-        raise ValueError(f"k must lie in [1, {len(grid)}], got {k}")
-    rng = np.random.default_rng(seed_sequence(seed, len(grid), k))
-    if k == len(grid):
-        return [grid[i] for i in rng.permutation(len(grid))]
-
     axes = _axes(space)
-    cols: list[list] = []
-    for values in axes:
+    if not 1 <= k <= space.size:
+        raise ValueError(f"k must lie in [1, {space.size}], got {k}")
+    rng = np.random.default_rng(seed_sequence(seed, space.size, k))
+    t = np.arange(k)
+    columns = [None] * len(axes)
+    period = 1
+    for a in rng.permutation(len(axes)):
+        values = axes[a]
         m = len(values)
-        counts = [k // m] * m
-        # which values receive the remainder is itself seeded
-        for extra in rng.permutation(m)[: k % m]:
-            counts[extra] += 1
-        col = []
-        for value, count in zip(values, counts):
-            col.extend([value] * count)
-        cols.append([col[i] for i in rng.permutation(k)])
-    rows = list(zip(*cols))
-
-    # Repair duplicates by swapping one axis value between two rows, which
-    # preserves every per-axis multiset; each applied swap strictly lowers
-    # the duplicate count, and the bound is never reached in practice.
-    for _ in range(10 * k + 100):
-        seen: dict[tuple, int] = {}
-        dup_index = -1
-        for i, row in enumerate(rows):
-            if row in seen:
-                dup_index = i
-                break
-            seen[row] = i
-        if dup_index < 0:
-            return [SweepConfig(*row) for row in rows]
-        repaired = False
-        for axis in rng.permutation(len(axes)):
-            for j in rng.permutation(k):
-                j = int(j)
-                if j == dup_index or rows[j][axis] == rows[dup_index][axis]:
-                    continue
-                new_i = _replace_axis(rows[dup_index], axis, rows[j][axis])
-                new_j = _replace_axis(rows[j], axis, rows[dup_index][axis])
-                if new_i == new_j:
-                    continue
-                occupancy = {}
-                for idx, row in enumerate(rows):
-                    if idx in (dup_index, j):
-                        continue
-                    occupancy[row] = occupancy.get(row, 0) + 1
-                if occupancy.get(new_i, 0) == 0 and occupancy.get(new_j, 0) == 0:
-                    rows[dup_index] = new_i
-                    rows[j] = new_j
-                    repaired = True
-                    break
-            if repaired:
-                break
-        if not repaired:
-            raise RuntimeError("lhs_sample could not repair a duplicate row")
-    raise RuntimeError("lhs_sample repair loop exceeded its bound")
+        labels = rng.permutation(m)
+        s = t % (period * m)
+        columns[a] = [values[i] for i in labels[(s + s // math.lcm(period, m)) % m]]
+        period *= m
+    rows = list(zip(*columns))
+    return [SweepConfig(*rows[i]) for i in rng.permutation(k)]
 
 
 def seed_sequence(master: int, *path: int) -> np.random.SeedSequence:
@@ -289,7 +260,8 @@ def run_sweep(
     fans cells out to a process pool of at most one process per
     cell; the result order and content are identical either way, and
     only that pool loads ``multiprocessing``.  ``train_fraction`` must lie
-    in (0, 1); it is checked before any cell runs.
+    in (0, 1) and the dataset names must differ; both are checked before
+    any cell runs.
 
     Every worker runs as many BLAS threads as numpy loaded with, one per
     core by default.  The cells' matmuls are too small to gain from them,
@@ -303,6 +275,11 @@ def run_sweep(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not datasets:
         raise ValueError("no datasets supplied")
+    repeated = _repeated([name for name, _ in datasets])
+    if repeated:  # their rows could not be told apart, and would be averaged
+        raise ValueError(
+            f"more than one dataset is named {', '.join(map(repr, repeated))}"
+        )
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if not 0.0 < train_fraction < 1.0:  # else every cell fails alike

@@ -553,6 +553,30 @@ def test_sweep_sample_flag_shrinks_run(tmp_path):
     assert len(_read_masked(out)) == 2
 
 
+def test_sweep_sample_one_short_of_the_grid_runs(tmp_path):
+    d1 = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--datasets", d1, "--out", out,
+                "--sample", 119, "--seed", 0, "--epochs", 1]) == 0
+    rows = _read_masked(out)
+    assert len(rows) == 119
+    assert len({(r["lag"], r["architecture"], r["activation"], r["optimizer"])
+                for r in rows}) == 119
+
+
+def test_sweep_refuses_two_datasets_with_the_same_name(tmp_path, capsys):
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    first = synth(tmp_path, "d1/x.csv", length=150, seed=1)
+    second = synth(tmp_path, "d2/x.csv", length=150, seed=2)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", first, second, "--out", out, "--lags", "1",
+                "--architectures", "4", "--epochs", 1]) == 1
+    assert capsys.readouterr().err == "error: more than one dataset is named 'x'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1", "d2"]
+
+
 @pytest.mark.parametrize("sample", [0, 121])
 def test_sweep_sample_outside_the_grid_is_refused_before_reading_data(
     tmp_path, capsys, sample
@@ -892,6 +916,16 @@ def test_sweep_lag_or_width_below_one_fails_before_training(
                 "--epochs", 1, flag, value]) == 1
     assert capsys.readouterr().err == f"error: {complaint}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
+def test_sweep_repeated_axis_value_is_refused_before_reading_data(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert run(["sweep", "--datasets", tmp_path / "missing.csv", "--out", out,
+                "--lags", "1,1", "--architectures", "4;4", "--activations", "relu,relu",
+                "--optimizers", "adam"]) == 1
+    assert capsys.readouterr().err == "error: sweep axis lags: repeated 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["1.0", "1.5", "0", "nan"])

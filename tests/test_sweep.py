@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oficast import sweep as sweep_module
 from oficast.data_io import SyntheticSpec, generate_synthetic
@@ -104,6 +105,10 @@ def test_space_rejects_empty_axis():
     [
         ("activations", ("relu", "gelu"), "sweep axis activations: unknown 'gelu'"),
         ("optimizers", ("adam", "rmsprop"), "sweep axis optimizers: unknown 'rmsprop'"),
+        ("lags", (1, 2, 1, 2), "sweep axis lags: repeated 1, 2$"),
+        ("architectures", ((32, 16), (4,), (32, 16)), "sweep axis architectures: repeated 32-16$"),
+        ("activations", ("relu", "tanh", "relu"), "sweep axis activations: repeated relu$"),
+        ("optimizers", ("sgd", "sgd"), "sweep axis optimizers: repeated sgd$"),
     ],
 )
 def test_space_rejects_unknown_activation_or_optimizer(axis, values, complaint):
@@ -145,6 +150,46 @@ def test_lhs_no_duplicates_and_deterministic():
         s2 = lhs_sample(space, k, seed=9)
         assert s1 == s2
         assert len(set(s1)) == k
+
+
+def _assert_distinct_and_balanced(space, k, sample):
+    assert len(sample) == k
+    assert len(set(sample)) == k
+    for name, values in (("lag", space.lags), ("architecture", space.architectures),
+                         ("activation", space.activations), ("optimizer", space.optimizers)):
+        m = len(values)
+        counts = [sum(getattr(c, name) == value for c in sample) for value in values]
+        assert sum(counts) == k
+        assert set(counts) <= {k // m, -(-k // m)}, (name, k, counts)
+
+
+def test_lhs_every_k_on_the_default_grid_is_distinct_and_balanced():
+    space = SweepSpace()
+    seeds = [*range(20), *(derive_seed(master, 2) for master in range(10))]
+    for k in range(1, space.size + 1):
+        for seed in seeds:
+            _assert_distinct_and_balanced(space, k, lhs_sample(space, k, seed))
+
+
+@st.composite
+def _spaces_and_k(draw):
+    space = SweepSpace(
+        lags=tuple(range(1, draw(st.integers(1, 8)) + 1)),
+        architectures=tuple((width,) for width in range(1, draw(st.integers(1, 8)) + 1)),
+        activations=DEFAULT_ACTIVATIONS[: draw(st.integers(1, 3))],
+        optimizers=DEFAULT_OPTIMIZERS[: draw(st.integers(1, 2))],
+    )
+    return space, draw(st.integers(1, space.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_spaces_and_k(), seed=st.integers(0, 2**64 - 1))
+def test_lhs_is_distinct_and_balanced_on_any_space(case, seed):
+    space, k = case
+    sample = lhs_sample(space, k, seed)
+    _assert_distinct_and_balanced(space, k, sample)
+    assert set(sample) <= set(enumerate_grid(space))
+    assert lhs_sample(space, k, seed) == sample
 
 
 def test_lhs_rejects_bad_k():
