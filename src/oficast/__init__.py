@@ -14,9 +14,9 @@ _EXPORTS = {
     name: module
     for module, names in {
         "data_io": (
-            "CountSeries", "DataFormatError", "Side", "SyntheticSpec",
-            "aggregate_trades", "chronological_split", "generate_synthetic",
-            "load_counts_csv", "load_trades_csv", "write_counts_csv",
+            "CountSeries", "DataFormatError", "SyntheticSpec",
+            "chronological_split", "generate_synthetic", "load_counts_csv",
+            "write_counts_csv",
         ),
         "ofi_signal": (
             "OfiParams", "Signal", "clamp_ofi", "ofi", "signal",

@@ -30,6 +30,7 @@ from .data_io import (
     SyntheticSpec,
     chronological_split,
     generate_synthetic,
+    json_value,
     load_counts_csv,
     split_row,
     write_counts_csv,
@@ -151,19 +152,13 @@ _CHOICES = {
 
 
 def _config_value(key: str, value, source: str):
-    """A config-file value, which must have its setting's type: bool only for
-    bools, int (not bool) for ints, int or float for floats (returned as a
-    float), str for strings; None only where the default is None."""
+    """A config-file value, which must have its setting's type by
+    :func:`json_value`; None only where the default is None."""
     default, expected, _ = SETTINGS[key]
-    if value is None and default is None:
-        return None
-    accepted = (int, float) if expected is float else (expected,)
-    if (isinstance(value, bool) and expected is not bool) or not isinstance(value, accepted):
-        raise ValueError(
-            f"{source}: config key {key!r} must be {expected.__name__}, "
-            f"got {type(value).__name__} {value!r}"
-        )
-    return float(value) if expected is float else value
+    try:
+        return json_value(value, expected, nullable=default is None)
+    except ValueError as exc:
+        raise ValueError(f"{source}: config key {key!r} {exc}") from None
 
 
 def _resolve(args: argparse.Namespace) -> dict:

@@ -2,21 +2,18 @@
 
 A count series is one :class:`CountSeries`: an ``(n, 2)`` int64 array of
 buy and sell counts per unit interval plus ``t0``, the first interval's
-timestamp (the stride is 1).  The counts loader, the generator and the
-trade aggregator return one; the model layer (VAR, FNN, pipelines) takes its
-``counts`` array and reads it through :func:`counts_to_array`.
+timestamp (the stride is 1).  The counts loader and the generator return
+one; the model layer (VAR, FNN, pipelines) takes its ``counts`` array and
+reads it through :func:`counts_to_array`.
 
-File formats:
-
-* counts CSV: header ``timestamp,buy_orders,sell_orders``, integer fields.
-* trade tape CSV: header ``timestamp,side`` with side ``BUY`` or ``SELL``.
+The counts CSV has the header ``timestamp,buy_orders,sell_orders`` and
+integer fields.
 
 :class:`ParamLines` reads the bundle's parameter files.
 """
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -28,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 COUNTS_HEADER = ("timestamp", "buy_orders", "sell_orders")
-TRADES_HEADER = ("timestamp", "side")
 
 #: Largest VAR lag the sweep grid explores; synthetic series must cover it.
 MAX_SUPPORTED_LAG = 10
@@ -50,11 +46,6 @@ class DataFormatError(ValueError):
             message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class Side(enum.Enum):
-    BUY = "BUY"
-    SELL = "SELL"
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +160,12 @@ class Column(NamedTuple):
     expected: str
 
 
-def object_column(parse: Callable[[str], object], expected: str) -> Column:
-    """A column of the objects ``parse`` makes of its tokens, as an object array."""
-    return Column(lambda tokens: np.array(list(map(parse, tokens)), dtype=object), expected)
-
-
 # numpy parses each str element with Python's own int() and float()
 INT_COLUMN = Column(partial(np.array, dtype=np.int64), "an integer")
 #: A float column that must hold finite values.
 FINITE_COLUMN = Column(_finite_floats, "a finite number")
 
 COUNTS_COLUMNS = (INT_COLUMN,) * 3
-TRADES_COLUMNS = (FINITE_COLUMN, object_column(lambda tok: Side(tok.strip()), "BUY or SELL"))
 
 
 def read_csv_columns(path: str | Path, header: tuple[str, ...], columns):
@@ -261,6 +246,24 @@ def _csv_blocks(path, header):
         raise DataFormatError(f"expected {width} fields, got {wrong[1]}", wrong[0], path)
 
 
+def json_value(value, expected: type, nullable: bool = False):
+    """``value``, read from JSON, if it has type ``expected``: bool only for
+    bool, int (not bool) for int, int or float for float (returned as a
+    float), str for str; None only if ``nullable``.  Else a ValueError that
+    says what was expected."""
+    if value is None and nullable:
+        return None
+    accepted = (int, float) if expected is float else (expected,)
+    if isinstance(value, accepted) and (expected is bool or not isinstance(value, bool)):
+        try:
+            return float(value) if expected is float else value
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(
+        f"must be {expected.__name__}, got {type(value).__name__} {_quote(str(value))}"
+    )
+
+
 class ParamLines:
     """The lines of a bundle's parameter file (``var.txt``, ``fnn.txt``),
     read with errors that name the file and the 1-based line."""
@@ -286,12 +289,17 @@ class ParamLines:
 
     def numbers(self, idx: int, text: str, kind=float, sep=None, count=None) -> list:
         """The ``kind`` values of ``text``, line ``idx``'s, split at ``sep``;
-        there must be ``count`` of them unless it is None."""
+        there must be ``count`` of them unless it is None, and floats must
+        be finite."""
         tokens = text.split(sep) if text else []
         try:
             values = [kind(tok) for tok in tokens]
         except ValueError:
             raise self.bad(idx, f"non-numeric token in {_quote(text)}") from None
+        if kind is float:
+            for tok, value in zip(tokens, values):
+                if not math.isfinite(value):
+                    raise self.bad(idx, f"non-finite value {_quote(tok)}")
         if count is not None and len(values) != count:
             raise self.bad(idx, f"expected {count} values, got {len(values)}")
         return values
@@ -354,51 +362,6 @@ def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> Non
                     block = block.tolist()
                 fields.append(block if fmt is None else map(fmt, block))
             fh.write("\r\n".join(chain(map(",".join, zip(*fields)), [""])))
-
-
-def load_trades_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a trade tape (``timestamp,side`` with a finite timestamp and side
-    BUY or SELL) as two arrays, one entry per trade: the float times (epoch
-    seconds) and the aggressor :class:`Side` members (dtype object)."""
-    _, (times, sides) = read_csv_columns(path, TRADES_HEADER, TRADES_COLUMNS)
-    return times, sides
-
-
-def aggregate_trades(times, sides, bucket: float) -> CountSeries:
-    """Bucket a trade tape, given as trade times and aggressor sides (one
-    :class:`Side` each), into per-interval counts.
-
-    Buckets are ``floor(time / bucket)``; the output covers every index
-    between the first and last trade's bucket, with empty interior buckets
-    counted as (0, 0), and ``t0`` is the first trade's bucket index.
-
-    Raises:
-        ValueError: nonpositive bucket width, times and sides of different
-            lengths, or times that are not finite or not sorted.
-    """
-    if bucket <= 0:
-        raise ValueError("bucket width must be positive")
-    times = np.asarray(times, dtype=float)
-    sides = np.asarray(sides, dtype=object)
-    if len(times) != len(sides):
-        raise ValueError(
-            f"times and sides must have the same length, got {len(times)} and {len(sides)}"
-        )
-    if not len(times):
-        return CountSeries(np.zeros((0, 2), dtype=np.int64))
-    if not np.isfinite(times).all():
-        raise ValueError("event timestamps must be finite")
-    unsorted = times[1:] < times[:-1]
-    if unsorted.any():
-        i = int(np.argmax(unsorted))
-        raise ValueError(
-            f"events must be sorted by timestamp, got {times[i + 1]} after {times[i]}"
-        )
-    buckets = np.floor(times / bucket)
-    idx = (buckets - buckets[0]).astype(np.int64)
-    is_sell = sides == Side.SELL
-    counts = np.bincount(2 * idx + is_sell, minlength=2 * idx[-1] + 2).reshape(-1, 2)
-    return CountSeries(counts, int(buckets[0]))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> CountSeries:

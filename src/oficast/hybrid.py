@@ -14,9 +14,9 @@ only true rows before t.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from . import data_io
 from .data_io import (
     FINITE_COLUMN,
     INT_COLUMN,
+    Column,
     _quote,
     counts_to_array,
-    object_column,
+    json_value,
     read_csv_columns,
     write_csv_columns,
 )
@@ -322,18 +323,14 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of :func:`config_to_dict`."""
-    return _from_fields(
-        PipelineConfig,
-        data,
-        hidden_layers=tuple,
-        train=partial(_from_fields, TrainConfig),
-        ofi=partial(_from_fields, OfiParams),
-    )
+    return _from_fields(PipelineConfig, data)
 
 
-def _from_fields(cls, data, **convert):
-    """``cls(**data)``, each value passed through its function in ``convert``,
-    if any.  A missing or unexpected key raises TypeError naming it."""
+def _from_fields(cls, data):
+    """``cls(**data)``, each value read by its field's type: a nested config
+    from its object, a ``tuple[int, ...]`` from a list of ints, any other
+    value checked by :func:`data_io.json_value`.  A missing or unexpected
+    key or a value of the wrong type raises TypeError naming it."""
     if not isinstance(data, dict):
         raise TypeError(f"{cls.__name__}: expected an object, got {_quote(repr(data))}")
     names = [f.name for f in fields(cls)]
@@ -345,7 +342,23 @@ def _from_fields(cls, data, **convert):
     for name in names:
         if name not in data:
             raise TypeError(f"{cls.__name__}.__init__() missing keyword argument {_quote(name)}")
-    return cls(**{key: convert[key](v) if key in convert else v for key, v in data.items()})
+    hints = get_type_hints(cls)
+    return cls(**{name: _field_value(cls, name, hints[name], data[name]) for name in names})
+
+
+def _field_value(cls, name: str, hint, value):
+    if is_dataclass(hint):
+        return _from_fields(hint, value)
+    args = get_args(hint)  # (int, NoneType) for int | None, (int, ...) for tuple[int, ...]
+    try:
+        if get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):  # a tuple from config_to_dict
+                got = f"{type(value).__name__} {_quote(str(value))}"
+                raise ValueError(f"must be a list, got {got}")
+            return tuple(json_value(item, args[0]) for item in value)
+        return json_value(value, args[0] if args else hint, nullable=type(None) in args)
+    except ValueError as exc:
+        raise TypeError(f"{cls.__name__}.{name} {exc}") from None
 
 
 def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
@@ -482,7 +495,10 @@ def write_predictions_csv(records: Predictions, path: str | Path) -> None:
     )
 
 
-_SIGNAL_COLUMN = object_column({s.value: s for s in Signal}.__getitem__, "BUY, SELL or HOLD")
+_SIGNAL_OF = {s.value: s for s in Signal}.__getitem__
+_SIGNAL_COLUMN = Column(
+    lambda tokens: np.array(list(map(_SIGNAL_OF, tokens)), dtype=object), "BUY, SELL or HOLD"
+)
 PREDICTIONS_COLUMNS = (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN)
 
 

@@ -586,8 +586,9 @@ def save_fnn(model: FnnModel, path: str | Path) -> None:
 
 
 def load_fnn(path: str | Path) -> FnnModel:
-    """Inverse of :func:`save_fnn`.  A truncated file, a malformed line or a
-    non-numeric token raises ValueError naming the file and the line."""
+    """Inverse of :func:`save_fnn`.  A truncated file, a malformed line, a
+    non-numeric or non-finite token or a scale that is not positive raises
+    ValueError naming the file and the line."""
     lines = ParamLines(path)
     line, bad, expect, numbers = lines.line, lines.bad, lines.expect, lines.numbers
     if line(0) != FNN_FORMAT_TAG:
@@ -609,6 +610,9 @@ def load_fnn(path: str | Path) -> FnnModel:
     for name, dim in (("input_scaler", input_dim), ("target_scaler", output_dim)):
         mean = numbers(row, expect(row, f"{name}_mean"), count=dim)
         scale = numbers(row + 1, expect(row + 1, f"{name}_scale"), count=dim)
+        for value in scale:
+            if value <= 0:
+                raise bad(row + 1, f"scale must be positive, got {_quote(str(value))}")
         scalers[name] = AffineScaler(mean=np.array(mean), scale=np.array(scale))
         row += 2
     dims = topology.layer_dims

@@ -258,9 +258,9 @@ def save_var(model: VarModel, path: str | Path) -> None:
 
 
 def load_var(path: str | Path) -> VarModel:
-    """Inverse of :func:`save_var`.  A truncated file, a malformed line or a
-    value count that does not fit p and k raises ValueError naming the file
-    and the line."""
+    """Inverse of :func:`save_var`.  A truncated file, a malformed line, a
+    non-finite value or a value count that does not fit p and k raises
+    ValueError naming the file and the line."""
     lines = ParamLines(path)
     if lines.line(0) != VAR_FORMAT_TAG:
         raise lines.bad(0, f"not a {VAR_FORMAT_TAG} file")

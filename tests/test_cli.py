@@ -766,6 +766,7 @@ def test_default_applies_when_unset(tmp_path):
     ("early_stopping", "false"), ("early_stopping", 0), ("epochs", 2.5),
     ("epochs", True), ("hidden", [32, 16]), ("learning_rate", "0.01"),
     ("seed", None), ("fnn_lags", "2"),
+    pytest.param("learning_rate", 10**400, id="learning_rate-int-past-float"),
 ])
 def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, key, value):
     data = synth(tmp_path, length=200, seed=1)
@@ -1093,6 +1094,86 @@ def test_predict_refuses_manifest_missing_a_config_key(tmp_path, capsys):
     assert err == ("error: bundle field 'config': "
                    "OfiParams.__init__() missing keyword argument 'threshold'\n")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def hybrid_300(tmp_path_factory):
+    """A 300-row series and a hybrid bundle fitted on it with the default
+    lags and layers."""
+    tmp_path = tmp_path_factory.mktemp("hybrid_300")
+    data = synth(tmp_path, length=300, seed=1)
+    return data, fit_small(tmp_path, data)
+
+
+def _predict_damaged_copy(tmp_path, hybrid_300, damage):
+    """Predict with a copy of the bundle that ``damage`` changed; the exit
+    status, whether the output was written and what ``damage`` returned."""
+    data, clean = hybrid_300
+    bundle = tmp_path / "bundle"
+    shutil.copytree(clean, bundle)
+    damaged = damage(bundle)
+    out = tmp_path / "p.csv"
+    code = run(["predict", "--bundle", bundle, "--data", data, "--out", out])
+    return code, out.exists(), damaged
+
+
+#: manifest value -> the config key it is given for
+_MISTYPED_MANIFEST = {
+    "var_lag=2.0": ("PipelineConfig.var_lag", lambda c: c.update(var_lag=2.0)),
+    "fnn_input_lags=2.0": (
+        "PipelineConfig.fnn_input_lags", lambda c: c.update(fnn_input_lags=2.0)),
+    "window_h=1.0": ("OfiParams.window_h", lambda c: c["ofi"].update(window_h=1.0)),
+    "hidden_layers=[32.0, 16]": (
+        "PipelineConfig.hidden_layers", lambda c: c.update(hidden_layers=[32.0, 16])),
+    "epochs=2.0": ("TrainConfig.epochs", lambda c: c["train"].update(epochs=2.0)),
+    "learning_rate=10**400": (
+        "TrainConfig.learning_rate", lambda c: c["train"].update(learning_rate=10**400)),
+}
+
+
+@pytest.mark.parametrize("value", list(_MISTYPED_MANIFEST))
+def test_predict_refuses_a_mistyped_manifest_value_by_name(tmp_path, capsys, hybrid_300, value):
+    """Each value equals the fitted one as a number (but for the last), so
+    only its JSON type can refuse it."""
+    key, update = _MISTYPED_MANIFEST[value]
+    code, wrote, _ = _predict_damaged_copy(
+        tmp_path, hybrid_300, lambda bundle: _set_config(bundle / "manifest.json", update))
+    err = capsys.readouterr().err
+    assert code == 1 and not wrote
+    assert err.startswith(f"error: bundle field 'config': {key} must be ") and err.count("\n") == 1
+
+
+#: parameter file damage -> (file, the start of a line, the offset from
+#: that line of the one edited, how its tokens change, the message)
+_NON_FINITE_PARAMS = {
+    "var-inf-intercept": ("var.txt", "c:", 0, lambda t: [t[0], "inf", *t[2:]],
+                          "non-finite value 'inf'"),
+    "fnn-nan-weight": ("fnn.txt", "layer 0 weight", 1, lambda t: ["nan", *t[1:]],
+                       "non-finite value 'nan'"),
+    "fnn-zero-scale": ("fnn.txt", "input_scaler_scale:", 0,
+                       lambda t: [t[0], *["0"] * (len(t) - 1)],
+                       "scale must be positive, got '0.0'"),
+}
+
+
+@pytest.mark.parametrize("site", list(_NON_FINITE_PARAMS))
+def test_predict_refuses_a_non_finite_parameter_by_file_and_line(
+    tmp_path, capsys, hybrid_300, site
+):
+    name, prefix, offset, edit, message = _NON_FINITE_PARAMS[site]
+
+    def damage(bundle):
+        lines = (bundle / name).read_text().splitlines()
+        i = next(i for i, s in enumerate(lines) if s.startswith(prefix)) + offset
+        lines[i] = " ".join(edit(lines[i].split(" ")))
+        (bundle / name).write_text("\n".join(lines) + "\n")
+        return i + 1
+
+    code, wrote, line = _predict_damaged_copy(tmp_path, hybrid_300, damage)
+    assert code == 1 and not wrote
+    path = tmp_path / "bundle" / name
+    err = capsys.readouterr().err
+    assert err == f"error: bundle field '{name}': {path}: line {line}: {message}\n"
 
 
 def test_sweep_names_the_bad_dataset(tmp_path, capsys):

@@ -25,11 +25,8 @@ from oficast import data_io
 from oficast.data_io import (
     COUNTS_COLUMNS,
     COUNTS_HEADER,
-    TRADES_COLUMNS,
-    TRADES_HEADER,
     CountSeries,
     DataFormatError,
-    Side,
     _PARSE_ERRORS,
     _csv_blocks,
     _quote,
@@ -52,7 +49,6 @@ INT64 = np.iinfo(np.int64)
 #: reader name -> (header, columns) as the reader passes them
 READERS = {
     "counts": (COUNTS_HEADER, COUNTS_COLUMNS),
-    "trades": (TRADES_HEADER, TRADES_COLUMNS),
     "predictions": (PREDICTIONS_HEADER, PREDICTIONS_COLUMNS),
 }
 
@@ -156,13 +152,6 @@ def counts_files(draw, tmp_path_factory):
     return _text_of_writer(lambda p: write_counts_csv(p, series), tmp_path_factory)
 
 
-@st.composite
-def trades_files(draw, tmp_path_factory):
-    rows = draw(st.lists(st.tuples(finite_floats, st.sampled_from(Side)), max_size=20))
-    lines = [",".join(TRADES_HEADER)] + [f"{t!r},{side.value}" for t, side in rows]
-    return ("\r\n".join(lines) + "\r\n").encode()
-
-
 def predictions_strategy(max_size=20):
     def build(index, rows):
         n = min(len(index), len(rows))
@@ -243,7 +232,7 @@ def _check_agrees_with_reference(reader, data, tmp_path_factory, block=data_io.B
 #: each reader with the strategy for the valid files its writer makes
 reader_files = pytest.mark.parametrize(
     "reader, files",
-    [("counts", counts_files), ("trades", trades_files), ("predictions", predictions_files)],
+    [("counts", counts_files), ("predictions", predictions_files)],
 )
 #: a block of a few rows, so that a file spans several and damage falls on boundaries
 tiny_blocks = st.integers(1, 8)
@@ -346,7 +335,7 @@ def test_writer_output_takes_the_bulk_pass(tmp_path, reader):
     lines 2 and 3, as the reference reads them."""
     header, _ = READERS[reader]
     path = tmp_path / "in.csv"
-    rows = {"counts": ["5,1,2", "6,0,0"], "trades": ["-0.0,BUY", "1e-300,SELL"],
+    rows = {"counts": ["5,1,2", "6,0,0"],
             "predictions": ["3,-0.0,0.5,BUY,HOLD", "4,1.0,-1.0,SELL,SELL"]}[reader]
     for end in ("\r\n", "\n"):
         path.write_text(end.join([",".join(header), *rows]) + end, newline="")

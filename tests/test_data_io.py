@@ -8,14 +8,11 @@ from oficast.data_io import (
     CountSeries,
     DataFormatError,
     MIN_SYNTHETIC_LENGTH,
-    Side,
     SyntheticSpec,
-    aggregate_trades,
     chronological_split,
     counts_to_array,
     generate_synthetic,
     load_counts_csv,
-    load_trades_csv,
     write_counts_csv,
 )
 
@@ -183,79 +180,6 @@ def test_counts_to_array_float_array_is_not_copied():
 def test_counts_to_array_rejects_other_shapes(shape):
     with pytest.raises(ValueError, match=r"expected an \(n, 2\) series"):
         counts_to_array(np.zeros(shape))
-
-
-# --------------------------------------------------------------- trade tapes
-
-BUY, SELL = Side.BUY, Side.SELL
-
-
-def test_aggregate_trades_direct_count():
-    out = aggregate_trades([0.1, 0.4, 0.6, 0.9], [BUY, BUY, SELL, BUY], bucket=1.0)
-    assert out == CountSeries(make_counts([(3, 1)]), t0=0)
-
-
-def test_aggregate_trades_fills_interior_gap():
-    out = aggregate_trades([0.5, 2.5], [BUY, SELL], bucket=1.0)
-    assert out == CountSeries(make_counts([(1, 0), (0, 0), (0, 1)]), t0=0)
-
-
-def test_aggregate_trades_t0_is_first_bucket():
-    out = aggregate_trades([-7.5, -2.0], [SELL, BUY], bucket=2.5)
-    assert out == CountSeries(make_counts([(0, 1), (0, 0), (1, 0)]), t0=-3)
-    assert aggregate_trades([], [], bucket=1.0) == CountSeries(np.zeros((0, 2), dtype=np.int64))
-
-
-def test_aggregate_trades_conserves_totals():
-    rng = np.random.default_rng(5)
-    times = np.sort(rng.uniform(0.0, 37.0, size=1000))
-    is_buy = rng.integers(0, 2, size=1000)
-    sides = np.array([SELL, BUY], dtype=object)[is_buy]
-    out = aggregate_trades(times, sides, bucket=1.0)
-    assert out.counts.sum() == 1000
-    assert out.counts[:, 0].sum() == int(is_buy.sum())
-    assert (out.t0, len(out)) == (int(times[0]), int(times[-1]) - int(times[0]) + 1)
-
-
-def test_aggregate_trades_rejects_unsorted_and_bad_bucket():
-    with pytest.raises(ValueError, match="got 1.0 after 2.0"):
-        aggregate_trades([2.0, 1.0], [BUY, SELL], bucket=1.0)
-    with pytest.raises(ValueError):
-        aggregate_trades([2.0, 1.0], [BUY, SELL], bucket=0.0)
-    for t in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            aggregate_trades([0.5, t], [BUY, SELL], 1.0)
-
-
-@pytest.mark.parametrize("times, sides", [([0.5, 1.5], [BUY]), ([0.5], [BUY, SELL]), ([], [BUY])])
-def test_aggregate_trades_rejects_columns_of_different_lengths(times, sides):
-    with pytest.raises(ValueError, match="times and sides must have the same length"):
-        aggregate_trades(times, sides, bucket=1.0)
-
-
-def test_load_trades_csv(tmp_path):
-    path = tmp_path / "tape.csv"
-    path.write_text("timestamp,side\n0.25,BUY\n0.75,SELL\n1.5,SELL\n")
-    times, sides = load_trades_csv(path)
-    assert times.dtype == float and times.tolist() == [0.25, 0.75, 1.5]
-    assert sides.tolist() == [BUY, SELL, SELL]
-    assert aggregate_trades(times, sides, 1.0) == CountSeries(make_counts([(1, 1), (0, 1)]))
-    bad = tmp_path / "bad.csv"
-    bad.write_text("timestamp,side\n0.25,LIMIT\n")
-    with pytest.raises(DataFormatError) as exc:
-        load_trades_csv(bad)
-    assert str(exc.value) == f"{bad}: line 2: column side: expected BUY or SELL, got 'LIMIT'"
-
-
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
-def test_load_trades_rejects_non_finite_timestamp(tmp_path, token):
-    path = tmp_path / "tape.csv"
-    path.write_text(f"timestamp,side\n0.25,BUY\n{token},SELL\n")
-    with pytest.raises(DataFormatError) as exc:
-        load_trades_csv(path)
-    assert str(exc.value) == (
-        f"{path}: line 3: column timestamp: expected a finite number, got '{token}'"
-    )
 
 
 # ----------------------------------------------------------------- generator

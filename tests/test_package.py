@@ -12,9 +12,9 @@ import oficast
 #: The public names, by the submodule that defines them.
 PUBLIC = {
     "data_io": [
-        "CountSeries", "DataFormatError", "Side", "SyntheticSpec",
-        "aggregate_trades", "chronological_split", "generate_synthetic",
-        "load_counts_csv", "load_trades_csv", "write_counts_csv",
+        "CountSeries", "DataFormatError", "SyntheticSpec",
+        "chronological_split", "generate_synthetic", "load_counts_csv",
+        "write_counts_csv",
     ],
     "ofi_signal": [
         "OfiParams", "Signal", "clamp_ofi", "ofi", "signal",
@@ -64,7 +64,7 @@ def test_import_loads_no_numpy(oficast_env):
 
 def test_public_names_are_the_submodules_objects():
     names = [name for module_names in PUBLIC.values() for name in module_names]
-    assert len(names) == 59
+    assert len(names) == 56
     assert oficast.__all__ == sorted(names)
     assert set(names) <= set(dir(oficast))
     for module, module_names in PUBLIC.items():
