@@ -301,7 +301,7 @@ class ParamLines:
                 if not math.isfinite(value):
                     raise self.bad(idx, f"non-finite value {_quote(tok)}")
         if count is not None and len(values) != count:
-            raise self.bad(idx, f"expected {count} values, got {len(values)}")
+            raise self.bad(idx, f"expected {_quote(str(count))} values, got {len(values)}")
         return values
 
 

@@ -53,6 +53,22 @@ KINDS = tuple(_KIND_OF_STAGES.values())
 VAR_FILE = "var.txt"
 FNN_FILE = "fnn.txt"
 MANIFEST_FILE = "manifest.json"
+#: The bundle field a mismatch in each FnnTopology field names, in the order checked.
+_TOPOLOGY_FIELDS = {
+    "fnn_input_lags": "input_dim",
+    "hidden_layers": "hidden_layers",
+    "activation": "activation",
+    "kind": "output_dim",  # a residual pair beside a VAR stage, else one OFI
+}
+
+
+class BundleFormatError(ValueError):
+    """A bundle's manifest, stage files or stage shapes disagree, or a file
+    is malformed; ``field`` names the culprit."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"bundle field {field_name!r}: {message}")
+        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -121,12 +137,44 @@ class ModelBundle:
     training_trace: TrainingTrace | None = None
 
     def __post_init__(self) -> None:
+        """The one shape rule: the VAR stage's ``p`` is ``var_lag`` and the
+        FNN's topology is :func:`_fnn_topology`'s, or BundleFormatError
+        names the first field that differs and quotes both values."""
         if self.var_part is None and self.fnn_part is None:
             raise ValueError("a bundle needs a VAR part, an FNN part or both")
+        shape = []  # (bundle field, stage, attribute, implied value, the stage's)
+        if self.var_part is not None:
+            shape.append(("var_lag", "VAR", "p", self.config.var_lag, self.var_part.p))
+        if self.fnn_part is not None:
+            try:
+                implied = _fnn_topology(self.config, self.var_part is not None)
+            except ValueError as exc:  # the config implies no network at all
+                raise BundleFormatError("config", str(exc)) from None
+            topo = self.fnn_part.topology
+            shape += [(name, "FNN", attr, getattr(implied, attr), getattr(topo, attr))
+                      for name, attr in _TOPOLOGY_FIELDS.items()]
+        for name, stage, attr, want, got in shape:
+            if want != got:
+                raise BundleFormatError(
+                    name,
+                    f"expected {attr} {_quote(str(want))}, "
+                    f"the {stage} stage has {_quote(str(got))}",
+                )
 
     @property
     def kind(self) -> str:
         return _KIND_OF_STAGES[self.var_part is not None, self.fnn_part is not None]
+
+
+def _fnn_topology(config: PipelineConfig, has_var: bool) -> FnnTopology:
+    """The network ``config`` implies: the last ``residual_lags`` pairs in,
+    a residual pair out beside a VAR stage, else one OFI."""
+    return FnnTopology(
+        input_dim=2 * config.residual_lags,
+        hidden_layers=config.hidden_layers,
+        output_dim=2 if has_var else 1,
+        activation=config.activation,
+    )
 
 
 def required_warmup(bundle: ModelBundle) -> int:
@@ -165,12 +213,7 @@ def fit_fnn_only(series, config: PipelineConfig) -> ModelBundle:
     X = lag_features(arr, q, t_first)
     sums = window_sums(arr, h)[t_first - h + 1 :]
     targets = ofi(sums[:, 0], sums[:, 1])[:, None]
-    topology = FnnTopology(
-        input_dim=2 * q,
-        hidden_layers=config.hidden_layers,
-        output_dim=1,
-        activation=config.activation,
-    )
+    topology = _fnn_topology(config, has_var=False)
     model, trace = train(X, targets, topology, config.train)
     return ModelBundle(config=config, fnn_part=model, training_trace=trace)
 
@@ -187,12 +230,7 @@ def fit_hybrid(series, config: PipelineConfig) -> ModelBundle:
             f"series of length {arr.shape[0]} is too short to train with p={p}, q={q}"
         )
     X, Y = lag_features(resid, q, q), resid[q:]
-    topology = FnnTopology(
-        input_dim=2 * q,
-        hidden_layers=config.hidden_layers,
-        output_dim=2,
-        activation=config.activation,
-    )
+    topology = _fnn_topology(config, has_var=True)
     model, trace = train(X, Y, topology, config.train)
     return ModelBundle(
         config=config,
@@ -385,18 +423,12 @@ def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Indented, key-sorted, newline-terminated JSON: every JSON file oficast writes."""
+    """Indented, key-sorted, newline-terminated JSON: every JSON file oficast
+    writes.  NaN or an infinity is not JSON, so it raises ValueError before
+    the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-class BundleFormatError(ValueError):
-    """Bundle directory and manifest disagree; ``field`` names the culprit."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"bundle field {field_name!r}: {message}")
-        self.field = field_name
+        fh.write(text + "\n")
 
 
 def load_bundle(dirpath: str | Path) -> ModelBundle:
@@ -429,51 +461,14 @@ def load_bundle(dirpath: str | Path) -> ModelBundle:
             "kind", f"manifest says {kind}, stage files present: {', '.join(present) or 'none'}"
         )
 
-    var_part = None
-    if has_var:
+    parts = {}
+    for name, here, load in ((VAR_FILE, has_var, vm.load_var), (FNN_FILE, has_fnn, load_fnn)):
         try:
-            var_part = vm.load_var(dirpath / VAR_FILE)
+            parts[name] = load(dirpath / name) if here else None
         except ValueError as exc:
-            raise BundleFormatError(VAR_FILE, str(exc)) from exc
-        if var_part.p != config.var_lag:
-            raise BundleFormatError(
-                "var_lag",
-                f"manifest says {config.var_lag} but {VAR_FILE} was fitted with p={var_part.p}",
-            )
-
-    fnn_part = None
-    if has_fnn:
-        try:
-            fnn_part = load_fnn(dirpath / FNN_FILE)
-        except ValueError as exc:
-            raise BundleFormatError(FNN_FILE, str(exc)) from exc
-        topo = fnn_part.topology
-        if topo.input_dim != 2 * config.residual_lags:
-            raise BundleFormatError(
-                "fnn_input_lags",
-                f"manifest implies input width {2 * config.residual_lags} "
-                f"but {FNN_FILE} has {topo.input_dim}",
-            )
-        if topo.hidden_layers != config.hidden_layers:
-            raise BundleFormatError(
-                "hidden_layers",
-                f"manifest says {_quote(str(config.hidden_layers))} "
-                f"but {FNN_FILE} has {_quote(str(topo.hidden_layers))}",
-            )
-        if topo.activation != config.activation:
-            raise BundleFormatError(
-                "activation",
-                f"manifest says {_quote(str(config.activation))} "
-                f"but {FNN_FILE} has {_quote(topo.activation)}",
-            )
-        expected_out = 2 if has_var else 1  # a residual pair, or one OFI
-        if topo.output_dim != expected_out:
-            raise BundleFormatError(
-                "kind",
-                f"{kind} bundle expects an output width of {expected_out}, "
-                f"{FNN_FILE} has {topo.output_dim}",
-            )
-    return ModelBundle(config=config, var_part=var_part, fnn_part=fnn_part)
+            raise BundleFormatError(name, str(exc)) from exc
+    # ModelBundle checks the stages' shape against the config
+    return ModelBundle(config=config, var_part=parts[VAR_FILE], fnn_part=parts[FNN_FILE])
 
 
 PREDICTIONS_HEADER = tuple(f.name for f in fields(Predictions))

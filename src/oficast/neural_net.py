@@ -162,7 +162,7 @@ class TrainConfig:
             )
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {_quote(str(self.patience))}")
-        if self.early_stopping and not 0.0 < self.validation_fraction < 1.0:
+        if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 "validation_fraction must lie in (0, 1), "
                 f"got {_quote(str(self.validation_fraction))}"

@@ -187,6 +187,38 @@ def test_non_finite_learning_rate_is_refused_by_name(tmp_path, capsys, command, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
 
 
+#: early stopping off and a validation fraction outside (0, 1): flags, or
+#: a config file's text
+_FRACTION_UNCHECKED = {
+    "flag-nan": ["--no-early-stopping", "--validation-fraction", "nan"],
+    "flag-inf": ["--no-early-stopping", "--validation-fraction", "inf"],
+    "flag-5": ["--no-early-stopping", "--validation-fraction", "5"],
+    "config-NaN": '{"early_stopping": false, "validation_fraction": NaN}',
+}
+
+
+@pytest.mark.parametrize("how", list(_FRACTION_UNCHECKED))
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_validation_fraction_outside_0_1_is_refused_with_early_stopping_off(
+    tmp_path, capsys, command, how
+):
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    if command == "fit":
+        argv = ["fit", "--data", data, "--hidden", "4"]
+    else:
+        argv = ["sweep", "--datasets", data, "--lags", "1", "--architectures", "4"]
+    extra = _FRACTION_UNCHECKED[how]
+    if isinstance(extra, str):
+        (tmp_path / "cfg.json").write_text(extra)
+        extra = ["--config", tmp_path / "cfg.json"]
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "out", "--epochs", 1, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation_fraction must lie in (0, 1), got ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
 # ------------------------------------------------------------------ predict
 
 def fit_small(tmp_path, data, name="bundle", extra=()):
@@ -317,6 +349,44 @@ def test_predict_tampered_bundle_names_field(tmp_path, capsys):
     code = run(["predict", "--bundle", bundle, "--data", data, "--out", out])
     assert code == 1
     assert "activation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _one_output_head(bundle):
+    other = fit_small(bundle.parent, bundle.parent / "d.csv", "fnn-only",
+                      extra=["--model", "fnn", "--hidden", "4"])
+    shutil.copy(other / "fnn.txt", bundle / "fnn.txt")
+
+
+#: a hybrid bundle (var_lag 2, hidden 4, relu) made unlike its config -> the
+#: field named and the message after it
+_UNSHAPED_BUNDLE = {
+    "var_lag": (lambda b: _set_config(b / "manifest.json", lambda c: c.update(var_lag=3)),
+                "var_lag", "expected p '3', the VAR stage has '2'"),
+    "fnn_input_lags": (
+        lambda b: _set_config(b / "manifest.json", lambda c: c.update(fnn_input_lags=3)),
+        "fnn_input_lags", "expected input_dim '6', the FNN stage has '4'"),
+    "hidden_layers": (
+        lambda b: _set_config(b / "manifest.json", lambda c: c.update(hidden_layers=[4, 4])),
+        "hidden_layers", "expected hidden_layers '(4, 4)', the FNN stage has '(4,)'"),
+    "activation": (
+        lambda b: _set_config(b / "manifest.json", lambda c: c.update(activation="tanh")),
+        "activation", "expected activation 'tanh', the FNN stage has 'relu'"),
+    "one-output-head": (_one_output_head, "kind",
+                        "expected output_dim '2', the FNN stage has '1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNSHAPED_BUNDLE))
+def test_predict_bundle_unlike_its_config_names_the_field(tmp_path, capsys, case):
+    data = synth(tmp_path, "d.csv", length=200, seed=1)
+    bundle = fit_small(tmp_path, data, extra=["--hidden", "4"])
+    damage, field, message = _UNSHAPED_BUNDLE[case]
+    damage(bundle)
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run(["predict", "--bundle", bundle, "--data", data, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: bundle field {field!r}: {message}\n"
     assert not out.exists()
 
 
@@ -1018,8 +1088,10 @@ def _set_config(path, update):
 
 
 _LONG = "x" * 100_000
-#: an int of 4,000 digits, within what JSON reads
+#: an int of 4,000 digits, within what JSON reads: negative, so a range
+#: check refuses it, and positive, so it passes every range check
 _NINES = -int("9" * 4000)
+_BIG = int("9" * 4000)
 
 #: bundle file -> how one line or field of it is made 100,000 characters long
 _OVERLONG_BUNDLE = {
@@ -1063,6 +1135,16 @@ _OVERLONG_BUNDLE = {
         "manifest.json", lambda p: _set_config(p, lambda c: c["ofi"].update(window_h=_NINES))),
     "manifest-epochs": (
         "manifest.json", lambda p: _set_config(p, lambda c: c["train"].update(epochs=_NINES))),
+    "manifest-big-var-lag": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(var_lag=_BIG))),
+    "manifest-big-fnn-input-lags": (
+        "manifest.json", lambda p: _set_config(p, lambda c: c.update(fnn_input_lags=_BIG))),
+    "fnn-big-input-dim": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("input_dim:"),
+                                        f"input_dim: {_BIG}")),
+    "fnn-big-output-dim": (
+        "fnn.txt", lambda p: _swap_line(p, lambda s: s.startswith("output_dim:"),
+                                        f"output_dim: {_BIG}")),
 }
 
 

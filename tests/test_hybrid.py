@@ -1,6 +1,8 @@
 import json
+import math
 import shutil
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from oficast.data_io import (
     generate_synthetic,
 )
 from oficast.hybrid import (
+    KINDS,
     BundleFormatError,
     ModelBundle,
     PipelineConfig,
@@ -31,6 +34,7 @@ from oficast.hybrid import (
     read_predictions_csv,
     required_warmup,
     save_bundle,
+    write_json,
     write_predictions_csv,
     zero_residual_head,
 )
@@ -464,6 +468,14 @@ def test_tampered_var_lag_names_field(tmp_path):
     assert err.field == "var_lag"
 
 
+def test_tampered_fnn_input_lags_names_field(tmp_path):
+    err = _tamper(tmp_path, lambda m: m["config"].update(fnn_input_lags=3))
+    assert err.field == "fnn_input_lags"
+    assert str(err) == (
+        "bundle field 'fnn_input_lags': expected input_dim '6', the FNN stage has '4'"
+    )
+
+
 def test_tampered_hidden_layers_names_field(tmp_path):
     err = _tamper(tmp_path, lambda m: m["config"].update(hidden_layers=[64, 64]))
     assert err.field == "hidden_layers"
@@ -487,6 +499,74 @@ def test_tampered_format_tag_names_field(tmp_path):
 def test_bundle_without_a_stage_is_refused():
     with pytest.raises(ValueError, match="a bundle needs a VAR part, an FNN part or both"):
         ModelBundle(PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """A bundle of each kind, by kind, fitted with var_lag 2 and the default
+    network: hidden layers (32, 16), relu."""
+    series, cfg = synthetic(200, seed=14), PipelineConfig(var_lag=2, train=quick_train())
+    return {b.kind: b for b in (f(series, cfg) for f in (fit_var_only, fit_fnn_only, fit_hybrid))}
+
+
+#: a bundle built by hand from fitted stages: (changes to the hybrid's
+#: config, the kind whose VAR stage, the kind whose FNN stage) -> the field
+#: named and the message after it
+_UNSHAPED = {
+    "var_lag": ({"var_lag": 3}, "hybrid", "hybrid", "var_lag",
+                "expected p '3', the VAR stage has '2'"),
+    "var_lag-alone": ({"var_lag": 3}, "var_only", None, "var_lag",
+                      "expected p '3', the VAR stage has '2'"),
+    "fnn_input_lags": ({"fnn_input_lags": 3}, "hybrid", "hybrid", "fnn_input_lags",
+                       "expected input_dim '6', the FNN stage has '4'"),
+    "hidden_layers": ({"hidden_layers": (8,)}, "hybrid", "hybrid", "hidden_layers",
+                      "expected hidden_layers '(8,)', the FNN stage has '(32, 16)'"),
+    "activation": ({"activation": "tanh"}, "hybrid", "hybrid", "activation",
+                   "expected activation 'tanh', the FNN stage has 'relu'"),
+    "one-output-beside-var": ({}, "hybrid", "fnn_only", "kind",
+                              "expected output_dim '2', the FNN stage has '1'"),
+    "two-outputs-alone": ({}, None, "hybrid", "kind",
+                          "expected output_dim '1', the FNN stage has '2'"),
+    "no-network": ({"activation": "softplus"}, "hybrid", "hybrid", "config",
+                   "activation must be one of ('relu', 'tanh', 'sigmoid'), got 'softplus'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNSHAPED))
+def test_hand_built_bundle_unlike_its_config_names_the_field(fitted, case):
+    change, var_from, fnn_from, field, message = _UNSHAPED[case]
+    config = replace(fitted["hybrid"].config, **change)
+    var_part = fitted[var_from].var_part if var_from else None
+    fnn_part = fitted[fnn_from].fnn_part if fnn_from else None
+    with pytest.raises(BundleFormatError) as exc:
+        ModelBundle(config, var_part=var_part, fnn_part=fnn_part)
+    assert exc.value.field == field
+    assert str(exc.value) == f"bundle field {field!r}: {message}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fitted_loaded_and_zeroed_bundles_keep_the_shape_rule(tmp_path, kind):
+    fitter = {"var_only": fit_var_only, "fnn_only": fit_fnn_only, "hybrid": fit_hybrid}[kind]
+    config = PipelineConfig(var_lag=3, fnn_input_lags=1, hidden_layers=(8, 4),
+                            activation="tanh", train=quick_train())
+    bundle = fitter(synthetic(200, seed=15), config)
+    save_bundle(bundle, tmp_path)
+    loaded = load_bundle(tmp_path)
+    assert loaded.kind == kind and loaded.config == config
+    # built again from the stages of each: the same rule holds whatever built them
+    for b in (bundle, loaded):
+        assert ModelBundle(b.config, b.var_part, b.fnn_part).kind == kind
+    if kind == "hybrid":
+        for b in (bundle, loaded):
+            assert zero_residual_head(b).fnn_part.topology == b.fnn_part.topology
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_a_non_finite_float_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -541,7 +621,7 @@ def _with_one_output_head(tmp_path):
       "manifest says var_only, stage files present: var.txt, fnn.txt"),
      (_with_stray(fit_fnn_only, "var.txt"),
       "manifest says fnn_only, stage files present: var.txt, fnn.txt"),
-     (_with_one_output_head, "hybrid bundle expects an output width of 2, fnn.txt has 1")],
+     (_with_one_output_head, "expected output_dim '2', the FNN stage has '1'")],
     ids=["hybrid-without-var", "hybrid-without-stages", "var_only-with-fnn",
          "fnn_only-with-var", "hybrid-with-one-output"],
 )

@@ -596,6 +596,13 @@ def test_train_config_refuses_a_non_finite_learning_rate(rate):
         TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("fraction", [math.nan, math.inf, 5.0, 0.0, 1.0])
+@pytest.mark.parametrize("early_stopping", [True, False])
+def test_train_config_refuses_a_validation_fraction_outside_0_1(fraction, early_stopping):
+    with pytest.raises(ValueError, match=r"^validation_fraction must lie in \(0, 1\), got "):
+        TrainConfig(early_stopping=early_stopping, validation_fraction=fraction)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -315,9 +315,9 @@ def test_load_names_file_and_line_for_every_truncation(tmp_path):
 _BAD_VAR_LINES = {
     "p": ("p: 0", "line 2: expected p >= 1, got '0'"),
     "k": ("k: 3", "line 3: expected k=2, got '3'"),
-    "n_obs": ("n_obs: 5 6", "line 4: expected 1 values, got 2"),
+    "n_obs": ("n_obs: 5 6", "line 4: expected '1' values, got 2"),
     "c": ("c: 1.0 x", "line 5: non-numeric token in '1.0 x'"),
-    "A2": ("A2: 1.0 2.0 3.0", "line 7: expected 4 values, got 3"),
+    "A2": ("A2: 1.0 2.0 3.0", "line 7: expected '4' values, got 3"),
     "sigma": ("A3: 1 2 3 4", "line 8: expected 'sigma:', got 'A3: 1 2 3 4'"),
 }
 
