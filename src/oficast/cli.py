@@ -28,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .data_io import (
     SyntheticSpec,
+    _quote,
     chronological_split,
     generate_synthetic,
     json_value,
@@ -175,9 +176,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{args.config}: a config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
         if unknown:
-            raise ValueError(
-                f"{args.config}: unknown config keys for this command: {sorted(unknown)}"
-            )
+            shown = ", ".join(map(_quote, sorted(unknown)))
+            raise ValueError(f"{args.config}: unknown config keys for this command: {shown}")
         for key, value in file_values.items():
             resolved[key] = _config_value(key, value, args.config)
     for key in keys:
@@ -195,7 +195,9 @@ def _int_list(key: str, text: str) -> tuple[int, ...]:
         try:
             values.append(int(tok))
         except ValueError:
-            raise ValueError(f"{key}: expected a comma list of integers, got {tok!r}") from None
+            raise ValueError(
+                f"{key}: expected a comma list of integers, got {_quote(tok)}"
+            ) from None
     return tuple(values)
 
 
@@ -207,7 +209,7 @@ def _model_kind(resolved: dict) -> str:
     kind = _MODEL_KINDS.get(resolved["model"])
     if kind is None:
         raise ValueError(
-            f"model must be one of {sorted(_MODEL_KINDS)}, got {resolved['model']!r}"
+            f"model must be one of {sorted(_MODEL_KINDS)}, got {_quote(resolved['model'])}"
         )
     return kind
 
@@ -383,7 +385,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if sample is None:
         configs = enumerate_grid(space)
     elif not 1 <= sample <= space.size:
-        raise ValueError(f"sample must lie in [1, {space.size}], got {sample}")
+        raise ValueError(f"sample must lie in [1, {space.size}], got {_quote(str(sample))}")
     else:
         configs = lhs_sample(space, sample, derive_seed(master, 2))
     datasets = []

@@ -111,7 +111,7 @@ class SyntheticSpec:
         if self.length < MIN_SYNTHETIC_LENGTH:
             raise ValueError(
                 f"length must be >= {MIN_SYNTHETIC_LENGTH} "
-                f"(2 * max supported lag + 1), got {self.length}"
+                f"(2 * max supported lag + 1), got {_quote(str(self.length))}"
             )
         for name in ("base_intensity", "nonlinear_strength"):
             value = getattr(self, name)
@@ -340,15 +340,26 @@ def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     write_csv_columns(path, COUNTS_HEADER, [(timestamps, str), (buy, str), (sell, str)])
 
 
+def write_csv_rows(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write a short table: ``header``, then each of ``rows`` (iterables of
+    fields), through ``csv.writer``, which quotes a field that holds a
+    comma, a quote or a line break.  Long files of plain fields go through
+    :func:`write_csv_columns`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> None:
-    """Write a CSV file: ``header``, then one row per entry of the columns.
+    """Write a long CSV file: ``header``, then one row per entry of the columns.
 
     Each column is a ``(values, format)`` pair: ``values`` an array or range
     with one entry per row, and ``format`` maps an entry (as a Python
     object) to its field, or is None when the entries are str fields
     already.  A field must need no quoting (no comma, quote or line break);
-    the bytes are then those of ``csv.writer``: fields joined by commas,
-    every line ended by CRLF.  Rows are formatted and written
+    the bytes are then those of :func:`write_csv_rows`: fields joined by
+    commas, every line ended by CRLF.  Rows are formatted and written
     :data:`BLOCK_ROWS` at a time.
     """
     n = len(columns[0][0])

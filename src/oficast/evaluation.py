@@ -1,12 +1,12 @@
 """Forecast-quality metrics over OFI values and intensity signals."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .data_io import write_csv_rows
 from .hybrid import Predictions
 from .ofi_signal import SIGNAL_ORDER
 
@@ -139,18 +139,12 @@ COMPARISON_HEADER = tuple(f.name for f in fields(EvalReport) if f.name != "confu
 def write_comparison_csv(reports: list[EvalReport], path: str | Path) -> None:
     """One row per report; csv writes a float as its repr, so it reads back
     exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for r in sorted(reports, key=lambda r: (r.dataset, r.model)):
-            writer.writerow(getattr(r, name) for name in COMPARISON_HEADER)
+    reports = sorted(reports, key=lambda r: (r.dataset, r.model))
+    rows = ([getattr(r, name) for name in COMPARISON_HEADER] for r in reports)
+    write_csv_rows(path, COMPARISON_HEADER, rows)
 
 
 def write_confusion_csv(confusion, path: str | Path) -> None:
     """3x3 CSV with labeled axes; rows actual, columns predicted."""
-    conf = np.asarray(confusion)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["actual\\predicted"] + [s.value for s in SIGNAL_ORDER])
-        for sig, row in zip(SIGNAL_ORDER, conf):
-            writer.writerow([sig.value] + [int(v) for v in row])
+    rows = ([sig.value, *map(int, row)] for sig, row in zip(SIGNAL_ORDER, np.asarray(confusion)))
+    write_csv_rows(path, ["actual\\predicted", *(s.value for s in SIGNAL_ORDER)], rows)

@@ -417,7 +417,7 @@ def train(inputs, targets, topology: FnnTopology, config: TrainConfig):
     if config.early_stopping:
         if n < 2:
             raise ValueError("early stopping needs at least 2 samples")
-        n_val = max(1, int(math.floor(config.validation_fraction * n + 1e-9)))
+        n_val = max(1, data_io.split_row(config.validation_fraction, n))
         n_train = n - n_val
         if n_train < 1:
             raise ValueError(

@@ -9,7 +9,6 @@ column instead of aborting the sweep.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import time
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import chronological_split
+from .data_io import _quote, chronological_split, write_csv_rows
 from .evaluation import evaluate_records
 from .hybrid import (
     KINDS,
@@ -63,7 +62,7 @@ class SweepSpace:
             repeated = _repeated(values)
             if repeated:  # its cells would train one configuration twice
                 shown = ", ".join(
-                    format_architecture(v) if isinstance(v, tuple) else str(v)
+                    _quote(format_architecture(v) if isinstance(v, tuple) else str(v))
                     for v in repeated
                 )
                 raise ValueError(f"sweep axis {axis.name}: repeated {shown}")
@@ -71,12 +70,12 @@ class SweepSpace:
             unknown = [value for value in getattr(self, name) if value not in known]
             if unknown:
                 raise ValueError(
-                    f"sweep axis {name}: unknown {', '.join(map(repr, unknown))}, "
+                    f"sweep axis {name}: unknown {', '.join(_quote(str(v)) for v in unknown)}, "
                     f"expected one of {', '.join(known)}"
                 )
         widths = [width for arch in self.architectures for width in arch]
         for name, values in (("lags", self.lags), ("architectures", widths)):
-            low = ", ".join(str(value) for value in values if value < 1)
+            low = ", ".join(_quote(str(value)) for value in values if value < 1)
             if low:
                 raise ValueError(f"sweep axis {name}: expected at least 1, got {low}")
 
@@ -281,7 +280,7 @@ def run_sweep(
             f"more than one dataset is named {', '.join(map(repr, repeated))}"
         )
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise ValueError(f"workers must be at least 1, got {_quote(str(workers))}")
     if not 0.0 < train_fraction < 1.0:  # else every cell fails alike
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     if train_template is None:
@@ -323,39 +322,39 @@ _SWEEP_CSV_FORMAT = {"architecture": format_architecture, "runtime_s": "{:.6f}".
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
     """Results CSV in enumeration order.  All model fields are
     deterministic for a fixed master seed; runtime_s is wall clock."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in results:
-            writer.writerow(
-                _SWEEP_CSV_FORMAT.get(name, str)(getattr(r, name))
-                for name in SWEEP_CSV_HEADER
-            )
+    formats = [_SWEEP_CSV_FORMAT.get(name, str) for name in SWEEP_CSV_HEADER]
+    rows = ([f(getattr(r, name)) for f, name in zip(formats, SWEEP_CSV_HEADER)] for r in results)
+    write_csv_rows(path, SWEEP_CSV_HEADER, rows)
+
+
+def _means(results: list[SweepResult], names: tuple[str, ...]) -> dict[tuple, dict[str, float]]:
+    """Each metric's mean over the ok cells, for each distinct value of the
+    fields ``names``; failed cells are skipped."""
+    grouped: dict[tuple, list[SweepResult]] = {}
+    for r in results:
+        if r.status == "ok":
+            grouped.setdefault(tuple(getattr(r, name) for name in names), []).append(r)
+    return {
+        key: {m: float(np.mean([getattr(r, m) for r in rows])) for m in _METRIC_DIRECTION}
+        for key, rows in grouped.items()
+    }
 
 
 def best_configurations(results: list[SweepResult]) -> dict[str, dict]:
     """Best configuration per metric, averaging each configuration's ok
     cells across datasets first.  Without any ok cell it raises
     ValueError naming the first cell's status."""
-    grouped: dict[tuple, list[SweepResult]] = {}
-    for r in results:
-        if r.status != "ok":
-            continue
-        key = tuple(getattr(r, name) for name in _CONFIG_FIELDS)
-        grouped.setdefault(key, []).append(r)
-    if not grouped:
+    means = _means(results, _CONFIG_FIELDS)
+    if not means:
         first = f"; the first cell ended in {results[0].status}" if results else ""
         raise ValueError(f"no successful sweep cells{first}")
     best: dict[str, dict] = {}
     for metric, pick in _METRIC_DIRECTION.items():
-        scored = {
-            key: float(np.mean([getattr(r, metric) for r in rows]))
-            for key, rows in grouped.items()
-        }
-        target = pick(scored.values())
-        # ties resolve to the earliest key in axis order, independent of dict order
-        key = min(k for k, v in scored.items() if v == target)
-        entry = dict(zip(_CONFIG_FIELDS, key), value=scored[key])
+        target = pick(m[metric] for m in means.values())
+        # ties resolve to the smallest (lag, architecture, activation,
+        # optimizer) tuple by value, whatever order the axes list them in
+        key = min(k for k, m in means.items() if m[metric] == target)
+        entry = dict(zip(_CONFIG_FIELDS, key), value=means[key][metric])
         entry["architecture"] = format_architecture(entry["architecture"])
         best[metric] = entry
     return best
@@ -364,18 +363,10 @@ def best_configurations(results: list[SweepResult]) -> dict[str, dict]:
 def write_heatmap_csv(results: list[SweepResult], path: str | Path) -> None:
     """Long-format (dataset, metric, lag, architecture, mean value) rows,
     averaged over activations and optimizers; failed cells are skipped."""
-    ok = [r for r in results if r.status == "ok"]
-    grouped: dict[tuple, list[SweepResult]] = {}
-    for r in ok:
-        grouped.setdefault((r.dataset, r.lag, r.architecture), []).append(r)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEATMAP_CSV_HEADER)
-        for metric in _METRIC_DIRECTION:
-            for (dataset, lag, arch), rows in sorted(
-                grouped.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            ):
-                value = float(np.mean([getattr(r, metric) for r in rows]))
-                writer.writerow(
-                    [dataset, metric, lag, format_architecture(arch), repr(value)]
-                )
+    means = _means(results, ("dataset", "lag", "architecture"))
+    rows = (
+        [dataset, metric, lag, format_architecture(arch), repr(m[metric])]
+        for metric in _METRIC_DIRECTION
+        for (dataset, lag, arch), m in sorted(means.items())
+    )
+    write_csv_rows(path, HEATMAP_CSV_HEADER, rows)

@@ -655,7 +655,7 @@ def test_sweep_sample_outside_the_grid_is_refused_before_reading_data(
     capsys.readouterr()
     assert run(["sweep", "--datasets", tmp_path / "missing.csv", "--out", out,
                 "--sample", sample]) == 1
-    assert capsys.readouterr().err == f"error: sample must lie in [1, 120], got {sample}\n"
+    assert capsys.readouterr().err == f"error: sample must lie in [1, 120], got '{sample}'\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -688,7 +688,7 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers, via_config):
         argv += ["--workers", workers]
     capsys.readouterr()
     assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+    assert capsys.readouterr().err == f"error: workers must be at least 1, got '{workers}'\n"
     assert not out.exists()
 
 
@@ -971,8 +971,8 @@ def test_sweep_unknown_activation_or_optimizer_fails_before_training(
 @pytest.mark.parametrize(
     "flag, value, complaint",
     [
-        ("--lags", "0,1", "sweep axis lags: expected at least 1, got 0"),
-        ("--architectures", "4;0", "sweep axis architectures: expected at least 1, got 0"),
+        ("--lags", "0,1", "sweep axis lags: expected at least 1, got '0'"),
+        ("--architectures", "4;0", "sweep axis architectures: expected at least 1, got '0'"),
     ],
     ids=["lags", "architectures"],
 )
@@ -995,7 +995,7 @@ def test_sweep_repeated_axis_value_is_refused_before_reading_data(tmp_path, caps
     assert run(["sweep", "--datasets", tmp_path / "missing.csv", "--out", out,
                 "--lags", "1,1", "--architectures", "4;4", "--activations", "relu,relu",
                 "--optimizers", "adam"]) == 1
-    assert capsys.readouterr().err == "error: sweep axis lags: repeated 1\n"
+    assert capsys.readouterr().err == "error: sweep axis lags: repeated '1'\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1162,6 +1162,46 @@ def test_overlong_bundle_line_is_quoted_short(tmp_path, capsys, site):
     assert " characters)" in err, err[:300]
     assert len(err.replace(str(tmp_path), "").encode()) < 300, err[:300]
     assert not out.exists()
+
+
+#: an integer list token past Python's 4,300-digit int() limit
+_TOKEN = "9" * 5000
+
+#: refused setting -> (command, config file or None, flags)
+_OVERLONG_SETTING = {
+    "config-key": ("synth", {_LONG: 1}, []),
+    "config-model": ("fit", {"model": _LONG}, []),
+    "lags-token": ("sweep", None, ["--lags", "1," + _TOKEN]),
+    "activations": ("sweep", None, ["--activations", "relu," + _TOKEN]),
+    "lags-below-one": ("sweep", None, ["--lags", _NINES]),
+    "lags-repeated": ("sweep", None, ["--lags", f"{_BIG},{_BIG}"]),
+    "length": ("synth", None, ["--length", _NINES]),
+    "workers": ("sweep", None, ["--workers", _NINES]),
+    "sample": ("sweep", None, ["--sample", _BIG]),
+}
+
+
+@pytest.mark.parametrize("site", list(_OVERLONG_SETTING))
+def test_overlong_setting_value_is_quoted_short(tmp_path, capsys, site):
+    command, config, flags = _OVERLONG_SETTING[site]
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", "--out", out],
+            "fit": ["fit", "--data", data, "--out", out],
+            "sweep": ["sweep", "--datasets", data, "--out", out, "--epochs", 1]}[command]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", cfg]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    # the temporary directory's name, which a config error repeats, does not count
+    assert " characters)" in err, err[:300]
+    assert len(err.replace(str(tmp_path), "").encode()) < 300, err[:300]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_predict_refuses_manifest_missing_a_config_key(tmp_path, capsys):

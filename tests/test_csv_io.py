@@ -479,6 +479,29 @@ def test_predictions_writer_bytes_equal_csv_writer(tmp_path_factory, records, bl
     assert path.read_bytes() == _csv_writer_bytes(PREDICTIONS_HEADER, rows)
 
 
+#: a field that needs no quoting: no comma, quote or line break; nor NUL,
+#: which the csv module handles differently between versions, nor a
+#: surrogate, which UTF-8 cannot encode
+plain_fields = st.text(
+    st.characters(exclude_characters=',"\r\n\x00', exclude_categories=("Cs",)),
+    max_size=6,
+)
+
+
+@given(rows=st.lists(st.tuples(plain_fields, plain_fields, plain_fields), max_size=20),
+       block=write_blocks)
+@settings(max_examples=80, deadline=None)
+def test_both_writers_write_the_same_bytes_for_plain_fields(tmp_path_factory, rows, block):
+    header = ("a", "b", "c")
+    folder = tmp_path_factory.mktemp("w")
+    with mock.patch.object(data_io, "BLOCK_ROWS", block):
+        data_io.write_csv_columns(
+            folder / "columns.csv", header, [([row[k] for row in rows], None) for k in range(3)]
+        )
+    data_io.write_csv_rows(folder / "rows.csv", header, rows)
+    assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
 class _WriteRecorder(io.StringIO):
     """A text file in memory that keeps the text of each ``write`` call."""
 

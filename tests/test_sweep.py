@@ -105,10 +105,10 @@ def test_space_rejects_empty_axis():
     [
         ("activations", ("relu", "gelu"), "sweep axis activations: unknown 'gelu'"),
         ("optimizers", ("adam", "rmsprop"), "sweep axis optimizers: unknown 'rmsprop'"),
-        ("lags", (1, 2, 1, 2), "sweep axis lags: repeated 1, 2$"),
-        ("architectures", ((32, 16), (4,), (32, 16)), "sweep axis architectures: repeated 32-16$"),
-        ("activations", ("relu", "tanh", "relu"), "sweep axis activations: repeated relu$"),
-        ("optimizers", ("sgd", "sgd"), "sweep axis optimizers: repeated sgd$"),
+        ("lags", (1, 2, 1, 2), "sweep axis lags: repeated '1', '2'$"),
+        ("architectures", ((32, 16), (4,), (32, 16)), "sweep axis architectures: repeated '32-16'$"),
+        ("activations", ("relu", "tanh", "relu"), "sweep axis activations: repeated 'relu'$"),
+        ("optimizers", ("sgd", "sgd"), "sweep axis optimizers: repeated 'sgd'$"),
     ],
 )
 def test_space_rejects_unknown_activation_or_optimizer(axis, values, complaint):
@@ -294,7 +294,7 @@ def test_pool_starts_at_most_one_worker_per_cell(
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_sweep_rejects_workers_below_one(workers):
     configs = enumerate_grid(small_space())[:1]
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got '{workers}'"):
         run_sweep(configs, tiny_datasets(count=1), kind="var_only", workers=workers)
 
 
@@ -381,9 +381,26 @@ def test_best_configurations_direction_and_ties():
     best = best_configurations(results)
     assert best["mse"]["lag"] == 1  # mean 0.4 beats 0.5; lower wins
     assert best["mse"]["value"] == pytest.approx(0.4)
-    # accuracy ties everywhere; the earliest config in input order wins
+    # accuracy ties everywhere; the smallest (lag, architecture, activation,
+    # optimizer) by value wins
     assert best["accuracy"]["lag"] == 1
     assert best["accuracy"]["architecture"] == "4"
+
+
+def test_best_configurations_breaks_ties_by_value_not_listing_order():
+    """Tied cells listed tanh before relu, 128-64 before 32-16 and sgd before
+    adam: the smallest (lag, architecture, activation, optimizer) by value
+    wins, as ``sweep --model var`` names 32-16 relu/adam for every metric."""
+    results = [
+        _result(1, arch, act, opt, "a", 0.5, 0.6)
+        for arch in ((128, 64), (32, 16))
+        for act in ("tanh", "relu")
+        for opt in ("sgd", "adam")
+    ]
+    best = best_configurations(results)
+    for metric, entry in best.items():
+        assert (entry["lag"], entry["architecture"], entry["activation"],
+                entry["optimizer"]) == (1, "32-16", "relu", "adam"), metric
 
 
 def test_best_configurations_skips_failed_cells():
