@@ -5,10 +5,11 @@ file (--config), then built-in default.  ``SETTINGS`` declares each one
 (its default, type and help) and ``COMMAND_KEYS`` the commands that take
 it; most defaults are read from the library's own configuration classes.
 
-Each run writes a fully resolved configuration sidecar next to its
-outputs, and all randomness flows from the single --seed value through
-documented derivations.  Exit status is 0 only when every declared output
-was produced.
+Each run writes a sidecar next to its outputs recording its resolved
+settings, its file arguments and the facts it derived, and all randomness
+flows from the single --seed value through documented derivations.  Exit
+status is 0 only when every declared output was produced; a command that
+fails while writing leaves none of its outputs.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # One BLAS/OpenMP thread per process unless the environment says otherwise.
@@ -201,8 +203,32 @@ def _int_list(key: str, text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _write_sidecar(out: str | Path, resolved: dict) -> None:
-    write_json(str(out) + ".config.json", resolved)
+def _sidecar_path(args: argparse.Namespace) -> Path:
+    """Where a run is recorded: inside the bundle for fit, else beside --out."""
+    if args.command == "fit":
+        return Path(args.out, "run_config.json")
+    return Path(args.out + ".config.json")
+
+
+def _write_sidecar(args: argparse.Namespace, resolved: dict, **facts) -> None:
+    """Record a run: its resolved settings, its file arguments as given (the
+    parsed arguments but the settings and --config) and the facts it derived."""
+    skip = {*resolved, "command", "func", "config"}
+    given = {key: value for key, value in vars(args).items() if key not in skip}
+    write_json(_sidecar_path(args), {**resolved, **given, **facts})
+
+
+@contextmanager
+def _all_or_none(*paths):
+    """Remove every one of ``paths``, older copies included, if the block
+    raises; the block's own error is the one that propagates."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _model_kind(resolved: dict) -> str:
@@ -240,10 +266,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         nonlinear_strength=resolved["nonlinear_strength"],
     )
     series = generate_synthetic(spec)
-    write_counts_csv(args.out, series)
-    resolved["generator_seed"] = generator_seed
-    resolved["out"] = str(args.out)
-    _write_sidecar(args.out, resolved)
+    with _all_or_none(args.out, _sidecar_path(args)):
+        write_counts_csv(args.out, series)
+        _write_sidecar(args, resolved, generator_seed=generator_seed)
     print(f"wrote {len(series)} rows to {args.out}")
     return 0
 
@@ -278,18 +303,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }[kind]
     bundle = fitter(train_rows, config)
     out_dir = Path(args.out)
-    for name in ("trace.csv", "run_config.json"):  # an earlier fit's, if any
-        (out_dir / name).unlink(missing_ok=True)
+    for path in (out_dir / "trace.csv", _sidecar_path(args)):  # an earlier fit's
+        path.unlink(missing_ok=True)
     save_bundle(bundle, out_dir)
     if bundle.training_trace is not None:
         write_trace_csv(bundle.training_trace, out_dir / "trace.csv")
     if bundle.var_part is not None and bundle.var_diagnostics is not None:
         print(vm.summary(bundle.var_part, bundle.var_diagnostics))
-    resolved["data"] = str(args.data)
-    resolved["out"] = str(out_dir)
-    resolved["kind"] = kind
-    resolved["train_rows"] = len(train_rows)
-    write_json(out_dir / "run_config.json", resolved)
+    _write_sidecar(args, resolved, kind=kind, train_rows=len(train_rows))
     print(f"saved {kind} bundle to {out_dir}")
     return 0
 
@@ -312,12 +333,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         first = max(kept - warmup, 0)
     records = predict(bundle, series[first:])
     records.index[:] += first  # back to rows of the series, in place
-    write_predictions_csv(records, args.out)
-    resolved["bundle"] = str(args.bundle)
-    resolved["data"] = str(args.data)
-    resolved["out"] = str(args.out)
-    resolved["rows"] = len(records)
-    _write_sidecar(args.out, resolved)
+    with _all_or_none(args.out, _sidecar_path(args)):
+        write_predictions_csv(records, args.out)
+        _write_sidecar(args, resolved, rows=len(records))
     print(f"wrote {len(records)} predictions to {args.out}")
     return 0
 
@@ -327,7 +345,7 @@ def _safe_label(text: str) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    labels = args.labels or []
+    labels = args.labels
     if labels and len(labels) != len(args.predictions):
         raise ValueError(
             f"got {len(labels)} labels for {len(args.predictions)} prediction files"
@@ -344,8 +362,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         if conf_path in conf_paths:
             raise ValueError(
-                f"labels {conf_paths[conf_path]!r} and {label!r} "
-                f"both name the confusion file {conf_path}"
+                f"labels {_quote(conf_paths[conf_path])} and {_quote(label)} "
+                f"both name the confusion file {_quote(conf_path.name)}"
             )
         conf_paths[conf_path] = label
         records = read_predictions_csv(pred_path)
@@ -355,17 +373,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"{pred_path}: {exc}") from None
     table = render_comparison(reports)
     print(table)
-    write_comparison_csv(reports, args.out)
-    for report, conf_path in zip(reports, conf_paths):
-        write_confusion_csv(report.confusion, conf_path)
-    _write_sidecar(
-        args.out,
-        {
-            "predictions": [str(p) for p in args.predictions],
-            "labels": labels,
-            "out": str(args.out),
-        },
-    )
+    with _all_or_none(args.out, *conf_paths, _sidecar_path(args)):
+        write_comparison_csv(reports, args.out)
+        for report, conf_path in zip(reports, conf_paths):
+            write_confusion_csv(report.confusion, conf_path)
+        _write_sidecar(args, {})
     return 0
 
 
@@ -402,13 +414,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=resolved["workers"],
     )
     best = best_configurations(results)  # raises, before any write, if no cell is ok
-    write_sweep_csv(results, args.out)
-    write_heatmap_csv(results, str(args.out) + ".heatmap.csv")
-    write_json(str(args.out) + ".best.json", best)
-    resolved["datasets"] = [str(p) for p in args.datasets]
-    resolved["out"] = str(args.out)
-    resolved["cells"] = len(results)
-    _write_sidecar(args.out, resolved)
+    heatmap, best_json = args.out + ".heatmap.csv", args.out + ".best.json"
+    with _all_or_none(args.out, heatmap, best_json, _sidecar_path(args)):
+        write_sweep_csv(results, args.out)
+        write_heatmap_csv(results, heatmap)
+        write_json(best_json, best)
+        _write_sidecar(args, resolved, cells=len(results))
     print(f"ran {len(results)} cells over {len(configs)} configurations")
     for metric, entry in best.items():
         print(
@@ -445,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--labels",
         nargs="*",
+        default=[],
         help="dataset/model label per file, e.g. synthetic/hybrid",
     )
     p_eval.add_argument("--out", required=True, help="comparison CSV path")

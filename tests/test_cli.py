@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import shutil
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,8 +556,23 @@ def test_evaluate_refuses_labels_that_share_a_confusion_file(
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: labels {first!r} and {second!r} both name the confusion file "
-        f"{tmp_path / f'cc.confusion.{conf}.csv'}\n"
+        f"'cc.confusion.{conf}.csv'\n"
     )
+    assert sorted(tmp_path.glob("cc*")) == []  # nothing written
+
+
+def test_colliding_long_labels_are_quoted_short(tmp_path, capsys):
+    paths = [tmp_path / "p.csv", tmp_path / "p2.csv"]
+    for i, p in enumerate(paths):
+        _fake_predictions(p, shift=i)
+    model = "x" * 5_000
+    code = run(["evaluate", *paths, "--labels", f"a b/{model}", f"a_b/{model}",
+                "--out", tmp_path / "cc.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: labels 'a b/xxx") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert "(5004 characters)" in err and "'cc.confusion.a_b.xxx" in err
     assert sorted(tmp_path.glob("cc*")) == []  # nothing written
 
 
@@ -1012,6 +1029,103 @@ def test_sweep_train_fraction_outside_zero_one_fails_before_training(
         f"error: train_fraction must lie in (0, 1), got {float(value)}\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
+
+
+# -------------------------------------------------------------- run records
+
+def _record_inputs():
+    """In the working directory: a counts CSV, a VAR bundle fitted on it and
+    that bundle's predictions."""
+    assert run(["synth", "--out", "counts.csv", "--length", 150, "--seed", 1]) == 0
+    assert run(["fit", "--data", "counts.csv", "--out", "bundle", "--model", "var"]) == 0
+    assert run(["predict", "--bundle", "bundle", "--data", "counts.csv",
+                "--out", "preds.csv"]) == 0
+
+
+_ONE_CELL = ["--lags", 1, "--architectures", 4, "--activations", "relu",
+             "--optimizers", "adam", "--epochs", 1]
+
+
+#: case -> (argv, the file arguments as given, the facts the record adds)
+_RECORDS = {
+    "synth": (["synth", "--out", "new.csv", "--length", 40],
+              {"out": "new.csv"}, {"generator_seed"}),
+    "fit": (["fit", "--data", "counts.csv", "--out", "model", "--model", "var"],
+            {"data": "counts.csv", "out": "model"}, {"kind", "train_rows"}),
+    "fit-dir-slash": (["fit", "--data", "./counts.csv", "--out", "model/", "--model", "var"],
+                      {"data": "./counts.csv", "out": "model/"}, {"kind", "train_rows"}),
+    "predict": (["predict", "--bundle", "bundle", "--data", "counts.csv", "--out", "p.csv"],
+                {"bundle": "bundle", "data": "counts.csv", "out": "p.csv"}, {"rows"}),
+    "evaluate-labels": (["evaluate", "preds.csv", "./preds.csv", "--labels", "s/a", "s/b",
+                         "--out", "e.csv"],
+                        {"predictions": ["preds.csv", "./preds.csv"],
+                         "labels": ["s/a", "s/b"], "out": "e.csv"}, set()),
+    "evaluate": (["evaluate", "preds.csv", "--out", "e.csv"],
+                 {"predictions": ["preds.csv"], "labels": [], "out": "e.csv"}, set()),
+    "sweep": (["sweep", "--datasets", "counts.csv", "--out", "s.csv", *_ONE_CELL],
+              {"datasets": ["counts.csv"], "out": "s.csv"}, {"cells"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECORDS))
+def test_each_command_records_its_settings_file_arguments_and_facts(
+    tmp_path, monkeypatch, case
+):
+    monkeypatch.chdir(tmp_path)
+    _record_inputs()
+    argv, files, facts = _RECORDS[case]
+    command, out = argv[0], files["out"]
+    assert run(argv) == 0
+    sidecar = Path(out, "run_config.json") if command == "fit" else Path(out + ".config.json")
+    side = json.loads(sidecar.read_text())
+    assert set(side) == {*cli.COMMAND_KEYS.get(command, ()), *files, *facts}
+    assert {key: side[key] for key in files} == files
+
+
+_LONG_NAME = "o" * 245 + ".csv"  # fits a 255-byte file name; its sidecar's does not
+
+#: command -> (argv of a run that fails on a later output, its --out)
+_FAILED_WRITES = {
+    "synth": (["synth", "--out", _LONG_NAME, "--length", 40], _LONG_NAME),
+    "predict": (["predict", "--bundle", "bundle", "--data", "counts.csv",
+                 "--out", _LONG_NAME], _LONG_NAME),
+    "evaluate": (["evaluate", "preds.csv", "--labels", f"{'x' * 5_000}/m",
+                  "--out", "e.csv"], "e.csv"),
+    "sweep": (["sweep", "--datasets", "counts.csv", "--out", _LONG_NAME, *_ONE_CELL],
+              _LONG_NAME),
+}
+
+
+@pytest.mark.parametrize("command", list(_FAILED_WRITES))
+def test_a_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys, command):
+    """The first output is written and a later one refused by the OS (a
+    file name past 255 bytes): the command exits 1 with one error line,
+    and the output it wrote is gone, along with the older copy it replaced."""
+    monkeypatch.chdir(tmp_path)
+    _record_inputs()
+    argv, out = _FAILED_WRITES[command]
+    Path(out).write_text("an older copy\n")
+    inputs = set(os.listdir()) - {out}
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert set(os.listdir()) == inputs
+
+
+def test_sweep_that_cannot_write_its_heatmap_leaves_no_output(tmp_path, capsys):
+    data = synth(tmp_path, length=150, seed=1)
+    out = tmp_path / "s.csv"
+    heatmap = tmp_path / "s.csv.heatmap.csv"
+    heatmap.mkdir()
+    assert run(["sweep", "--datasets", data, "--out", out, *_ONE_CELL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(heatmap)) in err
+    assert heatmap.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "counts.csv", "counts.csv.config.json", "s.csv.heatmap.csv"
+    ]
 
 
 # ------------------------------------------------------ malformed input files
