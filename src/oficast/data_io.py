@@ -113,6 +113,7 @@ class SyntheticSpec:
                 f"length must be >= {MIN_SYNTHETIC_LENGTH} "
                 f"(2 * max supported lag + 1), got {_quote(str(self.length))}"
             )
+        _check_seed(self.seed)
         for name in ("base_intensity", "nonlinear_strength"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -148,6 +149,13 @@ def _quote(token: str) -> str:
     """``repr(token)``, cut to 40 characters plus the token's length when
     longer, so that an error line stays short."""
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}… ({len(token)} characters)"
+
+
+def _check_seed(seed) -> None:
+    """Refuse a ``seed`` that ``np.random.default_rng`` would refuse: one
+    that is negative or not an integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {_quote(str(seed))}")
 
 
 class Column(NamedTuple):
@@ -378,34 +386,32 @@ def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> Non
 def generate_synthetic(spec: SyntheticSpec) -> CountSeries:
     """Generate a seeded synthetic series per :class:`SyntheticSpec`, with t0 = 0.
 
-    Uses numpy's ``default_rng`` (PCG64); identical specs replay
-    bit-identically on any platform.  An intensity past numpy's Poisson
-    limit raises ValueError naming the spec's settings.
+    Uses numpy's ``default_rng`` (PCG64); a spec replays bit-identically
+    under the same numpy version and C math library (numpy promises no
+    ``Generator`` stream across releases).  An intensity past numpy's
+    Poisson limit raises ValueError naming the spec's settings.
     """
     poisson = np.random.default_rng(spec.seed).poisson
     tanh = math.tanh
     base, linear, nonlinear = spec.base_intensity, spec.linear_strength, spec.nonlinear_strength
-    z_prev = 0.0
-    z_prev2 = 0.0
-    buys, sells = [], []
+    z_prev = z_prev2 = 0.0
+    draws = []  # buy, sell, buy, sell, ...: two per row
+    append = draws.append
     try:
         for _ in range(spec.length):
             drive = linear * z_prev + nonlinear * tanh(z_prev * z_prev2)
-            lam_buy = max(base * (1.0 + drive), 0.0)
-            lam_sell = max(base * (1.0 - drive), 0.0)
-            buy = int(poisson(lam_buy))
-            sell = int(poisson(lam_sell))
-            buys.append(buy)
-            sells.append(sell)
-            z_prev2 = z_prev
-            z_prev = (buy - sell) / (buy + sell + 1)
+            lam_buy, lam_sell = base * (1.0 + drive), base * (1.0 - drive)
+            # the floor is max(lam, 0.0) for a finite lam; a float lam draws a Python int
+            append(buy := poisson(lam_buy if lam_buy > 0.0 else 0.0))
+            append(sell := poisson(lam_sell if lam_sell > 0.0 else 0.0))
+            z_prev2, z_prev = z_prev, (buy - sell) / (buy + sell + 1)
     except ValueError:  # numpy's "lam value too large"
         raise ValueError(
-            f"row {len(buys)}: intensity {max(lam_buy, lam_sell):g} is past numpy's Poisson "
+            f"row {len(draws) // 2}: intensity {max(lam_buy, lam_sell):g} is past numpy's Poisson "
             f"limit; lower base_intensity ({base}), linear_strength ({linear}) "
             f"or nonlinear_strength ({nonlinear})"
         ) from None
-    return CountSeries(np.column_stack([buys, sells]))
+    return CountSeries(np.array(draws, dtype=np.int64).reshape(-1, 2))
 
 
 def split_row(fraction: float, n: int) -> int:

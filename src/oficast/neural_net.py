@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .data_io import ParamLines, _quote
+from .data_io import ParamLines, _check_seed, _quote
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
@@ -167,6 +167,7 @@ class TrainConfig:
                 "validation_fraction must lie in (0, 1), "
                 f"got {_quote(str(self.validation_fraction))}"
             )
+        _check_seed(self.seed)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from oficast.data_io import (
     load_counts_csv,
     write_counts_csv,
 )
+from oficast.sweep import derive_seed
 
 from conftest import make_counts
 
@@ -234,9 +235,24 @@ def test_synthetic_spec_refuses_non_finite_settings(name, value):
         SyntheticSpec(length=100, seed=0, **{name: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_synthetic_spec_refuses_a_seed_default_rng_refuses(seed):
+    # numpy's own errors (a bare ValueError or a TypeError) would name no field
+    with pytest.raises(ValueError) as info:
+        SyntheticSpec(length=50, seed=seed)
+    assert str(info.value) == f"seed must be a nonnegative integer, got {str(seed)!r}"
+
+
+def test_synthetic_spec_accepts_a_numpy_integer_seed():
+    spec = SyntheticSpec(length=50, seed=np.int64(5))
+    assert generate_synthetic(spec) == generate_synthetic(SyntheticSpec(length=50, seed=5))
+
+
 def _straight_loop_synthetic(spec):
-    """The generator as a straight loop over a preallocated array, and how
-    many intensities it floored at zero."""
+    """The generator as a straight loop over a preallocated array: the
+    counts, how many intensities it floored at zero, and None or, for an
+    intensity past numpy's Poisson limit, its row and the larger intensity
+    of that row (the counts then stop before that row)."""
     rng = np.random.default_rng(spec.seed)
     z_prev = 0.0
     z_prev2 = 0.0
@@ -249,12 +265,26 @@ def _straight_loop_synthetic(spec):
         lam_buy = max(spec.base_intensity * (1.0 + drive), 0.0)
         lam_sell = max(spec.base_intensity * (1.0 - drive), 0.0)
         floored += (lam_buy == 0.0) + (lam_sell == 0.0)
-        buy = int(rng.poisson(lam_buy))
-        sell = int(rng.poisson(lam_sell))
+        try:
+            buy = int(rng.poisson(lam_buy))
+            sell = int(rng.poisson(lam_sell))
+        except ValueError:
+            return counts[:t], floored, (t, max(lam_buy, lam_sell))
         counts[t] = buy, sell
         z_prev2 = z_prev
         z_prev = (buy - sell) / (buy + sell + 1)
-    return counts, floored
+    return counts, floored, None
+
+
+def _assert_matches_straight_loop(spec):
+    want, floored, refused = _straight_loop_synthetic(spec)
+    assert refused is None
+    got = generate_synthetic(spec)
+    assert got.t0 == 0
+    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
+    assert got.counts.shape == want.shape
+    assert got.counts.tobytes() == want.tobytes()
+    return floored
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -268,14 +298,51 @@ def _straight_loop_synthetic(spec):
     ],
 )
 def test_generator_matches_straight_loop_bit_for_bit(seed, fields):
-    spec = SyntheticSpec(length=3000, seed=seed, **fields)
-    want, floored = _straight_loop_synthetic(spec)
-    got = generate_synthetic(spec)
-    assert got.t0 == 0
-    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
-    assert got.counts.tobytes() == want.tobytes()
+    floored = _assert_matches_straight_loop(SyntheticSpec(length=3000, seed=seed, **fields))
     if fields.get("nonlinear_strength") == 3.0:
         assert floored > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    length=st.integers(MIN_SYNTHETIC_LENGTH, 600),
+    base=st.floats(0.0, 30.0, exclude_min=True),
+    linear=st.floats(0.0, 1.0, exclude_max=True),
+    nonlinear=st.floats(0.0, 4.0),
+)
+def test_generator_matches_straight_loop_over_drawn_specs(seed, length, base, linear, nonlinear):
+    spec = SyntheticSpec(
+        length=length, seed=seed, base_intensity=base,
+        linear_strength=linear, nonlinear_strength=nonlinear,
+    )
+    _assert_matches_straight_loop(spec)
+
+
+@pytest.mark.parametrize("master", [1, 7])
+def test_generator_matches_straight_loop_at_benchmark_size(master):
+    # the 10^5-row series `synth --length 100000 --seed <master>` writes
+    _assert_matches_straight_loop(SyntheticSpec(length=100_000, seed=derive_seed(master, 0)))
+
+
+#: numpy's Poisson limit: a larger intensity raises "lam value too large"
+POISSON_LIMIT = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+@pytest.mark.parametrize("seed, row", [(0, 20), (2, 5)])
+def test_generator_names_the_row_a_later_intensity_passes_the_poisson_limit(seed, row):
+    # row 0 draws at base_intensity, just under the limit; the drive then
+    # pushes one side past it
+    spec = SyntheticSpec(length=100, seed=seed, base_intensity=POISSON_LIMIT * (1 - 1e-10))
+    _, _, (want_row, want_lam) = _straight_loop_synthetic(spec)
+    assert want_row == row
+    with pytest.raises(ValueError) as info:
+        generate_synthetic(spec)
+    assert str(info.value) == (
+        f"row {want_row}: intensity {want_lam:g} is past numpy's Poisson limit; "
+        f"lower base_intensity ({spec.base_intensity}), linear_strength (0.2) "
+        "or nonlinear_strength (0.95)"
+    )
 
 
 def test_generator_default_regime_does_not_saturate():

@@ -603,6 +603,14 @@ def test_train_config_refuses_a_validation_fraction_outside_0_1(fraction, early_
         TrainConfig(early_stopping=early_stopping, validation_fraction=fraction)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_train_config_refuses_a_seed_default_rng_refuses(seed):
+    # refused here, not by numpy inside train's init_model
+    with pytest.raises(ValueError) as info:
+        TrainConfig(seed=seed)
+    assert str(info.value) == f"seed must be a nonnegative integer, got {str(seed)!r}"
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
