@@ -278,7 +278,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     kind = _model_kind(resolved)
     fraction = resolved["train_fraction"]
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1], got {fraction}")
+        raise ValueError(f"train_fraction must lie in (0, 1], got {_quote(str(fraction))}")
     series = load_counts_csv(args.data).counts
     if fraction == 1.0:
         train_rows = series
@@ -324,7 +324,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     first = 0  # the first row predict sees: the kept rows' warmup context
     if start is not None and len(series) > warmup:  # else predict names the short series
         if not 0.0 <= start < 1.0:
-            raise ValueError(f"eval-start must lie in [0, 1), got {start}")
+            raise ValueError(f"eval-start must lie in [0, 1), got {_quote(str(start))}")
         kept = split_row(start, len(series))  # the first row fit would hold out
         if kept == len(series):
             raise ValueError(
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,16 +114,16 @@ class SyntheticSpec:
                 f"(2 * max supported lag + 1), got {_quote(str(self.length))}"
             )
         _check_seed(self.seed)
-        for name in ("base_intensity", "nonlinear_strength"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.base_intensity <= 0:
-            raise ValueError("base_intensity must be positive")
-        if not 0.0 <= self.linear_strength < 1.0:
-            raise ValueError("linear_strength must lie in [0, 1)")
-        if self.nonlinear_strength < 0.0:
-            raise ValueError("nonlinear_strength must be nonnegative")
+        base, nonlinear = self.base_intensity, self.nonlinear_strength
+        for name, rule, ok in (  # the first rule broken is named
+            ("base_intensity", "be finite", math.isfinite(base)),
+            ("nonlinear_strength", "be finite", math.isfinite(nonlinear)),
+            ("base_intensity", "be positive", base > 0),
+            ("linear_strength", "lie in [0, 1)", 0.0 <= self.linear_strength < 1.0),
+            ("nonlinear_strength", "be nonnegative", nonlinear >= 0.0),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {_quote(str(getattr(self, name)))}")
 
 
 def counts_to_array(series) -> np.ndarray:
@@ -133,13 +133,6 @@ def counts_to_array(series) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) series, got shape {arr.shape}")
     return arr
-
-
-def _finite_floats(tokens: Sequence[str]) -> np.ndarray:
-    values = np.array(tokens, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return values
 
 
 _PARSE_ERRORS = (ValueError, KeyError, OverflowError)
@@ -170,8 +163,6 @@ class Column(NamedTuple):
 
 # numpy parses each str element with Python's own int() and float()
 INT_COLUMN = Column(partial(np.array, dtype=np.int64), "an integer")
-#: A float column that must hold finite values.
-FINITE_COLUMN = Column(_finite_floats, "a finite number")
 
 COUNTS_COLUMNS = (INT_COLUMN,) * 3
 
@@ -345,7 +336,7 @@ def write_counts_csv(path: str | Path, series: CountSeries) -> None:
     """Write a series in the counts CSV format (round-trips with the loader)."""
     timestamps = range(series.t0, series.t0 + len(series))
     buy, sell = series.counts.T
-    write_csv_columns(path, COUNTS_HEADER, [(timestamps, str), (buy, str), (sell, str)])
+    write_csv_columns(path, COUNTS_HEADER, [timestamps, buy, sell])
 
 
 def write_csv_rows(path: str | Path, header: Sequence[str], rows) -> None:
@@ -360,26 +351,26 @@ def write_csv_rows(path: str | Path, header: Sequence[str], rows) -> None:
 
 
 def write_csv_columns(path: str | Path, header: tuple[str, ...], columns) -> None:
-    """Write a long CSV file: ``header``, then one row per entry of the columns.
+    """Write a long CSV file: ``header``, then one row per entry of the
+    columns (arrays or ranges, one entry per row).
 
-    Each column is a ``(values, format)`` pair: ``values`` an array or range
-    with one entry per row, and ``format`` maps an entry (as a Python
-    object) to its field, or is None when the entries are str fields
-    already.  A field must need no quoting (no comma, quote or line break);
-    the bytes are then those of :func:`write_csv_rows`: fields joined by
-    commas, every line ended by CRLF.  Rows are formatted and written
-    :data:`BLOCK_ROWS` at a time.
+    A column of str entries is written as it is, any other entry (an int or
+    a float, as a Python object) by ``repr``, as the csv module writes it.
+    A field must need no quoting (no comma, quote or line break); the bytes
+    are then those of :func:`write_csv_rows`: fields joined by commas, every
+    line ended by CRLF.  Rows are written :data:`BLOCK_ROWS` at a time.
     """
-    n = len(columns[0][0])
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, BLOCK_ROWS):
             fields = []
-            for values, fmt in columns:
+            for values in columns:
                 block = values[lo : lo + BLOCK_ROWS]
                 if isinstance(block, np.ndarray):
                     block = block.tolist()
-                fields.append(block if fmt is None else map(fmt, block))
+                # a column holds one kind of entry
+                fields.append(block if isinstance(block[0], str) else map(repr, block))
             fh.write("\r\n".join(chain(map(",".join, zip(*fields)), [""])))
 
 
@@ -432,7 +423,7 @@ def chronological_split(
             partition empty.
     """
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+        raise ValueError(f"train_fraction must lie in (0, 1), got {_quote(str(train_fraction))}")
     n = len(series)
     n_train = split_row(train_fraction, n)
     if n_train == 0 or n_train == n:

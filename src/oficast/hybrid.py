@@ -22,7 +22,6 @@ import numpy as np
 
 from . import data_io
 from .data_io import (
-    FINITE_COLUMN,
     INT_COLUMN,
     Column,
     _quote,
@@ -477,29 +476,28 @@ PREDICTIONS_HEADER = tuple(f.name for f in fields(Predictions))
 def write_predictions_csv(records: Predictions, path: str | Path) -> None:
     """One row per prediction; floats as ``repr``, so they read back exactly."""
     write_csv_columns(
-        path,
-        PREDICTIONS_HEADER,
-        [
-            (records.index, str),
-            (records.actual_ofi, repr),
-            (records.predicted_ofi, repr),
-            # Signal members are str: they join as their values
-            (records.actual_signal, None),
-            (records.predicted_signal, None),
-        ],
+        path, PREDICTIONS_HEADER, [getattr(records, name) for name in PREDICTIONS_HEADER]
     )
 
 
+def _ofis(tokens) -> np.ndarray:
+    values = np.array(tokens, dtype=float)
+    if not (np.abs(values) <= 1.0).all():  # nan fails the test too
+        raise ValueError("OFI outside [-1, 1]")
+    return values
+
+
+_OFI_COLUMN = Column(_ofis, "a number in [-1, 1]")
 _SIGNAL_OF = {s.value: s for s in Signal}.__getitem__
 _SIGNAL_COLUMN = Column(
     lambda tokens: np.array(list(map(_SIGNAL_OF, tokens)), dtype=object), "BUY, SELL or HOLD"
 )
-PREDICTIONS_COLUMNS = (INT_COLUMN, FINITE_COLUMN, FINITE_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN)
+PREDICTIONS_COLUMNS = (INT_COLUMN, _OFI_COLUMN, _OFI_COLUMN, _SIGNAL_COLUMN, _SIGNAL_COLUMN)
 
 
 def read_predictions_csv(path: str | Path) -> Predictions:
     """Inverse of :func:`write_predictions_csv`.  A wrong field count, a
-    non-integer index, a non-numeric or non-finite OFI, or an unknown signal
-    raises :class:`DataFormatError` naming the file and line."""
+    non-integer index, an OFI that is not a number in [-1, 1], or an
+    unknown signal raises :class:`DataFormatError` naming the file and line."""
     _, columns = read_csv_columns(path, PREDICTIONS_HEADER, PREDICTIONS_COLUMNS)
     return Predictions(*columns)

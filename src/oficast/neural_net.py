@@ -151,7 +151,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {_quote(str(self.batch_size))}")
         if not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+            raise ValueError(
+                f"learning_rate must be finite, got {_quote(str(self.learning_rate))}"
+            )
         if self.learning_rate <= 0:
             raise ValueError(
                 f"learning_rate must be positive, got {_quote(str(self.learning_rate))}"

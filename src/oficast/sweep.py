@@ -282,7 +282,7 @@ def run_sweep(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {_quote(str(workers))}")
     if not 0.0 < train_fraction < 1.0:  # else every cell fails alike
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+        raise ValueError(f"train_fraction must lie in (0, 1), got {_quote(str(train_fraction))}")
     if train_template is None:
         train_template = TrainConfig()
     if ofi_params is None:

@@ -167,7 +167,7 @@ def test_fit_refuses_a_train_fraction_outside_zero_one(tmp_path, capsys, value):
     assert run(["fit", "--data", data, "--out", out, "--model", "var",
                 "--train-fraction", value]) == 1
     assert capsys.readouterr().err == (
-        f"error: train_fraction must lie in (0, 1], got {float(value)}\n"
+        f"error: train_fraction must lie in (0, 1], got '{float(value)}'\n"
     )
     assert not out.exists()
 
@@ -184,7 +184,7 @@ def test_non_finite_learning_rate_is_refused_by_name(tmp_path, capsys, command, 
     assert run([*argv, "--out", tmp_path / "out", "--epochs", 1,
                 f"--learning-rate={value}"]) == 1
     assert capsys.readouterr().err == (
-        f"error: learning_rate must be finite, got {float(value)}\n"
+        f"error: learning_rate must be finite, got '{float(value)}'\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
 
@@ -228,6 +228,18 @@ def fit_small(tmp_path, data, name="bundle", extra=()):
     assert run(["fit", "--data", data, "--out", out,
                 "--epochs", 3, "--seed", 5, *extra]) == 0
     return out
+
+
+def test_fit_past_the_address_space_exits_1_with_one_error_line(tmp_path, capsys):
+    """28.4 PiB of first-layer weights is past the 128 TiB x86-64 address
+    space, so numpy refuses the allocation whatever the overcommit setting."""
+    data = synth(tmp_path, length=150, seed=1)
+    out = tmp_path / "m"
+    capsys.readouterr()
+    assert run(["fit", "--data", data, "--out", out, "--hidden", 10**15]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert not out.exists()
 
 
 def test_fit_that_diverges_exits_1_without_bundle(tmp_path, capsys):
@@ -322,7 +334,7 @@ _SHORT = "series supplies 4 rows but the pipeline needs more than 4"
 @pytest.mark.parametrize(
     "rows, start, message",
     [(4, 1.5, _SHORT), (4, -0.1, _SHORT), (4, 0.5, _SHORT),
-     (200, 1.0, "eval-start must lie in [0, 1), got 1.0"),
+     (200, 1.0, "eval-start must lie in [0, 1), got '1.0'"),
      (200, 0.9999999999999999,
       "eval-start=0.9999999999999999 leaves no rows to predict for n=200")],
 )
@@ -515,11 +527,16 @@ def test_evaluate_constant_actual_ofi_names_the_file(tmp_path, capsys):
     [
         ("3,0.1,0.2", "expected 5 fields, got 3"),
         ("x3,0.1,0.2,BUY,BUY", "column index: expected an integer, got 'x3'"),
-        ("3,abc,0.2,BUY,BUY", "column actual_ofi: expected a finite number, got 'abc'"),
-        ("3,0.1,nan,BUY,BUY", "column predicted_ofi: expected a finite number, got 'nan'"),
+        ("3,abc,0.2,BUY,BUY", "column actual_ofi: expected a number in [-1, 1], got 'abc'"),
+        ("3,0.1,nan,BUY,BUY", "column predicted_ofi: expected a number in [-1, 1], got 'nan'"),
+        ("3,0.1,1e308,BUY,BUY", "column predicted_ofi: expected a number in [-1, 1], got '1e308'"),
+        ("3,-1.0000000000000002,0.2,SELL,BUY",
+         "column actual_ofi: expected a number in [-1, 1], got '-1.0000000000000002'"),
+        ("3,0.1,-inf,BUY,SELL", "column predicted_ofi: expected a number in [-1, 1], got '-inf'"),
         ("3,0.1,0.2,FOO,BUY", "column actual_signal: expected BUY, SELL or HOLD, got 'FOO'"),
     ],
-    ids=["field-count", "index", "non-numeric-ofi", "non-finite-ofi", "signal"],
+    ids=["field-count", "index", "non-numeric-ofi", "non-finite-ofi", "ofi-past-one",
+         "ofi-below-minus-one", "infinite-ofi", "signal"],
 )
 def test_evaluate_bad_predictions_row_names_file_and_line(tmp_path, capsys, bad_row, complaint):
     p = tmp_path / "preds.csv"
@@ -1026,7 +1043,7 @@ def test_sweep_train_fraction_outside_zero_one_fails_before_training(
     assert run(["sweep", "--datasets", data, "--out", out, "--lags", "1",
                 "--architectures", "4", "--epochs", 1, "--train-fraction", value]) == 1
     assert capsys.readouterr().err == (
-        f"error: train_fraction must lie in (0, 1), got {float(value)}\n"
+        f"error: train_fraction must lie in (0, 1), got '{float(value)}'\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.config.json"]
 
@@ -1315,6 +1332,45 @@ def test_overlong_setting_value_is_quoted_short(tmp_path, capsys, site):
     # the temporary directory's name, which a config error repeats, does not count
     assert " characters)" in err, err[:300]
     assert len(err.replace(str(tmp_path), "").encode()) < 300, err[:300]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+#: refused setting -> (command, flags, the error line after "error: ")
+_REFUSED_VALUE = {
+    "linear-strength": ("synth", ["--linear-strength", "1.5"],
+                        "linear_strength must lie in [0, 1), got '1.5'"),
+    "nonlinear-strength": ("synth", ["--nonlinear-strength", "-1"],
+                           "nonlinear_strength must be nonnegative, got '-1.0'"),
+    "base-intensity": ("synth", ["--base-intensity", "-2"],
+                       "base_intensity must be positive, got '-2.0'"),
+    "base-intensity-nan": ("synth", ["--base-intensity", "nan"],
+                           "base_intensity must be finite, got 'nan'"),
+    "learning-rate": ("fit", ["--learning-rate", "nan"],
+                      "learning_rate must be finite, got 'nan'"),
+    "fit-train-fraction": ("fit", ["--train-fraction", "1.5"],
+                           "train_fraction must lie in (0, 1], got '1.5'"),
+    "eval-start": ("predict", ["--eval-start", "2"], "eval-start must lie in [0, 1), got '2.0'"),
+    "sweep-train-fraction": ("sweep", ["--train-fraction", "1.0"],
+                             "train_fraction must lie in (0, 1), got '1.0'"),
+}
+
+
+@pytest.mark.parametrize("site", list(_REFUSED_VALUE))
+def test_refused_setting_value_is_quoted(tmp_path, capsys, site):
+    command, flags, message = _REFUSED_VALUE[site]
+    data = synth(tmp_path, "d.csv", length=150, seed=1)
+    out = tmp_path / "out"
+    if command == "predict":
+        bundle = fit_small(tmp_path, data, extra=["--model", "var"])
+        argv = ["predict", "--bundle", bundle, "--data", data, "--out", out]
+    else:
+        argv = {"synth": ["synth", "--out", out],
+                "fit": ["fit", "--data", data, "--out", out],
+                "sweep": ["sweep", "--datasets", data, "--out", out, "--epochs", 1]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

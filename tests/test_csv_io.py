@@ -53,6 +53,8 @@ READERS = {
 }
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+#: the OFIs a predictions file may hold; -0.0 and subnormals among them
+ofi_floats = st.floats(-1.0, 1.0)
 
 #: Field texts that int(), float() or a signal parser may read otherwise
 #: than they look: non-finite, out of range, spaced, signed, underscored,
@@ -165,7 +167,7 @@ def predictions_strategy(max_size=20):
             signals[list(p_sig)] if n else np.array([], dtype=object),
         )
 
-    row = st.tuples(finite_floats, finite_floats, st.integers(0, 2), st.integers(0, 2))
+    row = st.tuples(ofi_floats, ofi_floats, st.integers(0, 2), st.integers(0, 2))
     return st.builds(
         build,
         st.lists(st.integers(INT64.min, INT64.max), max_size=max_size),
@@ -488,16 +490,32 @@ plain_fields = st.text(
 )
 
 
-@given(rows=st.lists(st.tuples(plain_fields, plain_fields, plain_fields), max_size=20),
-       block=write_blocks)
+#: finite floats with the edges of their range spelled out: -0.0, the
+#: subnormals and +-1.7e308
+edge_floats = finite_floats | st.sampled_from([-0.0, 5e-324, -2.5e-320, 1.7e308, -1.7e308])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(plain_fields, st.integers(INT64.min, INT64.max), edge_floats, plain_fields),
+        max_size=20,
+    ),
+    block=write_blocks,
+)
 @settings(max_examples=80, deadline=None)
 def test_both_writers_write_the_same_bytes_for_plain_fields(tmp_path_factory, rows, block):
-    header = ("a", "b", "c")
+    """str columns as lists, int64 and float columns as arrays, as the
+    long-file writers pass them."""
+    header = ("a", "b", "c", "d")
+    columns = [
+        [row[0] for row in rows],
+        np.array([row[1] for row in rows], dtype=np.int64),
+        np.array([row[2] for row in rows], dtype=float),
+        [row[3] for row in rows],
+    ]
     folder = tmp_path_factory.mktemp("w")
     with mock.patch.object(data_io, "BLOCK_ROWS", block):
-        data_io.write_csv_columns(
-            folder / "columns.csv", header, [([row[k] for row in rows], None) for k in range(3)]
-        )
+        data_io.write_csv_columns(folder / "columns.csv", header, columns)
     data_io.write_csv_rows(folder / "rows.csv", header, rows)
     assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 

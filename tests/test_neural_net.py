@@ -592,7 +592,7 @@ def test_fit_divergence_prints_one_error_line_and_no_warnings(
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
 def test_train_config_refuses_a_non_finite_learning_rate(rate):
-    with pytest.raises(ValueError, match=f"^learning_rate must be finite, got {rate}$"):
+    with pytest.raises(ValueError, match=f"^learning_rate must be finite, got '{rate}'$"):
         TrainConfig(learning_rate=rate)
 
 

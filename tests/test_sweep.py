@@ -303,7 +303,7 @@ def test_run_sweep_rejects_a_train_fraction_outside_zero_one(monkeypatch, fracti
     monkeypatch.setattr(sweep_module, "_run_cell", None)  # no cell may run
     configs = enumerate_grid(small_space())[:1]
     with pytest.raises(
-        ValueError, match=rf"^train_fraction must lie in \(0, 1\), got {fraction}$"
+        ValueError, match=rf"^train_fraction must lie in \(0, 1\), got '{fraction}'$"
     ):
         run_sweep(configs, tiny_datasets(count=1), kind="var_only",
                   train_fraction=fraction)
