@@ -45,6 +45,7 @@ from .evaluation import (
     write_confusion_csv,
 )
 from .hybrid import (
+    BUNDLE_FILES,
     KINDS,
     PipelineConfig,
     fit_fnn_only,
@@ -61,10 +62,8 @@ from .hybrid import (
 from .neural_net import ACTIVATIONS, OPTIMIZERS, TrainConfig, write_trace_csv
 from .ofi_signal import OfiParams
 from .sweep import (
-    DEFAULT_ACTIVATIONS,
     DEFAULT_ARCHITECTURES,
     DEFAULT_LAGS,
-    DEFAULT_OPTIMIZERS,
     SweepSpace,
     best_configurations,
     derive_seed,
@@ -115,8 +114,8 @@ SETTINGS = {
         str,
         "semicolon-separated comma lists, e.g. 32,16;128,64",
     ),
-    "activations": (",".join(DEFAULT_ACTIVATIONS), str, "comma list"),
-    "optimizers": (",".join(DEFAULT_OPTIMIZERS), str, "comma list"),
+    "activations": (",".join(ACTIVATIONS), str, "comma list"),
+    "optimizers": (",".join(OPTIMIZERS), str, "comma list"),
     "sample": (None, int, "Latin-hypercube subsample size instead of the full grid"),
     "workers": (1, int, None),
 }
@@ -303,14 +302,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }[kind]
     bundle = fitter(train_rows, config)
     out_dir = Path(args.out)
-    for path in (out_dir / "trace.csv", _sidecar_path(args)):  # an earlier fit's
+    trace, record = out_dir / "trace.csv", _sidecar_path(args)
+    for path in (trace, record):  # an earlier fit's
         path.unlink(missing_ok=True)
-    save_bundle(bundle, out_dir)
-    if bundle.training_trace is not None:
-        write_trace_csv(bundle.training_trace, out_dir / "trace.csv")
+    with _all_or_none(*(out_dir / name for name in BUNDLE_FILES), trace, record):
+        save_bundle(bundle, out_dir)
+        if bundle.training_trace is not None:
+            write_trace_csv(bundle.training_trace, trace)
+        _write_sidecar(args, resolved, kind=kind, train_rows=len(train_rows))
     if bundle.var_part is not None and bundle.var_diagnostics is not None:
         print(vm.summary(bundle.var_part, bundle.var_diagnostics))
-    _write_sidecar(args, resolved, kind=kind, train_rows=len(train_rows))
     print(f"saved {kind} bundle to {out_dir}")
     return 0
 

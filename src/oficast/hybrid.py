@@ -52,6 +52,8 @@ KINDS = tuple(_KIND_OF_STAGES.values())
 VAR_FILE = "var.txt"
 FNN_FILE = "fnn.txt"
 MANIFEST_FILE = "manifest.json"
+#: Every file a bundle directory may hold, manifest first.
+BUNDLE_FILES = (MANIFEST_FILE, VAR_FILE, FNN_FILE)
 #: The bundle field a mismatch in each FnnTopology field names, in the order checked.
 _TOPOLOGY_FIELDS = {
     "fnn_input_lags": "input_dim",
@@ -407,7 +409,7 @@ def save_bundle(bundle: ModelBundle, dirpath: str | Path) -> None:
     """
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    for name in (MANIFEST_FILE, VAR_FILE, FNN_FILE):
+    for name in BUNDLE_FILES:
         (dirpath / name).unlink(missing_ok=True)
     if bundle.var_part is not None:
         vm.save_var(bundle.var_part, dirpath / VAR_FILE)

@@ -25,10 +25,6 @@ from .data_io import ParamLines, _check_seed, _quote
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
-#: ReLU's derivative at exactly zero is taken as 0 (one-sided subgradient).
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
-OPTIMIZERS = ("adam", "sgd")
-
 
 def _relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
@@ -56,12 +52,14 @@ def _sigmoid(x, out=None):
 
 #: activation -> (function, derivative written in terms of the function's
 #: output a, which the forward pass already holds).  Each function takes
-#: ``out=`` like a ufunc, so a layer activates in place.
+#: ``out=`` like a ufunc, so a layer activates in place.  ReLU's derivative
+#: at exactly zero is taken as 0 (one-sided subgradient).
 _ACTIVATION_FUNCS = {
     "relu": (_relu, lambda a: a > 0.0),
     "tanh": (np.tanh, lambda a: 1.0 - a * a),
     "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
 }
+ACTIVATIONS = tuple(_ACTIVATION_FUNCS)
 
 
 @dataclass(frozen=True)
@@ -381,6 +379,7 @@ class _Adam:
 
 
 _OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
+OPTIMIZERS = tuple(_OPTIMIZERS)
 
 #: Largest epoch loss of a run that has not diverged.  Losses are MSE on
 #: standardised targets, where a sane fit is O(1).

@@ -32,8 +32,6 @@ from .ofi_signal import OfiParams
 
 DEFAULT_LAGS = (1, 2, 5, 10)
 DEFAULT_ARCHITECTURES = ((128, 64), (32, 16), (32, 32), (128, 64, 32), (64, 32, 16))
-DEFAULT_ACTIVATIONS = ("relu", "tanh", "sigmoid")
-DEFAULT_OPTIMIZERS = ("adam", "sgd")
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,8 +50,8 @@ _METRIC_DIRECTION = {
 class SweepSpace:
     lags: tuple[int, ...] = DEFAULT_LAGS
     architectures: tuple[tuple[int, ...], ...] = DEFAULT_ARCHITECTURES
-    activations: tuple[str, ...] = DEFAULT_ACTIVATIONS
-    optimizers: tuple[str, ...] = DEFAULT_OPTIMIZERS
+    activations: tuple[str, ...] = ACTIVATIONS
+    optimizers: tuple[str, ...] = OPTIMIZERS
 
     def __post_init__(self) -> None:
         for axis, values in zip(fields(self), _axes(self)):
@@ -93,11 +91,7 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    lag: int
-    architecture: tuple[int, ...]
-    activation: str
-    optimizer: str
+class SweepResult(SweepConfig):
     dataset: str
     mse: float
     mae: float

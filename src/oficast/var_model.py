@@ -4,8 +4,9 @@ Model: Y_t = c + A_1 Y_{t-1} + ... + A_p Y_{t-p} + eps_t with
 Y_t = (buy_orders_t, sell_orders_t).  Both equations share one design
 matrix whose columns are, in fixed order, a leading constant followed by
 lags 1..p of both variables (L1.buy_orders, L1.sell_orders, L2.buy_orders,
-...).  The solve goes through a QR-backed least-squares routine rather
-than an explicit normal-equation inverse.
+...).  The design matrix must have full column rank, which one Householder
+QR factorisation tests; the solve is ``np.linalg.lstsq`` (LAPACK
+``gelsd``, SVD-based) rather than an explicit normal-equation inverse.
 
 Conventions (documented because more than one is common):
 
@@ -106,25 +107,13 @@ def build_lag_matrix(series, p: int):
 
 
 def _dependent_columns(Z: np.ndarray, names: list[str], rtol: float = 1e-10):
-    """Gram-Schmidt scan: columns whose residual against the span of the
-    previous columns is below rtol * own norm are reported as dependent."""
-    basis: list[np.ndarray] = []
-    dependent: list[str] = []
-    for j in range(Z.shape[1]):
-        v = Z[:, j].astype(float).copy()
-        norm0 = float(np.linalg.norm(v))
-        if norm0 == 0.0:
-            dependent.append(names[j])
-            continue
-        for _ in range(2):  # reorthogonalize once for numerical safety
-            for b in basis:
-                v -= (b @ v) * b
-        norm = float(np.linalg.norm(v))
-        if norm <= rtol * norm0:
-            dependent.append(names[j])
-        else:
-            basis.append(v / norm)
-    return tuple(dependent)
+    """The columns whose distance from the span of every column before them
+    is at most rtol times their own norm; a zero column always is one.
+
+    That distance is |R[j, j]| of Z's QR factorisation, for every j at once."""
+    distance = np.abs(np.diag(np.linalg.qr(Z, mode="r")))
+    bound = rtol * np.linalg.norm(Z, axis=0)
+    return tuple(name for name, d, b in zip(names, distance, bound) if d <= b)
 
 
 def _stacked_coef(model: VarModel) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -1143,6 +1144,31 @@ def test_sweep_that_cannot_write_its_heatmap_leaves_no_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "counts.csv", "counts.csv.config.json", "s.csv.heatmap.csv"
     ]
+
+
+@pytest.mark.parametrize("writer", ["write_trace_csv", "write_json"], ids=["trace", "record"])
+def test_fit_that_cannot_write_leaves_no_bundle(tmp_path, monkeypatch, capsys, writer):
+    """A hybrid fit over an earlier one whose trace or record the OS refuses
+    exits 1 with one error line and leaves none of the five files a fit
+    writes, so no bundle loads; other files in the directory stay."""
+    data = synth(tmp_path, length=150, seed=1)
+    out = tmp_path / "model"
+    fit = ["fit", "--data", data, "--out", out, "--epochs", 2]
+    assert run(fit) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fnn.txt", "manifest.json", "run_config.json", "trace.csv", "var.txt"
+    ]
+    (out / "notes.txt").write_text("kept\n")
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, writer, refuse)
+    capsys.readouterr()
+    assert run(fit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 # ------------------------------------------------------ malformed input files

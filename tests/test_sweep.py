@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from oficast import sweep as sweep_module
 from oficast.data_io import SyntheticSpec, generate_synthetic
-from oficast.neural_net import TrainConfig
+from oficast.neural_net import ACTIVATIONS, OPTIMIZERS, TrainConfig
 from oficast.sweep import (
-    DEFAULT_ACTIVATIONS,
     DEFAULT_ARCHITECTURES,
     DEFAULT_LAGS,
-    DEFAULT_OPTIMIZERS,
     HEATMAP_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SweepConfig,
@@ -62,8 +60,8 @@ def test_default_grid_has_120_cells():
 def test_default_axes():
     assert DEFAULT_LAGS == (1, 2, 5, 10)
     assert len(DEFAULT_ARCHITECTURES) == 5
-    assert DEFAULT_ACTIVATIONS == ("relu", "tanh", "sigmoid")
-    assert DEFAULT_OPTIMIZERS == ("adam", "sgd")
+    assert SweepSpace().activations == ACTIVATIONS == ("relu", "tanh", "sigmoid")
+    assert SweepSpace().optimizers == OPTIMIZERS == ("adam", "sgd")
 
 
 def test_grid_is_lexicographic_in_axis_order():
@@ -176,8 +174,8 @@ def _spaces_and_k(draw):
     space = SweepSpace(
         lags=tuple(range(1, draw(st.integers(1, 8)) + 1)),
         architectures=tuple((width,) for width in range(1, draw(st.integers(1, 8)) + 1)),
-        activations=DEFAULT_ACTIVATIONS[: draw(st.integers(1, 3))],
-        optimizers=DEFAULT_OPTIMIZERS[: draw(st.integers(1, 2))],
+        activations=ACTIVATIONS[: draw(st.integers(1, 3))],
+        optimizers=OPTIMIZERS[: draw(st.integers(1, 2))],
     )
     return space, draw(st.integers(1, space.size))
 

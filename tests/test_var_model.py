@@ -3,8 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oficast import var_model
+from oficast.data_io import SyntheticSpec, generate_synthetic
 from oficast.var_model import (
     FitDiagnostics,
     K,
@@ -127,6 +129,100 @@ def test_duplicate_column_rank_deficiency():
         fit_var(series, 1)
     assert exc.value.columns  # the offending regressors are reported
     assert "sell_orders" in str(exc.value)
+
+
+_SYNTHETIC = generate_synthetic(SyntheticSpec(length=200, seed=3)).counts
+
+#: shape -> (its (n, 2) count array from a synthetic buy column b, the
+#: columns it makes dependent: every sell lag, every lag or none)
+_RANK_SHAPES = {
+    "buy-equals-sell": (lambda b: np.c_[b, b], "sell"),
+    "sell-affine-in-buy": (lambda b: np.c_[b, 2 * b + 1], "sell"),
+    "constant-sell": (lambda b: np.c_[b, np.full_like(b, 7)], "sell"),
+    "all-zero": (lambda b: np.zeros((len(b), 2), dtype=np.int64), "lags"),
+    "synthetic": (lambda b: _SYNTHETIC, "none"),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+@pytest.mark.parametrize("shape", list(_RANK_SHAPES))
+def test_rank_check_names_exactly_the_dependent_columns(shape, p):
+    build, which = _RANK_SHAPES[shape]
+    names = regressor_names(p)
+    expected = {
+        "sell": tuple(name for name in names if name.endswith(".sell_orders")),
+        "lags": tuple(names[1:]),
+        "none": (),
+    }[which]
+    series = build(_SYNTHETIC[:, 0])
+    if not expected:
+        fit_var(series, p)
+        return
+    with pytest.raises(RankDeficiencyError) as exc:
+        fit_var(series, p)
+    assert exc.value.columns == expected
+    assert str(exc.value) == (
+        "design matrix is rank deficient; dependent columns: " + ", ".join(expected)
+    )
+
+
+def _gram_schmidt_dependents(Z, names, rtol=1e-10):
+    """Reference: orthogonalise the columns in order against the basis of the
+    independent ones before them, twice; a column whose remainder is at most
+    rtol times its norm is dependent and joins no basis."""
+    basis, dependent = [], []
+    for name, column in zip(names, Z.T):
+        v = column.astype(float)
+        for _ in range(2):
+            for b in basis:
+                v = v - (b @ v) * b
+        remainder = np.linalg.norm(v)
+        if remainder <= rtol * np.linalg.norm(column):
+            dependent.append(name)
+        else:
+            basis.append(v / remainder)
+    return tuple(dependent)
+
+
+@st.composite
+def _count_series_with_dependence(draw):
+    """Counts 0-50 long enough for lag p, optionally made exactly dependent
+    (sell affine in buy, or the whole series repeating with a short period)
+    or nearly so (a constant sell column but for one spike of 1)."""
+    p = draw(st.sampled_from([1, 2, 5, 10]))
+    n = draw(st.integers(1 + 3 * p, 60))
+    counts = st.integers(0, 50)
+    arr = np.array(draw(st.lists(counts, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    dependence = draw(st.sampled_from(["none", "affine", "periodic", "spike"]))
+    if dependence == "affine":
+        arr[:, 1] = draw(st.integers(0, 3)) * arr[:, 0] + draw(st.integers(0, 5))
+    elif dependence == "periodic":
+        period = draw(st.integers(1, 3))
+        arr = np.resize(arr[:period], (n, 2))
+    elif dependence == "spike":
+        arr[:, 1] = draw(counts)
+        arr[draw(st.integers(0, n - 1)), 1] += 1
+    return arr, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_count_series_with_dependence())
+def test_rank_check_agrees_with_gram_schmidt(case):
+    """The QR check raises exactly where the Gram-Schmidt reference finds a
+    dependent column, names the same first one, and names every column the
+    reference names (it may name more near the threshold)."""
+    arr, p = case
+    Z, _ = build_lag_matrix(arr, p)
+    reference = _gram_schmidt_dependents(Z, regressor_names(p))
+    try:
+        fit_var(arr, p)
+        named = ()
+    except RankDeficiencyError as exc:
+        named = exc.columns
+    assert bool(named) == bool(reference)
+    if reference:
+        assert named[0] == reference[0]
+        assert set(reference) <= set(named)
 
 
 def test_underdetermined_fit_reports_series_too_short():
