@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 
 # One BLAS/OpenMP thread per process unless the environment says otherwise.
@@ -30,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .data_io import (
     SyntheticSpec,
+    _check_settings,
     _quote,
     chronological_split,
     generate_synthetic,
@@ -218,25 +220,26 @@ def _write_sidecar(args: argparse.Namespace, resolved: dict, **facts) -> None:
 
 
 @contextmanager
-def _all_or_none(*paths):
-    """Remove every one of ``paths``, older copies included, if the block
-    raises; the block's own error is the one that propagates."""
+def _all_or_none(*paths, dirs=()):
+    """Remove every one of ``paths``, older copies included, then each of
+    ``dirs`` in order if it is empty, if the block raises; the block's own
+    error is the one that propagates."""
     try:
         yield
     except BaseException:
-        for path in paths:
-            with suppress(OSError):
-                os.remove(path)
+        for remove, targets in ((os.remove, paths), (os.rmdir, dirs)):
+            for path in targets:
+                with suppress(OSError):
+                    remove(path)
         raise
 
 
 def _model_kind(resolved: dict) -> str:
-    kind = _MODEL_KINDS.get(resolved["model"])
-    if kind is None:
-        raise ValueError(
-            f"model must be one of {sorted(_MODEL_KINDS)}, got {_quote(resolved['model'])}"
-        )
-    return kind
+    model = resolved["model"]
+    _check_settings(
+        ("model", f"be one of {sorted(_MODEL_KINDS)}", model, _MODEL_KINDS.__contains__)
+    )
+    return _MODEL_KINDS[model]
 
 
 #: TrainConfig fields that fit and sweep both resolve.
@@ -276,8 +279,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     kind = _model_kind(resolved)
     fraction = resolved["train_fraction"]
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1], got {_quote(str(fraction))}")
+    _check_settings(("train_fraction", "lie in (0, 1]", fraction, lambda f: 0.0 < f <= 1.0))
     series = load_counts_csv(args.data).counts
     if fraction == 1.0:
         train_rows = series
@@ -305,7 +307,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     trace, record = out_dir / "trace.csv", _sidecar_path(args)
     for path in (trace, record):  # an earlier fit's
         path.unlink(missing_ok=True)
-    with _all_or_none(*(out_dir / name for name in BUNDLE_FILES), trace, record):
+    # the directories save_bundle will make, deepest first
+    fresh = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+    files = (*(out_dir / name for name in BUNDLE_FILES), trace, record)
+    with _all_or_none(*files, dirs=fresh):
         save_bundle(bundle, out_dir)
         if bundle.training_trace is not None:
             write_trace_csv(bundle.training_trace, trace)
@@ -324,8 +329,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     warmup = required_warmup(bundle)
     first = 0  # the first row predict sees: the kept rows' warmup context
     if start is not None and len(series) > warmup:  # else predict names the short series
-        if not 0.0 <= start < 1.0:
-            raise ValueError(f"eval-start must lie in [0, 1), got {_quote(str(start))}")
+        _check_settings(("eval-start", "lie in [0, 1)", start, lambda s: 0.0 <= s < 1.0))
         kept = split_row(start, len(series))  # the first row fit would hold out
         if kept == len(series):
             raise ValueError(
@@ -397,9 +401,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sample = resolved["sample"]
     if sample is None:
         configs = enumerate_grid(space)
-    elif not 1 <= sample <= space.size:
-        raise ValueError(f"sample must lie in [1, {space.size}], got {_quote(str(sample))}")
     else:
+        _check_settings(("sample", f"lie in [1, {space.size}]", sample,
+                         lambda s: 1 <= s <= space.size))
         configs = lhs_sample(space, sample, derive_seed(master, 2))
     datasets = []
     for path in args.datasets:

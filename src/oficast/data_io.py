@@ -108,22 +108,17 @@ class SyntheticSpec:
     nonlinear_strength: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.length < MIN_SYNTHETIC_LENGTH:
-            raise ValueError(
-                f"length must be >= {MIN_SYNTHETIC_LENGTH} "
-                f"(2 * max supported lag + 1), got {_quote(str(self.length))}"
-            )
-        _check_seed(self.seed)
         base, nonlinear = self.base_intensity, self.nonlinear_strength
-        for name, rule, ok in (  # the first rule broken is named
-            ("base_intensity", "be finite", math.isfinite(base)),
-            ("nonlinear_strength", "be finite", math.isfinite(nonlinear)),
-            ("base_intensity", "be positive", base > 0),
-            ("linear_strength", "lie in [0, 1)", 0.0 <= self.linear_strength < 1.0),
-            ("nonlinear_strength", "be nonnegative", nonlinear >= 0.0),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must {rule}, got {_quote(str(getattr(self, name)))}")
+        _check_settings(
+            ("length", f"be >= {MIN_SYNTHETIC_LENGTH} (2 * max supported lag + 1)",
+             self.length, _at_least(MIN_SYNTHETIC_LENGTH)),
+            _seed_rule(self.seed),
+            ("base_intensity", "be finite", base, math.isfinite),
+            ("nonlinear_strength", "be finite", nonlinear, math.isfinite),
+            ("base_intensity", "be positive", base, lambda v: v > 0),
+            ("linear_strength", "lie in [0, 1)", self.linear_strength, lambda v: 0.0 <= v < 1.0),
+            ("nonlinear_strength", "be nonnegative", nonlinear, lambda v: v >= 0.0),
+        )
 
 
 def counts_to_array(series) -> np.ndarray:
@@ -144,11 +139,26 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}… ({len(token)} characters)"
 
 
-def _check_seed(seed) -> None:
-    """Refuse a ``seed`` that ``np.random.default_rng`` would refuse: one
-    that is negative or not an integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {_quote(str(seed))}")
+def _check_settings(*rules) -> None:
+    """Refuse the first of ``rules``, each ``(name, rule, value, ok)``, whose
+    ``ok(value)`` is false: ``ValueError("<name> must <rule>, got <value>")``,
+    the value quoted by :func:`_quote`.  No rule after that one is tested,
+    so a test may rely on the rules before it."""
+    for name, rule, value, ok in rules:
+        if not ok(value):
+            raise ValueError(f"{name} must {rule}, got {_quote(str(value))}")
+
+
+def _at_least(low):
+    """The test of a ``be >= low`` rule: a value below ``low`` breaks it."""
+    return lambda value: not value < low
+
+
+def _seed_rule(seed) -> tuple:
+    """The rule of a ``seed``: one that ``np.random.default_rng`` takes, a
+    nonnegative integer."""
+    return ("seed", "be a nonnegative integer", seed,
+            lambda s: isinstance(s, (int, np.integer)) and s >= 0)
 
 
 class Column(NamedTuple):
@@ -265,7 +275,7 @@ def json_value(value, expected: type, nullable: bool = False):
 
 class ParamLines:
     """The lines of a bundle's parameter file (``var.txt``, ``fnn.txt``),
-    read with errors that name the file and the 1-based line."""
+    read with :class:`DataFormatError` naming the file and the 1-based line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -273,11 +283,11 @@ class ParamLines:
 
     def line(self, idx: int) -> str:  # idx is 0-based, as in every method
         if idx >= len(self.lines):
-            raise ValueError(f"{self.path}: truncated, line {idx + 1} is missing")
+            raise DataFormatError(f"truncated, line {idx + 1} is missing", path=self.path)
         return self.lines[idx]
 
-    def bad(self, idx: int, what: str) -> ValueError:
-        return ValueError(f"{self.path}: line {idx + 1}: {what}")
+    def bad(self, idx: int, what: str) -> DataFormatError:
+        return DataFormatError(what, idx + 1, self.path)
 
     def expect(self, idx: int, key: str) -> str:
         """The text after ``key: `` on line ``idx``."""
@@ -422,8 +432,7 @@ def chronological_split(
         ValueError: fraction outside (0, 1) or a split that leaves either
             partition empty.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {_quote(str(train_fraction))}")
+    _check_settings(("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0))
     n = len(series)
     n_train = split_row(train_fraction, n)
     if n_train == 0 or n_train == n:

@@ -24,6 +24,8 @@ from . import data_io
 from .data_io import (
     INT_COLUMN,
     Column,
+    _at_least,
+    _check_settings,
     _quote,
     counts_to_array,
     json_value,
@@ -89,12 +91,11 @@ class PipelineConfig:
     ofi: OfiParams = field(default_factory=OfiParams)
 
     def __post_init__(self) -> None:
-        if self.var_lag < 1:
-            raise ValueError(f"var_lag must be >= 1, got {_quote(str(self.var_lag))}")
-        if self.fnn_input_lags is not None and self.fnn_input_lags < 1:
-            raise ValueError(
-                f"fnn_input_lags must be >= 1, got {_quote(str(self.fnn_input_lags))}"
-            )
+        _check_settings(
+            ("var_lag", "be >= 1", self.var_lag, _at_least(1)),
+            ("fnn_input_lags", "be >= 1", self.fnn_input_lags,
+             lambda lags: lags is None or not lags < 1),
+        )
 
     @property
     def residual_lags(self) -> int:

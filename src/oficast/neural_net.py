@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .data_io import ParamLines, _check_seed, _quote
+from .data_io import DataFormatError, ParamLines, _at_least, _check_settings, _quote, _seed_rule
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
@@ -72,18 +72,14 @@ class FnnTopology:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {_quote(str(self.input_dim))}")
-        if self.output_dim < 1:
-            raise ValueError(f"output_dim must be >= 1, got {_quote(str(self.output_dim))}")
-        if any(w < 1 for w in self.hidden_layers):
-            raise ValueError(
-                f"hidden layer widths must be >= 1, got {_quote(str(self.hidden_layers))}"
-            )
-        if self.activation not in _ACTIVATION_FUNCS:
-            raise ValueError(
-                f"activation must be one of {ACTIVATIONS}, got {_quote(str(self.activation))}"
-            )
+        _check_settings(
+            ("input_dim", "be >= 1", self.input_dim, _at_least(1)),
+            ("output_dim", "be >= 1", self.output_dim, _at_least(1)),
+            ("hidden layer widths", "be >= 1", self.hidden_layers,
+             lambda widths: all(map(_at_least(1), widths))),
+            ("activation", f"be one of {ACTIVATIONS}", self.activation,
+             _ACTIVATION_FUNCS.__contains__),
+        )
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -144,30 +140,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {_quote(str(self.epochs))}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {_quote(str(self.batch_size))}")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(
-                f"learning_rate must be finite, got {_quote(str(self.learning_rate))}"
-            )
-        if self.learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {_quote(str(self.learning_rate))}"
-            )
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be 'adam' or 'sgd', got {_quote(str(self.optimizer))}"
-            )
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {_quote(str(self.patience))}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(
-                "validation_fraction must lie in (0, 1), "
-                f"got {_quote(str(self.validation_fraction))}"
-            )
-        _check_seed(self.seed)
+        rate = self.learning_rate
+        _check_settings(
+            ("epochs", "be >= 1", self.epochs, _at_least(1)),
+            ("batch_size", "be >= 1", self.batch_size, _at_least(1)),
+            ("learning_rate", "be finite", rate, math.isfinite),
+            ("learning_rate", "be positive", rate, lambda r: r > 0),
+            ("optimizer", "be 'adam' or 'sgd'", self.optimizer, OPTIMIZERS.__contains__),
+            ("patience", "be >= 1", self.patience, _at_least(1)),
+            ("validation_fraction", "lie in (0, 1)", self.validation_fraction,
+             lambda f: 0.0 < f < 1.0),
+            _seed_rule(self.seed),
+        )
 
 
 @dataclass
@@ -590,7 +574,7 @@ def save_fnn(model: FnnModel, path: str | Path) -> None:
 def load_fnn(path: str | Path) -> FnnModel:
     """Inverse of :func:`save_fnn`.  A truncated file, a malformed line, a
     non-numeric or non-finite token or a scale that is not positive raises
-    ValueError naming the file and the line."""
+    DataFormatError naming the file and the line."""
     lines = ParamLines(path)
     line, bad, expect, numbers = lines.line, lines.bad, lines.expect, lines.numbers
     if line(0) != FNN_FORMAT_TAG:
@@ -606,7 +590,7 @@ def load_fnn(path: str | Path) -> FnnModel:
             activation=expect(4, "activation"),
         )
     except ValueError as exc:
-        raise ValueError(f"{lines.path}: lines 2-5: {exc}") from None
+        raise DataFormatError(f"lines 2-5: {exc}", path=lines.path) from None
     scalers = {}
     row = 5
     for name, dim in (("input_scaler", input_dim), ("target_scaler", output_dim)):

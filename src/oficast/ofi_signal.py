@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import _quote
+from .data_io import _at_least, _check_settings
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
@@ -31,10 +31,10 @@ class OfiParams:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.window_h < 1:
-            raise ValueError(f"window_h must be >= 1, got {_quote(str(self.window_h))}")
-        if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {_quote(str(self.threshold))}")
+        _check_settings(
+            ("window_h", "be >= 1", self.window_h, _at_least(1)),
+            ("threshold", "lie in [0, 1)", self.threshold, lambda t: 0.0 <= t < 1.0),
+        )
 
 
 def ofi(buy, sell):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import _quote, chronological_split, write_csv_rows
+from .data_io import _at_least, _check_settings, _quote, chronological_split, write_csv_rows
 from .evaluation import evaluate_records
 from .hybrid import (
     KINDS,
@@ -145,8 +145,7 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     returns a seeded permutation of the full grid.
     """
     axes = _axes(space)
-    if not 1 <= k <= space.size:
-        raise ValueError(f"k must lie in [1, {space.size}], got {k}")
+    _check_settings(("k", f"lie in [1, {space.size}]", k, lambda n: 1 <= n <= space.size))
     rng = np.random.default_rng(seed_sequence(seed, space.size, k))
     t = np.arange(k)
     columns = [None] * len(axes)
@@ -264,8 +263,7 @@ def run_sweep(
     to 1 where the environment leaves them unset; a library caller who
     wants the same must set them before numpy is first imported.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_settings(("kind", f"be one of {KINDS}", kind, KINDS.__contains__))
     if not datasets:
         raise ValueError("no datasets supplied")
     repeated = _repeated([name for name, _ in datasets])
@@ -273,10 +271,11 @@ def run_sweep(
         raise ValueError(
             f"more than one dataset is named {', '.join(map(repr, repeated))}"
         )
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {_quote(str(workers))}")
-    if not 0.0 < train_fraction < 1.0:  # else every cell fails alike
-        raise ValueError(f"train_fraction must lie in (0, 1), got {_quote(str(train_fraction))}")
+    _check_settings(
+        ("workers", "be at least 1", workers, _at_least(1)),
+        # else every cell fails alike
+        ("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0),
+    )
     if train_template is None:
         train_template = TrainConfig()
     if ofi_params is None:

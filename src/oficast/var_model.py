@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import ParamLines, _quote, counts_to_array
+from .data_io import ParamLines, _at_least, _check_settings, _quote, counts_to_array
 
 VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
@@ -89,8 +89,7 @@ def _design_matrix(arr: np.ndarray, p: int) -> np.ndarray:
     """Z for rows p .. n-1 of an ``(n, 2)`` count array, shape (n - p, 1 + k p):
     constant column then lags 1..p of both variables."""
     n = arr.shape[0]
-    if p < 1:
-        raise ValueError(f"lag order must be >= 1, got {p}")
+    _check_settings(("lag order", "be >= 1", p, _at_least(1)))
     if n <= p:
         raise ValueError(f"series of length {n} is too short for p={p}")
     Z = np.ones((n - p, 1 + K * p))
@@ -249,7 +248,7 @@ def save_var(model: VarModel, path: str | Path) -> None:
 def load_var(path: str | Path) -> VarModel:
     """Inverse of :func:`save_var`.  A truncated file, a malformed line, a
     non-finite value or a value count that does not fit p and k raises
-    ValueError naming the file and the line."""
+    DataFormatError naming the file and the line."""
     lines = ParamLines(path)
     if lines.line(0) != VAR_FORMAT_TAG:
         raise lines.bad(0, f"not a {VAR_FORMAT_TAG} file")

@@ -1146,19 +1146,29 @@ def test_sweep_that_cannot_write_its_heatmap_leaves_no_output(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("writer", ["write_trace_csv", "write_json"], ids=["trace", "record"])
-def test_fit_that_cannot_write_leaves_no_bundle(tmp_path, monkeypatch, capsys, writer):
+@pytest.mark.parametrize(
+    "writer, fresh",
+    [("write_trace_csv", False), ("write_json", False), ("write_trace_csv", True)],
+    ids=["trace", "record", "fresh-nested-out"],
+)
+def test_fit_that_cannot_write_leaves_no_bundle(tmp_path, monkeypatch, capsys, writer, fresh):
     """A hybrid fit over an earlier one whose trace or record the OS refuses
     exits 1 with one error line and leaves none of the five files a fit
-    writes, so no bundle loads; other files in the directory stay."""
+    writes, so no bundle loads; other files in the directory stay.  A fit
+    into a new nested directory leaves none of the directories it made,
+    and an empty one that was there before stays."""
     data = synth(tmp_path, length=150, seed=1)
-    out = tmp_path / "model"
+    out = tmp_path / ("kept/a/b/fresh" if fresh else "model")
     fit = ["fit", "--data", data, "--out", out, "--epochs", 2]
-    assert run(fit) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "fnn.txt", "manifest.json", "run_config.json", "trace.csv", "var.txt"
-    ]
-    (out / "notes.txt").write_text("kept\n")
+    if fresh:
+        (tmp_path / "kept").mkdir()
+    else:
+        assert run(fit) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fnn.txt", "manifest.json", "run_config.json", "trace.csv", "var.txt"
+        ]
+        (out / "notes.txt").write_text("kept\n")
+    kept = sorted(p for p in tmp_path.rglob("*") if p.parent != out or p.name == "notes.txt")
 
     def refuse(*args, **kwargs):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -1168,7 +1178,7 @@ def test_fit_that_cannot_write_leaves_no_bundle(tmp_path, monkeypatch, capsys, w
     assert run(fit) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert sorted(tmp_path.rglob("*")) == kept
 
 
 # ------------------------------------------------------ malformed input files
@@ -1361,8 +1371,12 @@ def test_overlong_setting_value_is_quoted_short(tmp_path, capsys, site):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-#: refused setting -> (command, flags, the error line after "error: ")
+#: refused setting -> (command, flags or a config file's object, the error
+#: line after "error: ")
 _REFUSED_VALUE = {
+    "model": ("fit", {"model": "bogus"},
+              "model must be one of ['fnn', 'fnn_only', 'hybrid', 'var', 'var_only'], "
+              "got 'bogus'"),
     "linear-strength": ("synth", ["--linear-strength", "1.5"],
                         "linear_strength must lie in [0, 1), got '1.5'"),
     "nonlinear-strength": ("synth", ["--nonlinear-strength", "-1"],
@@ -1393,6 +1407,10 @@ def test_refused_setting_value_is_quoted(tmp_path, capsys, site):
         argv = {"synth": ["synth", "--out", out],
                 "fit": ["fit", "--data", data, "--out", out],
                 "sweep": ["sweep", "--datasets", data, "--out", out, "--epochs", 1]}[command]
+    if isinstance(flags, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--config", cfg]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run(argv + flags) == 1

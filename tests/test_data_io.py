@@ -15,7 +15,11 @@ from oficast.data_io import (
     load_counts_csv,
     write_counts_csv,
 )
-from oficast.sweep import derive_seed
+from oficast.hybrid import PipelineConfig
+from oficast.neural_net import FnnTopology, TrainConfig
+from oficast.ofi_signal import OfiParams
+from oficast.sweep import SweepSpace, derive_seed, lhs_sample, run_sweep
+from oficast.var_model import fit_var
 
 from conftest import make_counts
 
@@ -241,6 +245,83 @@ def test_synthetic_spec_refuses_a_seed_default_rng_refuses(seed):
     with pytest.raises(ValueError) as info:
         SyntheticSpec(length=50, seed=seed)
     assert str(info.value) == f"seed must be a nonnegative integer, got {str(seed)!r}"
+
+
+_KINDS = "('var_only', 'fnn_only', 'hybrid')"
+_LONG_RULE = "h" * 60  # cut to its first 40 characters
+_BIG_RULE = 10**45  # 46 digits
+_RULE_COUNTS = make_counts([(i % 5, i % 3) for i in range(60)])
+
+#: a refused setting -> (the call that refuses it, its error message)
+_SETTING_REFUSALS = {
+    "length": (lambda: SyntheticSpec(length=20, seed=0),
+               "length must be >= 21 (2 * max supported lag + 1), got '20'"),
+    "spec-seed": (lambda: SyntheticSpec(length=50, seed=-1),
+                  "seed must be a nonnegative integer, got '-1'"),
+    "base-intensity": (lambda: SyntheticSpec(length=50, seed=0, base_intensity=0),
+                       "base_intensity must be positive, got '0'"),
+    "linear-strength": (lambda: SyntheticSpec(length=50, seed=0, linear_strength=1),
+                        "linear_strength must lie in [0, 1), got '1'"),
+    "nonlinear-strength": (lambda: SyntheticSpec(length=50, seed=0, nonlinear_strength=-1),
+                           "nonlinear_strength must be nonnegative, got '-1'"),
+    # the first broken rule is named, and no later one is tested
+    "spec-first-broken": (lambda: SyntheticSpec(length=5, seed=-1, base_intensity="x"),
+                          "length must be >= 21 (2 * max supported lag + 1), got '5'"),
+    "split": (lambda: chronological_split(_RULE_COUNTS, 1.0),
+              "train_fraction must lie in (0, 1), got '1.0'"),
+    "window": (lambda: OfiParams(window_h=0), "window_h must be >= 1, got '0'"),
+    "threshold": (lambda: OfiParams(threshold=1.0), "threshold must lie in [0, 1), got '1.0'"),
+    "var-lag": (lambda: PipelineConfig(var_lag=0), "var_lag must be >= 1, got '0'"),
+    "fnn-lags": (lambda: PipelineConfig(fnn_input_lags=0), "fnn_input_lags must be >= 1, got '0'"),
+    "input-dim": (lambda: FnnTopology(0, (4,), 1), "input_dim must be >= 1, got '0'"),
+    "output-dim": (lambda: FnnTopology(2, (4,), 0), "output_dim must be >= 1, got '0'"),
+    "widths": (lambda: FnnTopology(2, (4, 0), 1),
+               "hidden layer widths must be >= 1, got '(4, 0)'"),
+    "activation": (lambda: FnnTopology(2, (4,), 1, activation="softplus"),
+                   "activation must be one of ('relu', 'tanh', 'sigmoid'), got 'softplus'"),
+    "epochs": (lambda: TrainConfig(epochs=0), "epochs must be >= 1, got '0'"),
+    "batch-size": (lambda: TrainConfig(batch_size=0), "batch_size must be >= 1, got '0'"),
+    "rate-finite": (lambda: TrainConfig(learning_rate=math.inf),
+                    "learning_rate must be finite, got 'inf'"),
+    "rate-positive": (lambda: TrainConfig(learning_rate=0.0),
+                      "learning_rate must be positive, got '0.0'"),
+    "optimizer": (lambda: TrainConfig(optimizer="rms"),
+                  "optimizer must be 'adam' or 'sgd', got 'rms'"),
+    "patience": (lambda: TrainConfig(patience=0), "patience must be >= 1, got '0'"),
+    "validation": (lambda: TrainConfig(validation_fraction=1.0),
+                   "validation_fraction must lie in (0, 1), got '1.0'"),
+    "train-seed": (lambda: TrainConfig(seed=1.5), "seed must be a nonnegative integer, got '1.5'"),
+    "train-first-broken": (lambda: TrainConfig(epochs=0, learning_rate="x"),
+                           "epochs must be >= 1, got '0'"),
+    "workers": (lambda: run_sweep([], [("a", _RULE_COUNTS)], "var_only", workers=0),
+                "workers must be at least 1, got '0'"),
+    "sweep-fraction": (lambda: run_sweep([], [("a", _RULE_COUNTS)], "var_only",
+                                         train_fraction=1.0),
+                       "train_fraction must lie in (0, 1), got '1.0'"),
+    # the three refusals that gain the quote: the value as str, cut to 40
+    # characters plus its length
+    "kind": (lambda: run_sweep([], [("a", _RULE_COUNTS)], "x"),
+             f"kind must be one of {_KINDS}, got 'x'"),
+    "kind-none": (lambda: run_sweep([], [("a", _RULE_COUNTS)], None),
+                  f"kind must be one of {_KINDS}, got 'None'"),
+    "kind-long": (lambda: run_sweep([], [("a", _RULE_COUNTS)], _LONG_RULE),
+                  f"kind must be one of {_KINDS}, got '{'h' * 40}'… (60 characters)"),
+    "k": (lambda: lhs_sample(SweepSpace(), 0, 0), "k must lie in [1, 120], got '0'"),
+    "k-big": (lambda: lhs_sample(SweepSpace(), _BIG_RULE, 0),
+              f"k must lie in [1, 120], got '1{'0' * 39}'… (46 characters)"),
+    "lag-order": (lambda: fit_var(_RULE_COUNTS, 0), "lag order must be >= 1, got '0'"),
+    "lag-order-big": (lambda: fit_var(_RULE_COUNTS, -_BIG_RULE),
+                      f"lag order must be >= 1, got '-1{'0' * 38}'… (47 characters)"),
+}
+
+
+@pytest.mark.parametrize("site", list(_SETTING_REFUSALS))
+def test_setting_refusal_names_the_first_broken_rule(site):
+    refuse, message = _SETTING_REFUSALS[site]
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 def test_synthetic_spec_accepts_a_numpy_integer_seed():

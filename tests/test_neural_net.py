@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oficast import data_io
+from oficast.data_io import DataFormatError
 from oficast.neural_net import (
     ACTIVATIONS,
     AffineScaler,
@@ -729,7 +730,7 @@ def test_load_names_file_and_line_for_every_truncation(tmp_path):
     lines = path.read_text().splitlines()
     for keep in range(len(lines)):
         path.write_text("".join(line + "\n" for line in lines[:keep]))
-        with pytest.raises(ValueError, match=r"fnn\.txt.*line %d\b" % (keep + 1)):
+        with pytest.raises(DataFormatError, match=r"fnn\.txt.*line %d\b" % (keep + 1)):
             load_fnn(path)
 
 
@@ -741,8 +742,23 @@ def test_load_names_line_of_non_numeric_token(tmp_path):
     row = lines.index("layer 0 weight 2 3") + 2  # second weight row
     lines[row] = lines[row].replace(lines[row].split()[1], "abc")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"fnn\.txt: line %d: non-numeric" % (row + 1)):
+    message = r"fnn\.txt: line %d: non-numeric" % (row + 1)
+    with pytest.raises(DataFormatError, match=message) as exc:
         load_fnn(path)
+    assert exc.value.line == row + 1
+
+
+def test_load_names_lines_2_to_5_of_a_topology_it_refuses(tmp_path):
+    model = init_model(FnnTopology(2, (3,), 1), seed=0)
+    path = tmp_path / "fnn.txt"
+    save_fnn(model, path)
+    path.write_text(path.read_text().replace("activation: relu", "activation: softplus"))
+    with pytest.raises(DataFormatError) as exc:
+        load_fnn(path)
+    assert str(exc.value) == (
+        f"{path}: lines 2-5: activation must be one of ('relu', 'tanh', 'sigmoid'), "
+        "got 'softplus'"
+    )
 
 
 def test_trace_csv_format(tmp_path):

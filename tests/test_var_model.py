@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oficast import var_model
-from oficast.data_io import SyntheticSpec, generate_synthetic
+from oficast.data_io import DataFormatError, SyntheticSpec, generate_synthetic
 from oficast.var_model import (
     FitDiagnostics,
     K,
@@ -403,7 +403,7 @@ def test_load_names_file_and_line_for_every_truncation(tmp_path):
     lines = path.read_text().splitlines()
     for keep in range(len(lines)):
         path.write_text("".join(line + "\n" for line in lines[:keep]))
-        with pytest.raises(ValueError, match=r"var\.txt.*line %d\b" % (keep + 1)):
+        with pytest.raises(DataFormatError, match=r"var\.txt.*line %d\b" % (keep + 1)):
             load_var(path)
 
 
@@ -427,9 +427,10 @@ def test_load_names_file_and_line_of_bad_line(tmp_path, key):
     lines = path.read_text().splitlines()
     lines[next(i for i, line in enumerate(lines) if line.startswith(key + ":"))] = text
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(DataFormatError) as exc:
         load_var(path)
     assert str(exc.value) == f"{path}: {message}"
+    assert message.startswith(f"line {exc.value.line}: ")
 
 
 def test_load_rejects_truncated_file(tmp_path):
