@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -123,6 +124,11 @@ SETTINGS = {
 }
 
 DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+
+#: The settings whose library field has another name (any other fills the field
+#: of its own name); ``seed`` fills none, as every library seed is derived from it.
+_FIELD_NAMES = {"lag": "var_lag", "fnn_lags": "fnn_input_lags", "hidden": "hidden_layers",
+                "window": "window_h", "seed": None}
 
 #: Settings shared by fit and sweep.
 _COMMON_KEYS = (
@@ -242,32 +248,18 @@ def _model_kind(resolved: dict) -> str:
     return _MODEL_KINDS[model]
 
 
-#: TrainConfig fields that fit and sweep both resolve.
-_TRAIN_KEYS = (
-    "epochs", "batch_size", "learning_rate", "early_stopping", "patience",
-    "validation_fraction",
-)
-
-
-def _train_config(resolved: dict, **fields) -> TrainConfig:
-    return TrainConfig(**{key: resolved[key] for key in _TRAIN_KEYS}, **fields)
-
-
-def _ofi_params(resolved: dict) -> OfiParams:
-    return OfiParams(window_h=resolved["window"], threshold=resolved["threshold"])
+def _build(cls, resolved: dict, **given):
+    """``cls`` built from every resolved setting that names one of its fields,
+    by :data:`_FIELD_NAMES` or else by its own name, and from ``given``."""
+    names = {f.name for f in fields(cls)}
+    renamed = ((_FIELD_NAMES.get(key, key), value) for key, value in resolved.items())
+    return cls(**{name: value for name, value in renamed if name in names}, **given)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     generator_seed = derive_seed(resolved["seed"], 0)
-    spec = SyntheticSpec(
-        length=resolved["length"],
-        seed=generator_seed,
-        base_intensity=resolved["base_intensity"],
-        linear_strength=resolved["linear_strength"],
-        nonlinear_strength=resolved["nonlinear_strength"],
-    )
-    series = generate_synthetic(spec)
+    series = generate_synthetic(_build(SyntheticSpec, resolved, seed=generator_seed))
     with _all_or_none(args.out, _sidecar_path(args)):
         write_counts_csv(args.out, series)
         _write_sidecar(args, resolved, generator_seed=generator_seed)
@@ -285,17 +277,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         train_rows = series
     else:
         train_rows, _ = chronological_split(series, fraction)
-    config = PipelineConfig(
-        var_lag=resolved["lag"],
-        fnn_input_lags=resolved["fnn_lags"],
-        hidden_layers=_int_list("hidden", resolved["hidden"]),
-        activation=resolved["activation"],
-        train=_train_config(
-            resolved,
-            optimizer=resolved["optimizer"],
-            seed=derive_seed(resolved["seed"], 1),
-        ),
-        ofi=_ofi_params(resolved),
+    config = _build(
+        PipelineConfig,
+        {**resolved, "hidden": _int_list("hidden", resolved["hidden"])},
+        train=_build(TrainConfig, resolved, seed=derive_seed(resolved["seed"], 1)),
+        ofi=_build(OfiParams, resolved),
     )
     fitter = {
         "var_only": fit_var_only,
@@ -414,8 +400,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         kind,
         master,
         train_fraction=resolved["train_fraction"],
-        train_template=_train_config(resolved),
-        ofi_params=_ofi_params(resolved),
+        train_template=_build(TrainConfig, resolved),
+        ofi_params=_build(OfiParams, resolved),
         workers=resolved["workers"],
     )
     best = best_configurations(results)  # raises, before any write, if no cell is ok

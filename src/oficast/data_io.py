@@ -110,8 +110,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         base, nonlinear = self.base_intensity, self.nonlinear_strength
         _check_settings(
-            ("length", f"be >= {MIN_SYNTHETIC_LENGTH} (2 * max supported lag + 1)",
-             self.length, _at_least(MIN_SYNTHETIC_LENGTH)),
+            *_integer_rules("length", self.length, MIN_SYNTHETIC_LENGTH,
+                            " (2 * max supported lag + 1)"),
             _seed_rule(self.seed),
             ("base_intensity", "be finite", base, math.isfinite),
             ("nonlinear_strength", "be finite", nonlinear, math.isfinite),
@@ -154,11 +154,22 @@ def _at_least(low):
     return lambda value: not value < low
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer (bool included), as a count or a seed must be."""
+    return isinstance(value, (int, np.integer))
+
+
+def _integer_rules(name: str, value, low: int, note: str = "") -> tuple:
+    """An integer setting's two rules: ``be an integer``, which a NaN or 2.5
+    breaks, then ``be >= low`` with ``note`` added to its text."""
+    return ((name, "be an integer", value, _is_integer),
+            (name, f"be >= {low}{note}", value, _at_least(low)))
+
+
 def _seed_rule(seed) -> tuple:
     """The rule of a ``seed``: one that ``np.random.default_rng`` takes, a
     nonnegative integer."""
-    return ("seed", "be a nonnegative integer", seed,
-            lambda s: isinstance(s, (int, np.integer)) and s >= 0)
+    return ("seed", "be a nonnegative integer", seed, lambda s: _is_integer(s) and s >= 0)
 
 
 class Column(NamedTuple):

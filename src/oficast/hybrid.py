@@ -24,8 +24,8 @@ from . import data_io
 from .data_io import (
     INT_COLUMN,
     Column,
-    _at_least,
     _check_settings,
+    _integer_rules,
     _quote,
     counts_to_array,
     json_value,
@@ -91,10 +91,10 @@ class PipelineConfig:
     ofi: OfiParams = field(default_factory=OfiParams)
 
     def __post_init__(self) -> None:
+        lags = self.fnn_input_lags
         _check_settings(
-            ("var_lag", "be >= 1", self.var_lag, _at_least(1)),
-            ("fnn_input_lags", "be >= 1", self.fnn_input_lags,
-             lambda lags: lags is None or not lags < 1),
+            *_integer_rules("var_lag", self.var_lag, 1),
+            *(() if lags is None else _integer_rules("fnn_input_lags", lags, 1)),
         )
 
     @property

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .data_io import DataFormatError, ParamLines, _at_least, _check_settings, _quote, _seed_rule
+from .data_io import DataFormatError, ParamLines, _check_settings, _integer_rules, _quote
+from .data_io import _seed_rule
 
 FNN_FORMAT_TAG = "oficast-fnn v1"
 
@@ -73,10 +74,11 @@ class FnnTopology:
 
     def __post_init__(self) -> None:
         _check_settings(
-            ("input_dim", "be >= 1", self.input_dim, _at_least(1)),
-            ("output_dim", "be >= 1", self.output_dim, _at_least(1)),
-            ("hidden layer widths", "be >= 1", self.hidden_layers,
-             lambda widths: all(map(_at_least(1), widths))),
+            *_integer_rules("input_dim", self.input_dim, 1),
+            *_integer_rules("output_dim", self.output_dim, 1),
+            # a width's two integer rules, each tested on every width
+            *((name, rule, self.hidden_layers, lambda ws, ok=ok: all(map(ok, ws)))
+              for name, rule, _, ok in _integer_rules("hidden layer widths", None, 1)),
             ("activation", f"be one of {ACTIVATIONS}", self.activation,
              _ACTIVATION_FUNCS.__contains__),
         )
@@ -142,12 +144,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         rate = self.learning_rate
         _check_settings(
-            ("epochs", "be >= 1", self.epochs, _at_least(1)),
-            ("batch_size", "be >= 1", self.batch_size, _at_least(1)),
+            *_integer_rules("epochs", self.epochs, 1),
+            *_integer_rules("batch_size", self.batch_size, 1),
             ("learning_rate", "be finite", rate, math.isfinite),
             ("learning_rate", "be positive", rate, lambda r: r > 0),
             ("optimizer", "be 'adam' or 'sgd'", self.optimizer, OPTIMIZERS.__contains__),
-            ("patience", "be >= 1", self.patience, _at_least(1)),
+            *_integer_rules("patience", self.patience, 1),
             ("validation_fraction", "lie in (0, 1)", self.validation_fraction,
              lambda f: 0.0 < f < 1.0),
             _seed_rule(self.seed),

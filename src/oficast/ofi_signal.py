@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import _at_least, _check_settings
+from .data_io import _check_settings, _integer_rules
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_WINDOW = 1
@@ -32,7 +32,7 @@ class OfiParams:
 
     def __post_init__(self) -> None:
         _check_settings(
-            ("window_h", "be >= 1", self.window_h, _at_least(1)),
+            *_integer_rules("window_h", self.window_h, 1),
             ("threshold", "lie in [0, 1)", self.threshold, lambda t: 0.0 <= t < 1.0),
         )
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import ParamLines, _at_least, _check_settings, _quote, counts_to_array
+from .data_io import ParamLines, _check_settings, _integer_rules, _quote, counts_to_array
 
 VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
@@ -89,7 +89,7 @@ def _design_matrix(arr: np.ndarray, p: int) -> np.ndarray:
     """Z for rows p .. n-1 of an ``(n, 2)`` count array, shape (n - p, 1 + k p):
     constant column then lags 1..p of both variables."""
     n = arr.shape[0]
-    _check_settings(("lag order", "be >= 1", p, _at_least(1)))
+    _check_settings(*_integer_rules("lag order", p, 1))
     if n <= p:
         raise ValueError(f"series of length {n} is too short for p={p}")
     Z = np.ones((n - p, 1 + K * p))

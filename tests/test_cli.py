@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -933,6 +934,80 @@ def test_config_file_with_every_key_is_accepted(tmp_path, command, own_config):
     assert run([*argv, "--config", cfg]) == 0
     side = json.loads(sidecar.read_text())
     assert {key: side[key] for key in values} == values
+
+
+#: The settings the CLI reads itself, which fill no library config field.
+_CLI_ONLY = {"model", "seed", "train_fraction", "eval_start", "lags", "architectures",
+             "activations", "optimizers", "sample", "workers"}
+#: The settings whose library field has another name.
+_RENAMED = {"lag": "var_lag", "fnn_lags": "fnn_input_lags", "hidden": "hidden_layers",
+            "window": "window_h"}
+#: A value unlike the default of every other setting: its flag's argument
+#: (None for a --no- flag) and the value its field must hold.
+_NON_DEFAULT = {
+    "length": ("300", 300), "base_intensity": ("3.5", 3.5),
+    "linear_strength": ("0.3", 0.3), "nonlinear_strength": ("0.5", 0.5),
+    "lag": ("3", 3), "fnn_lags": ("1", 1), "hidden": ("8,4", (8, 4)),
+    "activation": ("tanh", "tanh"), "optimizer": ("sgd", "sgd"), "epochs": ("3", 3),
+    "batch_size": ("4", 4), "learning_rate": ("0.01", 0.01), "early_stopping": (None, False),
+    "patience": ("2", 2), "validation_fraction": ("0.3", 0.3), "threshold": ("0.2", 0.2),
+    "window": ("2", 2),
+}
+
+
+def _field_values(config) -> dict:
+    """A config's fields, those of the configs it nests included; a list
+    (from JSON) becomes a tuple."""
+    if not isinstance(config, dict):
+        config = dataclasses.asdict(config)
+    values = {}
+    for name, value in config.items():
+        if isinstance(value, dict):
+            values.update(_field_values(value))
+        else:
+            values[name] = tuple(value) if isinstance(value, list) else value
+    return values
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "sweep"])
+def test_every_library_setting_reaches_its_field(tmp_path, monkeypatch, command):
+    assert _CLI_ONLY <= set(cli.SETTINGS)
+    keys = [key for key in cli.COMMAND_KEYS[command] if key not in _CLI_ONLY]
+    out = tmp_path / ("bundle" if command == "fit" else "out.csv")
+    argv = [command, "--out", out]
+    for key in keys:
+        text, value = _NON_DEFAULT[key]
+        assert value != DEFAULTS[key] and text != DEFAULTS[key]
+        flag = key.replace("_", "-")
+        argv += [f"--no-{flag}"] if text is None else [f"--{flag}", text]
+    captured = []
+    if command == "synth":
+        real = cli.generate_synthetic
+        monkeypatch.setattr(cli, "generate_synthetic",
+                            lambda spec: captured.append(spec) or real(spec))
+    elif command == "fit":
+        argv += ["--data", synth(tmp_path, length=200, seed=1)]
+    else:
+        real = cli.run_sweep
+
+        def capture(*args, train_template, ofi_params, **kwargs):
+            captured.extend((train_template, ofi_params))
+            return real(*args, train_template=train_template, ofi_params=ofi_params, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        argv += ["--datasets", synth(tmp_path, length=200, seed=1), "--lags", 1,
+                 "--architectures", 4, "--activations", "relu", "--optimizers", "adam"]
+    assert run(argv) == 0
+    if command == "fit":
+        manifest = json.loads((out / "manifest.json").read_text())
+        captured.append(manifest["config"])
+    fields = {}
+    for config in captured:
+        fields.update(_field_values(config))
+    for key in keys:
+        name = _RENAMED.get(key, key)
+        assert name in fields, f"setting {key!r} fills no library field"
+        assert fields[name] == _NON_DEFAULT[key][1], key
 
 
 @pytest.mark.parametrize("which", ["config", "manifest"])

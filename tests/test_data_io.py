@@ -15,7 +15,7 @@ from oficast.data_io import (
     load_counts_csv,
     write_counts_csv,
 )
-from oficast.hybrid import PipelineConfig
+from oficast.hybrid import PipelineConfig, fit_var_only
 from oficast.neural_net import FnnTopology, TrainConfig
 from oficast.ofi_signal import OfiParams
 from oficast.sweep import SweepSpace, derive_seed, lhs_sample, run_sweep
@@ -322,6 +322,48 @@ def test_setting_refusal_names_the_first_broken_rule(site):
         refuse()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+#: an integer setting -> (its name in refusals, a library call that gives it
+#: ``v``, the value the refusal shows)
+_INTEGER_SETTINGS = {
+    "epochs": ("epochs", lambda v: TrainConfig(epochs=v), None),
+    "batch-size": ("batch_size", lambda v: TrainConfig(batch_size=v), None),
+    "patience": ("patience", lambda v: TrainConfig(patience=v), None),
+    "window": ("window_h", lambda v: OfiParams(window_h=v), None),
+    "var-lag": ("var_lag", lambda v: PipelineConfig(var_lag=v), None),
+    # the fit that died with a bare TypeError on a float lag
+    "var-lag-fit": ("var_lag", lambda v: fit_var_only(_RULE_COUNTS, PipelineConfig(var_lag=v)),
+                    None),
+    "fnn-lags": ("fnn_input_lags", lambda v: PipelineConfig(fnn_input_lags=v), None),
+    "input-dim": ("input_dim", lambda v: FnnTopology(v, (4,), 1), None),
+    "output-dim": ("output_dim", lambda v: FnnTopology(2, (4,), v), None),
+    "widths": ("hidden layer widths", lambda v: FnnTopology(2, (4, v), 1), lambda v: (4, v)),
+    "length": ("length", lambda v: generate_synthetic(SyntheticSpec(length=v, seed=1)), None),
+    "lag-order": ("lag order", lambda v: fit_var(_RULE_COUNTS, v), None),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5], ids=["nan", "inf", "2.5"])
+@pytest.mark.parametrize("site", list(_INTEGER_SETTINGS))
+def test_integer_setting_refuses_a_non_integer_by_name(site, value):
+    name, call, shown = _INTEGER_SETTINGS[site]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    got = str(shown(value) if shown else value)
+    assert str(info.value) == f"{name} must be an integer, got {got!r}"
+
+
+def test_integer_settings_take_numpy_integers():
+    three = np.int64(3)
+    assert TrainConfig(epochs=three, batch_size=three, patience=three).epochs == 3
+    assert OfiParams(window_h=three).window_h == 3
+    assert PipelineConfig(var_lag=three, fnn_input_lags=three).residual_lags == 3
+    assert FnnTopology(three, (three,), three).layer_dims == (3, 3, 3)
+    series = generate_synthetic(SyntheticSpec(length=np.int64(50), seed=1))
+    assert len(series) == 50
+    assert fit_var(series.counts, three)[0].p == 3
 
 
 def test_synthetic_spec_accepts_a_numpy_integer_seed():
