@@ -17,11 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import _at_least, _check_settings, _quote, chronological_split, write_csv_rows
+from .data_io import (
+    _at_least,
+    _check_settings,
+    _is_integer,
+    _quote,
+    chronological_split,
+    write_csv_rows,
+)
 from .evaluation import evaluate_records
 from .hybrid import (
     KINDS,
     PipelineConfig,
+    _fnn_topology,
     evaluate_on_holdout,
     fit_fnn_only,
     fit_hybrid,
@@ -64,18 +72,9 @@ class SweepSpace:
                     for v in repeated
                 )
                 raise ValueError(f"sweep axis {axis.name}: repeated {shown}")
-        for name, known in (("activations", ACTIVATIONS), ("optimizers", OPTIMIZERS)):
-            unknown = [value for value in getattr(self, name) if value not in known]
-            if unknown:
-                raise ValueError(
-                    f"sweep axis {name}: unknown {', '.join(_quote(str(v)) for v in unknown)}, "
-                    f"expected one of {', '.join(known)}"
-                )
-        widths = [width for arch in self.architectures for width in arch]
-        for name, values in (("lags", self.lags), ("architectures", widths)):
-            low = ", ".join(_quote(str(value)) for value in values if value < 1)
-            if low:
-                raise ValueError(f"sweep axis {name}: expected at least 1, got {low}")
+        train, ofi = TrainConfig(), OfiParams()
+        for config in enumerate_grid(self):
+            _cell_pipeline(config, train, ofi, 0)
 
     @property
     def size(self) -> int:
@@ -145,7 +144,10 @@ def lhs_sample(space: SweepSpace, k: int, seed: int) -> list[SweepConfig]:
     returns a seeded permutation of the full grid.
     """
     axes = _axes(space)
-    _check_settings(("k", f"lie in [1, {space.size}]", k, lambda n: 1 <= n <= space.size))
+    _check_settings(
+        ("k", "be an integer", k, _is_integer),
+        ("k", f"lie in [1, {space.size}]", k, lambda n: 1 <= n <= space.size),
+    )
     rng = np.random.default_rng(seed_sequence(seed, space.size, k))
     t = np.arange(k)
     columns = [None] * len(axes)
@@ -184,28 +186,30 @@ _FITTERS = {
 }
 
 
+def _cell_pipeline(
+    config: SweepConfig, train: TrainConfig, ofi: OfiParams, seed: int
+) -> PipelineConfig:
+    """The pipeline a cell of ``config`` fits, training with ``train`` under
+    the configuration's optimizer and ``seed``.  Building it, and the network
+    the fitters would build from it, applies every library rule to every
+    value in ``config``."""
+    pipeline = PipelineConfig(
+        var_lag=config.lag,
+        hidden_layers=config.architecture,
+        activation=config.activation,
+        train=replace(train, optimizer=config.optimizer, seed=seed),
+        ofi=ofi,
+    )
+    _fnn_topology(pipeline, has_var=True)
+    return pipeline
+
+
 def _run_cell(cell) -> SweepResult:
-    (
-        config,
-        dataset_name,
-        series,
-        kind,
-        seed,
-        train_fraction,
-        train_template,
-        ofi_params,
-    ) = cell
+    config, dataset_name, series, kind, train_fraction, pipeline = cell
     start = time.perf_counter()
     try:
-        pipeline_config = PipelineConfig(
-            var_lag=config.lag,
-            hidden_layers=config.architecture,
-            activation=config.activation,
-            train=replace(train_template, optimizer=config.optimizer, seed=seed),
-            ofi=ofi_params,
-        )
         train_rows, holdout_rows = chronological_split(series, train_fraction)
-        bundle = _FITTERS[kind](train_rows, pipeline_config)
+        bundle = _FITTERS[kind](train_rows, pipeline)
         records = evaluate_on_holdout(bundle, train_rows, holdout_rows)
         report = evaluate_records(records, dataset_name, kind)
         metrics = {name: getattr(report, name) for name in _METRIC_DIRECTION}
@@ -218,7 +222,7 @@ def _run_cell(cell) -> SweepResult:
         dataset=dataset_name,
         runtime_s=time.perf_counter() - start,
         status=status,
-        seed=seed,
+        seed=pipeline.train.seed,
         **metrics,
     )
 
@@ -252,8 +256,8 @@ def run_sweep(
     fans cells out to a process pool of at most one process per
     cell; the result order and content are identical either way, and
     only that pool loads ``multiprocessing``.  ``train_fraction`` must lie
-    in (0, 1) and the dataset names must differ; both are checked before
-    any cell runs.
+    in (0, 1), the dataset names must differ and every configuration must
+    make a valid pipeline; all are checked before any cell runs.
 
     Every worker runs as many BLAS threads as numpy loaded with, one per
     core by default.  The cells' matmuls are too small to gain from them,
@@ -272,29 +276,19 @@ def run_sweep(
             f"more than one dataset is named {', '.join(map(repr, repeated))}"
         )
     _check_settings(
+        ("workers", "be an integer", workers, _is_integer),
         ("workers", "be at least 1", workers, _at_least(1)),
         # else every cell fails alike
         ("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0),
     )
-    if train_template is None:
-        train_template = TrainConfig()
-    if ofi_params is None:
-        ofi_params = OfiParams()
-    cells = []
-    for ci, config in enumerate(configs):
-        for di, (name, series) in enumerate(datasets):
-            cells.append(
-                (
-                    config,
-                    name,
-                    series,
-                    kind,
-                    derive_seed(master_seed, ci, di),
-                    train_fraction,
-                    train_template,
-                    ofi_params,
-                )
-            )
+    train = TrainConfig() if train_template is None else train_template
+    ofi = OfiParams() if ofi_params is None else ofi_params
+    cells = [
+        (config, name, series, kind, train_fraction,
+         _cell_pipeline(config, train, ofi, derive_seed(master_seed, ci, di)))
+        for ci, config in enumerate(configs)
+        for di, (name, series) in enumerate(datasets)
+    ]
     # a worker beyond one per cell would start and never get a cell
     workers = min(workers, len(cells))
     if workers <= 1:

@@ -152,7 +152,7 @@ def fit_var(series, p: int):
     model = VarModel(
         p=p, c=B[0].copy(), lag_coefs=lag_coefs, sigma=sigma, n_obs=n_obs
     )
-    diagnostics = _diagnostics(Z, Y, B, E, sigma, names)
+    diagnostics = _diagnostics(Z, B, E, sigma, names)
     return model, diagnostics
 
 
@@ -163,7 +163,7 @@ def _information_criteria(ld: float, n_obs: int, p: int):
     return aic, bic
 
 
-def _diagnostics(Z, Y, B, E, sigma, names) -> FitDiagnostics:
+def _diagnostics(Z, B, E, sigma, names) -> FitDiagnostics:
     n_obs, m = Z.shape
     p = (m - 1) // K
     sign, ld = np.linalg.slogdet(sigma)

@@ -906,6 +906,15 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_holding_a_json_array_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"length": 100}]))
+    out = tmp_path / "x.csv"
+    assert run(["synth", "--out", out, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: a config file must hold a JSON object\n"
+    assert not out.exists()
+
+
 #: Every config key that fit and sweep share, with a value of its type.
 _SHARED_CONFIG = {
     "model": "hybrid", "epochs": 2, "batch_size": 8, "learning_rate": 0.01,
@@ -1061,9 +1070,9 @@ def test_bad_integer_list_names_setting_and_token(tmp_path, capsys, command, key
     "flag, value, complaint",
     [
         ("--activations", "relu,gelu",
-         "sweep axis activations: unknown 'gelu', expected one of relu, tanh, sigmoid"),
+         "activation must be one of ('relu', 'tanh', 'sigmoid'), got 'gelu'"),
         ("--optimizers", "rmsprop,adam,lbfgs",
-         "sweep axis optimizers: unknown 'rmsprop', 'lbfgs', expected one of adam, sgd"),
+         "optimizer must be 'adam' or 'sgd', got 'rmsprop'"),
     ],
 )
 def test_sweep_unknown_activation_or_optimizer_fails_before_training(
@@ -1081,8 +1090,8 @@ def test_sweep_unknown_activation_or_optimizer_fails_before_training(
 @pytest.mark.parametrize(
     "flag, value, complaint",
     [
-        ("--lags", "0,1", "sweep axis lags: expected at least 1, got '0'"),
-        ("--architectures", "4;0", "sweep axis architectures: expected at least 1, got '0'"),
+        ("--lags", "0,1", "var_lag must be >= 1, got '0'"),
+        ("--architectures", "4;0", "hidden layer widths must be >= 1, got '(0,)'"),
     ],
     ids=["lags", "architectures"],
 )

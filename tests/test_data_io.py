@@ -341,6 +341,12 @@ _INTEGER_SETTINGS = {
     "widths": ("hidden layer widths", lambda v: FnnTopology(2, (4, v), 1), lambda v: (4, v)),
     "length": ("length", lambda v: generate_synthetic(SyntheticSpec(length=v, seed=1)), None),
     "lag-order": ("lag order", lambda v: fit_var(_RULE_COUNTS, v), None),
+    "sweep-lag": ("var_lag", lambda v: SweepSpace(lags=(v,)), None),
+    "sweep-width": ("hidden layer widths", lambda v: SweepSpace(architectures=((v,),)),
+                    lambda v: (v,)),
+    "k": ("k", lambda v: lhs_sample(SweepSpace(), v, 5), None),
+    "workers": ("workers", lambda v: run_sweep([], [("a", _RULE_COUNTS)], "var_only", workers=v),
+                None),
 }
 
 

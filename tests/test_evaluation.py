@@ -131,6 +131,11 @@ def test_confusion_matrix_rejects_unknown_signal():
         confusion_matrix([B, "FOO"], [B, S])
 
 
+def test_confusion_matrix_rejects_inputs_of_different_lengths():
+    with pytest.raises(ValueError, match="^length mismatch: 1 vs 2$"):
+        confusion_matrix([B], [B, S])
+
+
 def test_confusion_matrix_totals():
     rng = np.random.default_rng(2)
     sigs = list(Signal)

@@ -402,6 +402,17 @@ def test_holdout_rejects_insufficient_train_context():
         evaluate_on_holdout(bundle, series[:3], series[3:])
 
 
+@pytest.mark.parametrize("fitter, rows, cfg, message", [
+    (fit_hybrid, 6, PipelineConfig(var_lag=1, fnn_input_lags=5),
+     "series of length 6 is too short to train with p=1, q=5"),
+    (fit_fnn_only, 3, PipelineConfig(), "series of length 3 is too short to train with q=2, h=1"),
+], ids=["hybrid", "fnn_only"])
+def test_fit_on_too_few_rows_names_the_length_and_lags(fitter, rows, cfg, message):
+    with pytest.raises(ValueError) as exc:
+        fitter(synthetic(50, seed=12)[:rows], cfg)
+    assert str(exc.value) == message
+
+
 # -------------------------------------------------------------- persistence
 
 @pytest.mark.parametrize("fitter", [fit_var_only, fit_fnn_only, fit_hybrid])
@@ -479,6 +490,13 @@ def test_tampered_fnn_input_lags_names_field(tmp_path):
 def test_tampered_hidden_layers_names_field(tmp_path):
     err = _tamper(tmp_path, lambda m: m["config"].update(hidden_layers=[64, 64]))
     assert err.field == "hidden_layers"
+
+
+def test_manifest_hidden_layers_that_is_not_a_list_names_its_type(tmp_path):
+    err = _tamper(tmp_path, lambda m: m["config"].update(hidden_layers="32"))
+    assert str(err) == (
+        "bundle field 'config': PipelineConfig.hidden_layers must be a list, got str '32'"
+    )
 
 
 def test_tampered_activation_names_field(tmp_path):

@@ -101,8 +101,9 @@ def test_space_rejects_empty_axis():
 @pytest.mark.parametrize(
     "axis, values, complaint",
     [
-        ("activations", ("relu", "gelu"), "sweep axis activations: unknown 'gelu'"),
-        ("optimizers", ("adam", "rmsprop"), "sweep axis optimizers: unknown 'rmsprop'"),
+        ("activations", ("relu", "gelu"),
+         r"^activation must be one of \('relu', 'tanh', 'sigmoid'\), got 'gelu'$"),
+        ("optimizers", ("adam", "rmsprop"), "^optimizer must be 'adam' or 'sgd', got 'rmsprop'$"),
         ("lags", (1, 2, 1, 2), "sweep axis lags: repeated '1', '2'$"),
         ("architectures", ((32, 16), (4,), (32, 16)), "sweep axis architectures: repeated '32-16'$"),
         ("activations", ("relu", "tanh", "relu"), "sweep axis activations: repeated 'relu'$"),
@@ -305,6 +306,19 @@ def test_run_sweep_rejects_a_train_fraction_outside_zero_one(monkeypatch, fracti
     ):
         run_sweep(configs, tiny_datasets(count=1), kind="var_only",
                   train_fraction=fraction)
+
+
+def test_run_sweep_refuses_a_configuration_with_a_non_integer_lag(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_run_cell", None)  # no cell may run
+    configs = [SweepConfig(1, (4,), "relu", "adam"), SweepConfig(2.5, (4,), "relu", "adam")]
+    with pytest.raises(ValueError, match=r"^var_lag must be an integer, got '2\.5'$"):
+        run_sweep(configs, tiny_datasets(count=1))
+
+
+def test_run_sweep_refuses_no_datasets(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_run_cell", None)
+    with pytest.raises(ValueError, match="^no datasets supplied$"):
+        run_sweep(enumerate_grid(small_space())[:1], [], kind="var_only")
 
 
 def test_failed_cell_is_isolated():
