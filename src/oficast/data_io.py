@@ -4,7 +4,8 @@ A count series is one :class:`CountSeries`: an ``(n, 2)`` int64 array of
 buy and sell counts per unit interval plus ``t0``, the first interval's
 timestamp (the stride is 1).  The counts loader and the generator return
 one; the model layer (VAR, FNN, pipelines) takes its ``counts`` array and
-reads it through :func:`counts_to_array`.
+reads it through :func:`counts_to_array`, which refuses the
+:class:`CountSeries` itself by name.
 
 The counts CSV has the header ``timestamp,buy_orders,sell_orders`` and
 integer fields.
@@ -121,9 +122,20 @@ class SyntheticSpec:
         )
 
 
+def _refuse_count_series(series, name: str = "series") -> None:
+    """The model layer takes a count array, not the :class:`CountSeries`
+    that holds one: one given in its place is refused by name."""
+    if isinstance(series, CountSeries):
+        raise ValueError(
+            f"{name}: expected an (n, 2) count array, got a CountSeries; pass its .counts"
+        )
+
+
 def counts_to_array(series) -> np.ndarray:
     """Return an ``(n, 2)`` count array (columns buy, sell) as float; a float
-    ndarray passes through without a copy.  Any other shape raises ValueError."""
+    ndarray passes through without a copy.  Any other shape, or a
+    :class:`CountSeries`, raises ValueError."""
+    _refuse_count_series(series)
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) series, got shape {arr.shape}")
@@ -440,9 +452,11 @@ def chronological_split(
     :func:`split_row`.
 
     Raises:
-        ValueError: fraction outside (0, 1) or a split that leaves either
-            partition empty.
+        ValueError: a :class:`CountSeries` in place of its array, a
+            fraction outside (0, 1) or a split that leaves either partition
+            empty.
     """
+    _refuse_count_series(series)
     _check_settings(("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0))
     n = len(series)
     n_train = split_row(train_fraction, n)

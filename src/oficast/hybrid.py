@@ -27,6 +27,7 @@ from .data_io import (
     _check_settings,
     _integer_rules,
     _quote,
+    _refuse_count_series,
     counts_to_array,
     json_value,
     read_csv_columns,
@@ -45,6 +46,7 @@ from .neural_net import (
 )
 from .ofi_signal import OfiParams, Signal, clamp_ofi, ofi, signal, window_sums
 from . import var_model as vm
+from .var_model import lag_features
 
 BUNDLE_FORMAT_TAG = "oficast-bundle v1"
 #: Each pipeline kind by the stages it holds: (a VAR part, an FNN part) -> kind.
@@ -187,16 +189,6 @@ def required_warmup(bundle: ModelBundle) -> int:
     return max(var_rows + fnn_rows, cfg.ofi.window_h - 1)
 
 
-def lag_features(arr: np.ndarray, q: int, first: int) -> np.ndarray:
-    """Row t - first holds the pairs of rows t-q .. t-1 of ``arr``, flattened
-    in chronological order, for every t from ``first`` (>= q) to len(arr) - 1."""
-    n = arr.shape[0]
-    X = np.empty((n - first, 2 * q))
-    for j in range(q):
-        X[:, 2 * j : 2 * j + 2] = arr[first - q + j : n - q + j]
-    return X
-
-
 def fit_var_only(series, config: PipelineConfig) -> ModelBundle:
     arr = counts_to_array(series)
     model, diagnostics = vm.fit_var(arr, config.var_lag)
@@ -331,6 +323,8 @@ def evaluate_on_holdout(bundle: ModelBundle, train_series, holdout_series) -> Pr
 
     Indices are 0-based positions within the holdout.
     """
+    _refuse_count_series(train_series, "train_series")
+    _refuse_count_series(holdout_series, "holdout_series")
     warmup = required_warmup(bundle)
     if len(train_series) < warmup:
         raise ValueError(

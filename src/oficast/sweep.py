@@ -237,6 +237,18 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
+def _run_rules(workers, train_fraction) -> tuple:
+    """The rules of :func:`run_sweep`'s ``workers`` and ``train_fraction``,
+    for :func:`data_io._check_settings`; the CLI applies them before it
+    reads any dataset."""
+    return (
+        ("workers", "be an integer", workers, _is_integer),
+        ("workers", "be at least 1", workers, _at_least(1)),
+        # else every cell fails alike
+        ("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0),
+    )
+
+
 def run_sweep(
     configs: list[SweepConfig],
     datasets: list[tuple[str, np.ndarray]],
@@ -275,12 +287,7 @@ def run_sweep(
         raise ValueError(
             f"more than one dataset is named {', '.join(map(repr, repeated))}"
         )
-    _check_settings(
-        ("workers", "be an integer", workers, _is_integer),
-        ("workers", "be at least 1", workers, _at_least(1)),
-        # else every cell fails alike
-        ("train_fraction", "lie in (0, 1)", train_fraction, lambda f: 0.0 < f < 1.0),
-    )
+    _check_settings(*_run_rules(workers, train_fraction))
     train = TrainConfig() if train_template is None else train_template
     ofi = OfiParams() if ofi_params is None else ofi_params
     cells = [

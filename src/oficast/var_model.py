@@ -2,11 +2,12 @@
 
 Model: Y_t = c + A_1 Y_{t-1} + ... + A_p Y_{t-p} + eps_t with
 Y_t = (buy_orders_t, sell_orders_t).  Both equations share one design
-matrix whose columns are, in fixed order, a leading constant followed by
-lags 1..p of both variables (L1.buy_orders, L1.sell_orders, L2.buy_orders,
-...).  The design matrix must have full column rank, which one Householder
-QR factorisation tests; the solve is ``np.linalg.lstsq`` (LAPACK
-``gelsd``, SVD-based) rather than an explicit normal-equation inverse.
+matrix Z whose columns are a constant, then lags 1..p of both variables
+(L1.buy_orders, L1.sell_orders, L2.buy_orders, ...) from :func:`lag_features`.
+Z must have full column rank, which one Householder QR factorisation tests;
+the solve is ``np.linalg.lstsq`` (LAPACK ``gelsd``, SVD-based), not a
+normal-equation inverse.  A model keeps the solution B = [c, A_1, ...,
+A_p]' (Lutkepohl 2005, ch. 3) as ``coef``, so it predicts ``Z @ coef``.
 
 Conventions (documented because more than one is common):
 
@@ -31,6 +32,7 @@ VARIABLE_NAMES = ("buy_orders", "sell_orders")
 K = 2
 
 VAR_FORMAT_TAG = "oficast-var v1"
+_RANK_RTOL = 1e-10  # see _dependent_columns
 
 
 class RankDeficiencyError(ValueError):
@@ -46,18 +48,26 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class VarModel:
-    """Fitted VAR(p): intercept ``c`` (k,), lag matrices ``lag_coefs`` (p, k, k),
-    MLE residual covariance ``sigma`` (k, k), and the effective sample size."""
+    """Fitted VAR(p): ``coef`` (1 + k p, k), the intercept row then each lag's
+    k rows (A_i transposed), with ``c`` (k,) and ``lag_coefs`` (p, k, k) views of
+    it; MLE residual covariance ``sigma`` (k, k); and the effective sample size."""
 
     p: int
-    c: np.ndarray
-    lag_coefs: np.ndarray
+    coef: np.ndarray
     sigma: np.ndarray
     n_obs: int
 
     @property
     def k(self) -> int:
-        return self.c.shape[0]
+        return self.coef.shape[1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.coef[0]
+
+    @property
+    def lag_coefs(self) -> np.ndarray:
+        return self.coef[1:].reshape(self.p, self.k, self.k).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,16 @@ def regressor_names(p: int) -> list[str]:
     return names
 
 
+def lag_features(arr: np.ndarray, q: int, first: int) -> np.ndarray:
+    """Row t - first holds the pairs of rows t-q .. t-1 of ``arr``, flattened
+    in chronological order, for every t from ``first`` (>= q) to len(arr) - 1."""
+    n = arr.shape[0]
+    X = np.empty((n - first, 2 * q))
+    for j in range(q):
+        X[:, 2 * j : 2 * j + 2] = arr[first - q + j : n - q + j]
+    return X
+
+
 def _design_matrix(arr: np.ndarray, p: int) -> np.ndarray:
     """Z for rows p .. n-1 of an ``(n, 2)`` count array, shape (n - p, 1 + k p):
     constant column then lags 1..p of both variables."""
@@ -93,8 +113,8 @@ def _design_matrix(arr: np.ndarray, p: int) -> np.ndarray:
     if n <= p:
         raise ValueError(f"series of length {n} is too short for p={p}")
     Z = np.ones((n - p, 1 + K * p))
-    for lag in range(1, p + 1):
-        Z[:, 1 + K * (lag - 1) : 1 + K * lag] = arr[p - lag : n - lag]
+    lags = lag_features(arr, p, p).reshape(n - p, p, K)  # oldest lag first
+    Z[:, 1:] = lags[:, ::-1].reshape(n - p, K * p)
     return Z
 
 
@@ -105,22 +125,14 @@ def build_lag_matrix(series, p: int):
     return _design_matrix(arr, p), arr[p:].copy()
 
 
-def _dependent_columns(Z: np.ndarray, names: list[str], rtol: float = 1e-10):
+def _dependent_columns(Z: np.ndarray, names: list[str]):
     """The columns whose distance from the span of every column before them
-    is at most rtol times their own norm; a zero column always is one.
+    is at most _RANK_RTOL times their own norm; a zero column always is one.
 
     That distance is |R[j, j]| of Z's QR factorisation, for every j at once."""
     distance = np.abs(np.diag(np.linalg.qr(Z, mode="r")))
-    bound = rtol * np.linalg.norm(Z, axis=0)
+    bound = _RANK_RTOL * np.linalg.norm(Z, axis=0)
     return tuple(name for name, d, b in zip(names, distance, bound) if d <= b)
-
-
-def _stacked_coef(model: VarModel) -> np.ndarray:
-    """Reassemble the (1 + k p, k) least-squares coefficient matrix."""
-    blocks = [model.c[None, :]]
-    for lag in range(model.p):
-        blocks.append(model.lag_coefs[lag].T)
-    return np.vstack(blocks)
 
 
 def fit_var(series, p: int):
@@ -146,14 +158,7 @@ def fit_var(series, p: int):
     E = Y - Z @ B
     n_obs = Z.shape[0]
     sigma = E.T @ E / n_obs
-    lag_coefs = np.stack(
-        [B[1 + K * i : 1 + K * (i + 1), :].T for i in range(p)]
-    )
-    model = VarModel(
-        p=p, c=B[0].copy(), lag_coefs=lag_coefs, sigma=sigma, n_obs=n_obs
-    )
-    diagnostics = _diagnostics(Z, B, E, sigma, names)
-    return model, diagnostics
+    return VarModel(p=p, coef=B, sigma=sigma, n_obs=n_obs), _diagnostics(Z, B, E, sigma, names)
 
 
 def _information_criteria(ld: float, n_obs: int, p: int):
@@ -195,13 +200,13 @@ def _diagnostics(Z, B, E, sigma, names) -> FitDiagnostics:
 def one_step_predictions(model: VarModel, series: np.ndarray) -> np.ndarray:
     """In-sample one-step-ahead predictions over an ``(n, 2)`` count array;
     row i targets row p + i."""
-    return _design_matrix(series, model.p) @ _stacked_coef(model)
+    return _design_matrix(series, model.p) @ model.coef
 
 
 def residuals(model: VarModel, series) -> np.ndarray:
     """Actual minus one-step prediction for rows p .. n-1, shape (n - p, k)."""
     Z, Y = build_lag_matrix(series, model.p)
-    return Y - Z @ _stacked_coef(model)
+    return Y - Z @ model.coef
 
 
 def summary(model: VarModel, diagnostics: FitDiagnostics) -> str:
@@ -264,9 +269,9 @@ def load_var(path: str | Path) -> VarModel:
     def values(idx: int, key: str, count: int) -> np.ndarray:
         return np.array(lines.numbers(idx, lines.expect(idx, key), count=count))
 
-    c = values(4, "c", k)
-    lag_coefs = np.array([values(5 + lag, f"A{lag + 1}", k * k) for lag in range(p)])
+    rows = [values(4, "c", k)]
+    rows += [values(5 + lag, f"A{lag + 1}", k * k).reshape(k, k).T for lag in range(p)]
     sigma = values(5 + p, "sigma", k * k)
-    return VarModel(
-        p=p, c=c, lag_coefs=lag_coefs.reshape(p, k, k), sigma=sigma.reshape(k, k), n_obs=n_obs
-    )
+    # C order, as lstsq returns it: the bits of a matmul depend on its operands' layout
+    coef = np.ascontiguousarray(np.vstack(rows))
+    return VarModel(p=p, coef=coef, sigma=sigma.reshape(k, k), n_obs=n_obs)

@@ -1308,6 +1308,33 @@ def test_missing_input_file_gives_the_reason(tmp_path, monkeypatch, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
+_SWEEP_MISSING = ["sweep", "--datasets", "missing.csv", "--out", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [(["fit", "--data", "missing.csv", "--out", "b", "--epochs", "0"],
+      "epochs must be >= 1, got '0'"),
+     (["fit", "--data", "missing.csv", "--out", "b", "--hidden", "4,0"],
+      "hidden layer widths must be >= 1, got '(4, 0)'"),
+     ([*_SWEEP_MISSING, "--epochs", "0"], "epochs must be >= 1, got '0'"),
+     ([*_SWEEP_MISSING, "--workers", "0"], "workers must be at least 1, got '0'"),
+     ([*_SWEEP_MISSING, "--train-fraction", "1.5"],
+      "train_fraction must lie in (0, 1), got '1.5'")],
+    ids=["fit-epochs", "fit-hidden", "sweep-epochs", "sweep-workers", "sweep-train-fraction"],
+)
+def test_bad_setting_is_refused_before_any_file_is_read(
+    tmp_path, monkeypatch, capsys, argv, complaint
+):
+    """A missing file is not read: the bad setting is named first."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {complaint}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overlong_header_is_quoted_short(tmp_path, capsys):
     data = synth(tmp_path, length=60, seed=3)
     lines = data.read_text().splitlines(keepends=True)

@@ -187,6 +187,20 @@ def test_counts_to_array_rejects_other_shapes(shape):
         counts_to_array(np.zeros(shape))
 
 
+_COUNT_SERIES = CountSeries(make_counts([(1, 2), (3, 4), (5, 6), (7, 8)]))
+_PASS_COUNTS = r"^series: expected an \(n, 2\) count array, got a CountSeries; pass its \.counts$"
+
+
+def test_counts_to_array_refuses_a_count_series_by_name():
+    with pytest.raises(ValueError, match=_PASS_COUNTS):
+        counts_to_array(_COUNT_SERIES)
+
+
+def test_chronological_split_refuses_a_count_series_by_name():
+    with pytest.raises(ValueError, match=_PASS_COUNTS):
+        chronological_split(_COUNT_SERIES, 0.5)
+
+
 # ----------------------------------------------------------------- generator
 
 def test_generator_is_deterministic_byte_for_byte(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oficast.data_io import (
+    CountSeries,
     SyntheticSpec,
     chronological_split,
     counts_to_array,
@@ -392,6 +393,22 @@ def test_holdout_records_are_reindexed_and_causal():
     context = np.concatenate([train_s[-warmup:], holdout])
     manual = predict(bundle, context)
     assert manual.predicted_ofi.tolist() == records.predicted_ofi.tolist()
+
+
+def test_fit_hybrid_refuses_a_count_series_by_name():
+    series = generate_synthetic(SyntheticSpec(length=200, seed=1))
+    with pytest.raises(ValueError, match=r"^series: .*got a CountSeries; pass its \.counts$"):
+        fit_hybrid(series, PipelineConfig())
+
+
+@pytest.mark.parametrize("which", ["train_series", "holdout_series"])
+def test_evaluate_on_holdout_refuses_a_count_series_by_name(which):
+    series = synthetic(200, seed=3)
+    bundle = fit_var_only(series, PipelineConfig())
+    parts = {"train_series": series[:150], "holdout_series": series[150:]}
+    parts[which] = CountSeries(parts[which])
+    with pytest.raises(ValueError, match=rf"^{which}: .*got a CountSeries; pass its \.counts$"):
+        evaluate_on_holdout(bundle, **parts)
 
 
 def test_holdout_rejects_insufficient_train_context():

@@ -310,8 +310,7 @@ def test_p_value_normal_tail():
 def _halving_model():
     return VarModel(
         p=1,
-        c=np.zeros(2),
-        lag_coefs=np.array([0.5 * np.eye(2)]),
+        coef=np.vstack([np.zeros((1, 2)), 0.5 * np.eye(2)]),
         sigma=np.zeros((2, 2)),
         n_obs=10,
     )
@@ -342,7 +341,7 @@ def test_forecast_builds_only_the_design_matrix_of_the_array_given():
     Z, _ = build_lag_matrix(series, 2)
     with mock.patch.object(var_model, "counts_to_array", side_effect=AssertionError):
         preds = one_step_predictions(model, series)
-    assert preds.tobytes() == (Z @ var_model._stacked_coef(model)).tobytes()
+    assert preds.tobytes() == (Z @ model.coef).tobytes()
 
 
 def test_forecast_insufficient_history():
@@ -358,6 +357,66 @@ def test_forecast_output_is_real_valued():
     out = one_step_predictions(model, make_counts([(3, 5), (4, 6), (2, 2)]))
     assert out.dtype == float
     assert not np.allclose(out, np.round(out))  # not silently integerized
+
+
+# ------------------------------------------------- the coefficient matrix
+
+_PIN_SERIES = generate_synthetic(SyntheticSpec(length=300, seed=11)).counts.astype(float)
+
+
+def _straight_design(arr, p):
+    """Z built one row and one lag at a time: 1, then lags 1 .. p."""
+    rows = []
+    for t in range(p, arr.shape[0]):
+        row = [1.0]
+        for lag in range(1, p + 1):
+            row.extend(arr[t - lag])
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_design_matrix_matches_straight_loop(p):
+    got = var_model._design_matrix(_PIN_SERIES, p)
+    want = _straight_design(_PIN_SERIES, p)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_coef_is_the_least_squares_solution_bit_for_bit(p):
+    model, _ = fit_var(_PIN_SERIES, p)
+    B = np.linalg.lstsq(_straight_design(_PIN_SERIES, p), _PIN_SERIES[p:], rcond=None)[0]
+    assert model.coef.shape == (1 + K * p, K) and model.coef.flags.c_contiguous
+    assert model.coef.tobytes() == B.tobytes()
+    # c and lag_coefs keep the layout they had as fields of their own
+    assert model.c.tobytes() == B[0].tobytes()
+    lag_coefs = np.stack([B[1 + K * i : 1 + K * (i + 1)].T for i in range(p)])
+    assert model.lag_coefs.shape == lag_coefs.shape
+    assert np.ascontiguousarray(model.lag_coefs).tobytes() == lag_coefs.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_predictions_and_residuals_are_z_times_the_stacked_blocks(p):
+    model, _ = fit_var(_PIN_SERIES, p)
+    stacked = np.vstack([model.c, *(A.T for A in model.lag_coefs)])
+    fitted = _straight_design(_PIN_SERIES, p) @ stacked
+    assert one_step_predictions(model, _PIN_SERIES).tobytes() == fitted.tobytes()
+    assert residuals(model, _PIN_SERIES).tobytes() == (_PIN_SERIES[p:] - fitted).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_save_load_keeps_coef_bit_for_bit(tmp_path, p):
+    """In its layout too: a matmul's bits depend on it, and a VAR(10) whose
+    coefficients came back in Fortran order predicted other bits."""
+    model, _ = fit_var(_PIN_SERIES, p)
+    save_var(model, tmp_path / "var.txt")
+    loaded = load_var(tmp_path / "var.txt")
+    assert loaded.coef.flags.c_contiguous
+    assert loaded.coef.shape == model.coef.shape
+    assert loaded.coef.tobytes() == model.coef.tobytes()
+    for stage in (one_step_predictions, residuals):
+        assert stage(loaded, _PIN_SERIES).tobytes() == stage(model, _PIN_SERIES).tobytes()
 
 
 # ------------------------------------------------------------------ summary
